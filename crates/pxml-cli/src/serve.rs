@@ -966,7 +966,15 @@ fn reload_locked(inner: &Arc<ServerInner>, name: &str, slot: &Slot) -> (Status, 
     let mut replayed = 0usize;
     if let Some(handle) = &slot.wal {
         let mut wal = handle.wal.lock();
-        let tail = wal.live_records().to_vec();
+        let tail = match wal.live_records() {
+            Ok(tail) => tail,
+            Err(e) => {
+                return (
+                    Status::RunError,
+                    format!("reload aborted ({name} keeps serving the old instance): wal read failed: {e}"),
+                )
+            }
+        };
         // The rebind is atomic (built beside the live segment, renamed
         // over it): if it fails, the old slot keeps serving and the old
         // journal is untouched — nothing acknowledged is at risk.
@@ -1093,7 +1101,8 @@ fn rebuild_slot(inner: &Arc<ServerInner>, name: &str, slot: &Arc<Slot>) -> Resul
         let mut wal = handle.wal.lock();
         if wal.snapshot_crc() == crc {
             wal.repair();
-            replayed = replay_records(&mut engine.write(), wal.live_records());
+            let tail = wal.live_records().map_err(|e| e.to_string())?;
+            replayed = replay_records(&mut engine.write(), &tail);
         } else {
             wal.rotate(crc).map_err(|e| e.to_string())?;
         }

@@ -22,17 +22,23 @@
 //! Representations the slabs cannot express ([`Opf::LabelProduct`],
 //! sparse child sets) fall back to a cloned legacy [`Opf`] — trivially
 //! bit-identical, and absent from the paper's workloads.
+//!
+//! Entry-level mutations (those that change OPF entries but not the
+//! weak skeleton) leave the index order and both CSRs valid, so
+//! [`ArenaInstance::patch_opfs`] re-lowers just the dirty objects' slots:
+//! in place when the new OPF has the old slot's shape, otherwise into a
+//! fresh slab range, compacting once dead ranges outgrow the live ones.
 
 use std::collections::HashMap;
 
 use crate::childset::ChildSet;
 use crate::error::{CoreError, Result};
 use crate::ids::{Label, ObjectId};
-use crate::opf::Opf;
+use crate::opf::{Opf, OpfTable};
 use crate::prob_instance::ProbInstance;
 
 /// How one object's OPF is stored in the arena slabs.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum OpfSlot {
     /// The object has no OPF (leaves, or phantom references).
     Missing,
@@ -55,6 +61,37 @@ enum OpfSlot {
     /// Any other representation, evaluated through a cloned legacy
     /// [`Opf`] (bit-identical by construction).
     Fallback(u32),
+}
+
+impl OpfSlot {
+    /// Slab entries the slot occupies (a fallback OPF counts as one).
+    fn slab_entries(self) -> usize {
+        match self {
+            OpfSlot::Missing => 0,
+            OpfSlot::Independent { len, .. } => len as usize,
+            OpfSlot::Table { start, end } => (end - start) as usize,
+            OpfSlot::Fallback(_) => 1,
+        }
+    }
+}
+
+/// One object's lowered OPF as the slabs store it
+/// ([`ArenaInstance::opf_view`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum OpfView<'a> {
+    /// No OPF.
+    Missing,
+    /// Independent per-position presence probabilities.
+    Independent(&'a [f64]),
+    /// Explicit mask table, in the legacy table's insertion order.
+    Table {
+        /// Child-set masks.
+        masks: &'a [u64],
+        /// Probabilities, parallel to `masks`.
+        probs: &'a [f64],
+    },
+    /// A representation the slabs cannot express.
+    Fallback(&'a Opf),
 }
 
 /// A [`ProbInstance`] lowered to flat arrays (see the module docs).
@@ -85,6 +122,13 @@ pub struct ArenaInstance {
     /// Whether the entry is an edge of the weak instance graph
     /// (`card(o, l).max ≥ 1`), parallel to `children`.
     child_weak: Vec<bool>,
+    /// Reverse CSR over the weak edges, length `order.len() + 1`:
+    /// `parents[parent_offsets[x]..parent_offsets[x + 1]]` are the
+    /// distinct members with a weak edge into member `x`, ascending.
+    /// Phantom rows are empty, as in [`crate::weak::WeakInstance::parents`].
+    parent_offsets: Vec<u32>,
+    /// Packed parent arena indices.
+    parents: Vec<u32>,
     /// True when no object appears as a child more than once and the
     /// root is nobody's child — the flat pipeline then skips dedup and
     /// the (unfireable) §6 tree-shape checks.
@@ -99,6 +143,9 @@ pub struct ArenaInstance {
     table_probs: Vec<f64>,
     /// Cloned legacy OPFs for representations the slabs cannot express.
     fallback: Vec<Opf>,
+    /// Slab entries no slot addresses any more (left behind when
+    /// [`ArenaInstance::patch_opfs`] moved a slot to a fresh range).
+    garbage: usize,
 }
 
 impl ArenaInstance {
@@ -219,6 +266,8 @@ impl ArenaInstance {
         }
         child_offsets.push(children.len() as u32);
         let root = index[&pi.root()];
+        let (parent_offsets, parents) =
+            reverse_weak_csr(&child_offsets, &children, &child_weak, members);
 
         // Forest detection: when no object appears as a child more than
         // once (and the root is nobody's child), the flat query pipeline
@@ -245,15 +294,130 @@ impl ArenaInstance {
             children,
             child_labels,
             child_weak,
+            parent_offsets,
+            parents,
             forest,
             slots,
             indep,
             table_masks,
             table_probs,
             fallback,
+            garbage: 0,
         };
         debug_assert_eq!(a.debug_validate(), Ok(()));
         a
+    }
+
+    /// Re-lowers the OPFs of `dirty` after an entry-level mutation of
+    /// `pi` — one that changed OPF or VPF entries but not the weak
+    /// skeleton this arena was lowered from, so the index order and both
+    /// CSRs stay valid and only those slots can differ. A new OPF with
+    /// its old slot's shape (kind and length) overwrites the slot's slab
+    /// range in place; any other goes to a fresh range and the old one
+    /// becomes garbage. Once garbage exceeds the live slab entries the
+    /// slabs are compacted, which keeps the work amortised O(dirty).
+    /// Objects without a slot change (VPF-only updates, unknown ids)
+    /// cost nothing.
+    pub fn patch_opfs(&mut self, pi: &ProbInstance, dirty: &[ObjectId]) {
+        for &o in dirty {
+            let Some(x) = self.index_of(o) else { continue };
+            if x >= self.members {
+                continue; // phantoms carry no OPF
+            }
+            let Some(node) = pi.weak().node(o) else { continue };
+            let (s, e) = self.child_range(x);
+            debug_assert_eq!(node.universe().len(), (e - s) as usize, "skeleton changed");
+            self.patch_slot(x, pi.opf(o), node.universe().fits_mask());
+        }
+        let total = self.indep.len() + self.table_masks.len() + self.fallback.len();
+        if self.garbage > total - self.garbage {
+            self.compact_slabs();
+        }
+        debug_assert_eq!(self.debug_validate(), Ok(()));
+    }
+
+    /// Re-lowers one slot: in place when the shape is unchanged,
+    /// otherwise appended (the old range counted as garbage).
+    fn patch_slot(&mut self, x: u32, opf: Option<&Opf>, fits_mask: bool) {
+        let old = self.slots[x as usize];
+        match (old, opf) {
+            (OpfSlot::Missing, None) => return,
+            (OpfSlot::Independent { start, len }, Some(Opf::Independent(i)))
+                if i.probs().len() == len as usize =>
+            {
+                self.indep[start as usize..(start + len) as usize].copy_from_slice(i.probs());
+                return;
+            }
+            (OpfSlot::Table { start, end }, Some(Opf::Table(t)))
+                if slab_table(t, fits_mask) && t.len() == (end - start) as usize =>
+            {
+                for (k, (set, p)) in t.iter().enumerate() {
+                    if let ChildSet::Mask(m) = set {
+                        self.table_masks[start as usize + k] = *m;
+                        self.table_probs[start as usize + k] = p;
+                    }
+                }
+                return;
+            }
+            (OpfSlot::Fallback(f), Some(other)) if !slab_expressible(other, fits_mask) => {
+                self.fallback[f as usize] = other.clone();
+                return;
+            }
+            _ => {}
+        }
+        self.garbage += old.slab_entries();
+        self.slots[x as usize] = lower_opf(
+            opf,
+            fits_mask,
+            &mut self.indep,
+            &mut self.table_masks,
+            &mut self.table_probs,
+            &mut self.fallback,
+        );
+    }
+
+    /// Rewrites the slabs with only the live ranges, in index order —
+    /// the layout a fresh lowering of the same instance produces.
+    fn compact_slabs(&mut self) {
+        let (mut n_indep, mut n_table) = (0, 0);
+        for slot in &self.slots {
+            match *slot {
+                OpfSlot::Independent { len, .. } => n_indep += len as usize,
+                OpfSlot::Table { start, end } => n_table += (end - start) as usize,
+                _ => {}
+            }
+        }
+        let mut indep = Vec::with_capacity(n_indep);
+        let mut table_masks = Vec::with_capacity(n_table);
+        let mut table_probs = Vec::with_capacity(n_table);
+        let mut old_fallback: Vec<Option<Opf>> =
+            std::mem::take(&mut self.fallback).into_iter().map(Some).collect();
+        let mut fallback = Vec::new();
+        for slot in &mut self.slots {
+            *slot = match *slot {
+                OpfSlot::Missing => OpfSlot::Missing,
+                OpfSlot::Independent { start, len } => {
+                    let s = indep.len() as u32;
+                    indep.extend_from_slice(&self.indep[start as usize..(start + len) as usize]);
+                    OpfSlot::Independent { start: s, len }
+                }
+                OpfSlot::Table { start, end } => {
+                    let s = table_masks.len() as u32;
+                    table_masks.extend_from_slice(&self.table_masks[start as usize..end as usize]);
+                    table_probs.extend_from_slice(&self.table_probs[start as usize..end as usize]);
+                    OpfSlot::Table { start: s, end: table_masks.len() as u32 }
+                }
+                OpfSlot::Fallback(f) => {
+                    fallback.push(old_fallback[f as usize].take().expect("one slot per fallback"));
+                    OpfSlot::Fallback((fallback.len() - 1) as u32)
+                }
+            };
+        }
+        self.indep = indep;
+        self.table_masks = table_masks;
+        self.table_probs = table_probs;
+        self.fallback = fallback;
+        self.garbage = 0;
     }
 
     /// Total number of arena indices (members plus phantoms).
@@ -290,6 +454,39 @@ impl ArenaInstance {
     /// The index assignment order (members first, in topological order).
     pub fn order(&self) -> &[ObjectId] {
         &self.order
+    }
+
+    /// The distinct members with a weak edge into `x`, ascending (empty
+    /// for phantoms) — the weak parent map as a reverse CSR row.
+    pub fn parents_of(&self, x: u32) -> &[u32] {
+        let (s, e) = (self.parent_offsets[x as usize], self.parent_offsets[x as usize + 1]);
+        &self.parents[s as usize..e as usize]
+    }
+
+    /// The lowered OPF of `x` as stored in the slabs.
+    pub fn opf_view(&self, x: u32) -> OpfView<'_> {
+        match self.slots[x as usize] {
+            OpfSlot::Missing => OpfView::Missing,
+            OpfSlot::Independent { start, len } => {
+                OpfView::Independent(&self.indep[start as usize..(start + len) as usize])
+            }
+            OpfSlot::Table { start, end } => OpfView::Table {
+                masks: &self.table_masks[start as usize..end as usize],
+                probs: &self.table_probs[start as usize..end as usize],
+            },
+            OpfSlot::Fallback(f) => OpfView::Fallback(&self.fallback[f as usize]),
+        }
+    }
+
+    /// Slab lengths `(independent, table, fallback)`, dead ranges included.
+    pub fn slab_lens(&self) -> (usize, usize, usize) {
+        (self.indep.len(), self.table_masks.len(), self.fallback.len())
+    }
+
+    /// Slab entries no slot addresses (0 right after lowering or
+    /// compaction).
+    pub fn garbage(&self) -> usize {
+        self.garbage
     }
 
     /// The CSR row of `x`: offsets into the packed child arrays. The
@@ -637,6 +834,15 @@ impl ArenaInstance {
                 return Err(format!("child index {c} out of bounds"));
             }
         }
+        if self.parent_offsets.len() != total + 1
+            || self.parent_offsets.windows(2).any(|w| w[0] > w[1])
+            || self.parent_offsets.last().copied().unwrap_or(0) as usize != self.parents.len()
+        {
+            return Err("parent CSR offsets malformed".into());
+        }
+        if self.parents.iter().any(|&p| p >= self.members) {
+            return Err("parent index is not a member".into());
+        }
         if self.slots.len() != total {
             return Err("one OPF slot per object required".into());
         }
@@ -663,6 +869,10 @@ impl ArenaInstance {
                 }
             }
         }
+        let live: usize = self.slots.iter().map(|s| s.slab_entries()).sum();
+        if live + self.garbage != self.indep.len() + self.table_masks.len() + self.fallback.len() {
+            return Err("slab garbage count disagrees with the live slots".into());
+        }
         if self.index.len() != total {
             return Err("id→index map size mismatch".into());
         }
@@ -673,6 +883,60 @@ impl ArenaInstance {
         }
         Ok(())
     }
+}
+
+/// True when `t` lowers into the table slab (masks over a ≤64 universe).
+fn slab_table(t: &OpfTable, fits_mask: bool) -> bool {
+    fits_mask && t.iter().all(|(s, _)| matches!(s, ChildSet::Mask(_)))
+}
+
+/// True when `opf` lowers into a slab rather than a fallback clone.
+fn slab_expressible(opf: &Opf, fits_mask: bool) -> bool {
+    match opf {
+        Opf::Independent(_) => true,
+        Opf::Table(t) => slab_table(t, fits_mask),
+        Opf::LabelProduct(_) => false,
+    }
+}
+
+/// The weak parent map as a reverse CSR `(offsets, parents)`: each
+/// member's distinct weak parents, ascending. Phantom children get no
+/// parents, matching [`crate::weak::WeakInstance::parents`].
+fn reverse_weak_csr(
+    child_offsets: &[u32],
+    children: &[u32],
+    child_weak: &[bool],
+    members: u32,
+) -> (Vec<u32>, Vec<u32>) {
+    let total = child_offsets.len() - 1;
+    // `last[c]` is the last parent recorded for `c`; rows are visited in
+    // ascending order, so it dedups a parent reaching `c` twice.
+    let mut last = vec![u32::MAX; total];
+    let mut offsets = vec![0u32; total + 1];
+    let mut each_edge = |f: &mut dyn FnMut(u32, u32)| {
+        last.fill(u32::MAX);
+        for x in 0..members {
+            let (s, e) = (child_offsets[x as usize], child_offsets[x as usize + 1]);
+            for i in s as usize..e as usize {
+                let c = children[i];
+                if child_weak[i] && c < members && last[c as usize] != x {
+                    last[c as usize] = x;
+                    f(x, c);
+                }
+            }
+        }
+    };
+    each_edge(&mut |_, c| offsets[c as usize + 1] += 1);
+    for i in 0..total {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut fill = offsets[..total].to_vec();
+    let mut parents = vec![0u32; offsets[total] as usize];
+    each_edge(&mut |x, c| {
+        parents[fill[c as usize] as usize] = x;
+        fill[c as usize] += 1;
+    });
+    (offsets, parents)
 }
 
 /// Lowers one OPF into the slabs, falling back to a clone when the
@@ -692,9 +956,7 @@ fn lower_opf(
             indep.extend_from_slice(i.probs());
             OpfSlot::Independent { start, len: i.probs().len() as u32 }
         }
-        Some(Opf::Table(t))
-            if fits_mask && t.iter().all(|(s, _)| matches!(s, ChildSet::Mask(_))) =>
-        {
+        Some(Opf::Table(t)) if slab_table(t, fits_mask) => {
             let start = table_masks.len() as u32;
             for (s, p) in t.iter() {
                 if let ChildSet::Mask(m) = s {
@@ -821,6 +1083,98 @@ mod tests {
             ArenaInstance::lower(&pi),
             Err(CoreError::AmbiguousChildLabel { .. })
         ));
+    }
+
+    /// Slot-for-slot equality of the lowered OPFs, `to_bits`-exact.
+    fn assert_same_opfs(a: &ArenaInstance, b: &ArenaInstance) {
+        assert_eq!(a.order(), b.order());
+        let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for x in 0..a.len() as u32 {
+            match (a.opf_view(x), b.opf_view(x)) {
+                (OpfView::Independent(p), OpfView::Independent(q)) => assert_eq!(bits(p), bits(q)),
+                (OpfView::Table { masks: m, probs: p }, OpfView::Table { masks: n, probs: q }) => {
+                    assert_eq!(m, n);
+                    assert_eq!(bits(p), bits(q));
+                }
+                (v, w) => assert_eq!(v, w, "slot {x}"),
+            }
+        }
+    }
+
+    /// Replaces `o`'s OPF table by one grown by a zero-probability entry
+    /// (`grow`) or stripped of its zero entries: a change of table length
+    /// that leaves every answer alone.
+    fn reshape(pi: &mut ProbInstance, o: ObjectId, grow: bool) -> Vec<ObjectId> {
+        use crate::mutate::Mutation;
+        let node = pi.weak().node(o).unwrap();
+        let mut t = pi.opf(o).unwrap().to_table(node.universe());
+        if grow {
+            let n = node.universe().len() as u32;
+            let unused = (0u64..1 << n)
+                .map(ChildSet::Mask)
+                .find(|s| t.iter().all(|(e, _)| e != s))
+                .expect("fig2 tables leave a child set unused");
+            t.set(unused, 0.0);
+        } else {
+            t.retain_positive();
+        }
+        pi.apply(&Mutation::ReplaceOpf { object: o, opf: Opf::Table(t) }).unwrap().dirty
+    }
+
+    #[test]
+    fn same_shape_patch_overwrites_in_place() {
+        use crate::mutate::Mutation;
+        let mut pi = fig2_instance();
+        let mut a = ArenaInstance::lower(&pi).unwrap();
+        let (r, b1) = (pi.root(), pi.oid("B1").unwrap());
+        let lens = a.slab_lens();
+        let effect = pi.apply(&Mutation::SetEdgeProb { parent: r, child: b1, prob: 0.25 }).unwrap();
+        a.patch_opfs(&pi, &effect.dirty);
+        assert_eq!(a.slab_lens(), lens);
+        assert_eq!(a.garbage(), 0);
+        assert_same_opfs(&a, &ArenaInstance::lower(&pi).unwrap());
+    }
+
+    #[test]
+    fn reshaped_slots_append_then_compact_to_a_fresh_layout() {
+        let mut pi = fig2_instance();
+        let mut a = ArenaInstance::lower(&pi).unwrap();
+        let r = pi.root();
+        let labels = vec![pi.lid("book").unwrap(), pi.lid("title").unwrap()];
+        let t2 = pi.oid("T2").unwrap();
+        let mut compactions = 0;
+        for step in 0..12 {
+            let dirty = reshape(&mut pi, r, step % 2 == 0);
+            a.patch_opfs(&pi, &dirty);
+            let fresh = ArenaInstance::lower(&pi).unwrap();
+            assert_same_opfs(&a, &fresh);
+            let (i, t, f) = a.slab_lens();
+            assert!(a.garbage() <= i + t + f - a.garbage(), "garbage outgrew the live slabs");
+            if a.garbage() == 0 {
+                // Every step moved R's slot, so no garbage means compacted.
+                compactions += 1;
+                assert_eq!(a.slab_lens(), fresh.slab_lens());
+            }
+            assert_eq!(
+                a.point_flat(&labels, t2).unwrap().to_bits(),
+                fresh.point_flat(&labels, t2).unwrap().to_bits()
+            );
+        }
+        assert!(compactions > 0, "twelve reshapes must compact at least once");
+    }
+
+    #[test]
+    fn parents_of_is_the_weak_parent_map() {
+        let pi = fig2_instance();
+        let a = ArenaInstance::lower(&pi).unwrap();
+        let parents = pi.weak().parents();
+        for o in pi.weak().objects() {
+            let x = a.index_of(o).unwrap();
+            let mut want: Vec<u32> =
+                parents.get(o).unwrap().iter().map(|&p| a.index_of(p).unwrap()).collect();
+            want.sort_unstable();
+            assert_eq!(a.parents_of(x), &want[..], "parents of {o:?}");
+        }
     }
 
     #[test]

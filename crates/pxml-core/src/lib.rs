@@ -65,7 +65,7 @@ pub mod vpf;
 pub mod weak;
 pub mod worlds;
 
-pub use arena::ArenaInstance;
+pub use arena::{ArenaInstance, OpfView};
 pub use budget::{Budget, CancelToken, Exhausted, Resource};
 pub use catalog::Catalog;
 pub use childset::{ChildSet, ChildUniverse};

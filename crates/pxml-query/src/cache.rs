@@ -33,13 +33,13 @@
 //! the recursion order is universe order in both the engine and the
 //! sequential code, which share one implementation).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use pxml_core::{LabelPath, ObjectId, PathSuffix};
+use pxml_core::{Label, LabelPath, ObjectId, PathSuffix};
 
 use crate::engine::Query;
 use crate::error::Result;
@@ -58,9 +58,10 @@ pub enum TargetKey {
 ///
 /// `object` is an **arena index** into the engine's current
 /// [`pxml_core::ArenaInstance`], not an [`ObjectId`]: the ungoverned ε
-/// recursion runs over the arena, and index keys are only stable for one
-/// lowering. When a mutation re-lowers the instance into a different
-/// index order the engine wipes this table wholesale
+/// recursion runs over the arena, and index keys are only stable while
+/// the index order is. Entry-level mutations patch the arena in place
+/// and keep it; when a structural mutation re-lowers the instance into a
+/// different index order the engine wipes this table wholesale
 /// ([`MarginalCache::invalidate_rekeyed`]) instead of translating keys.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct EpsKey {
@@ -272,8 +273,10 @@ impl MarginalCache {
         self.layers.read().map.get(&(root, path.clone())).map(|e| Arc::clone(&e.value))
     }
 
-    /// Located-layers insert.
+    /// Located-layers insert. Each layer must be sorted ascending (as
+    /// `layers_weak` returns them): invalidation binary-searches them.
     pub fn put_layers(&self, root: ObjectId, path: LabelPath, layers: Arc<Vec<Vec<ObjectId>>>) {
+        debug_assert!(layers.iter().all(|l| l.is_sorted()), "layers must be sorted");
         let extra: u64 = layers.iter().map(|l| 24 + l.len() as u64 * 4).sum();
         self.admit(&self.layers, (root, path), layers, LAYERS_ENTRY_BYTES + extra);
     }
@@ -357,15 +360,16 @@ impl MarginalCache {
     ///
     /// The ε and link tables are keyed by arena index, so the caller
     /// additionally passes `direct_idx` / `affected_idx` — the same sets
-    /// translated through the **pre-mutation** lowering the cached
-    /// entries were keyed under. Only call this when the re-lowered
-    /// arena kept the same index order; otherwise use
+    /// as indices of the lowering the cached entries were keyed under.
+    /// Only call this while that index order still holds (always after
+    /// an entry-level mutation, which patches the arena in place); after
+    /// a structural re-lowering that changed it, use
     /// [`MarginalCache::invalidate_rekeyed`].
     pub fn invalidate_dirty(
         &self,
-        direct: &std::collections::HashSet<ObjectId>,
-        direct_idx: &std::collections::HashSet<u32>,
-        affected_idx: &std::collections::HashSet<u32>,
+        direct: &HashSet<ObjectId>,
+        direct_idx: &HashSet<u32>,
+        affected_idx: &HashSet<u32>,
         structural: bool,
     ) -> InvalidationCounts {
         let mut counts = InvalidationCounts::default();
@@ -414,7 +418,7 @@ impl MarginalCache {
     /// accounting.
     pub fn invalidate_rekeyed(
         &self,
-        direct: &std::collections::HashSet<ObjectId>,
+        direct: &HashSet<ObjectId>,
         structural: bool,
     ) -> InvalidationCounts {
         let mut counts = InvalidationCounts::default();
@@ -440,15 +444,24 @@ impl MarginalCache {
 
     /// The `ObjectId`-keyed half of dirty invalidation, shared by
     /// [`MarginalCache::invalidate_dirty`] and
-    /// [`MarginalCache::invalidate_rekeyed`].
+    /// [`MarginalCache::invalidate_rekeyed`]. A layers entry touches `D`
+    /// when some member of `D` is found by binary search in one of its
+    /// sorted layers; each distinct `(root, labels)` verdict is computed
+    /// once per call and shared by every result over that path.
     fn invalidate_results_and_layers(
         &self,
-        direct: &std::collections::HashSet<ObjectId>,
+        direct: &HashSet<ObjectId>,
         structural: bool,
         counts: &mut InvalidationCounts,
     ) {
-        let touches_direct =
-            |layers: &[Vec<ObjectId>]| layers.iter().any(|l| l.iter().any(|o| direct.contains(o)));
+        let mut dirty: Vec<ObjectId> = direct.iter().copied().collect();
+        dirty.sort_unstable();
+        let touches_direct = |layers: &[Vec<ObjectId>]| {
+            layers.iter().any(|l| dirty.iter().any(|o| l.binary_search(o).is_ok()))
+        };
+        // Verdicts by root, then by label sequence (looked up by slice,
+        // so a memo hit allocates nothing).
+        let mut verdicts: HashMap<ObjectId, HashMap<Vec<Label>, bool>> = HashMap::new();
 
         // Results first: the Point/Exists test reads the layers table,
         // which must still hold the pre-mutation entries. Freed bytes
@@ -462,9 +475,18 @@ impl MarginalCache {
                 let stale = match q {
                     Query::Chain { objects } => objects.iter().any(|o| direct.contains(o)),
                     Query::Point { path, .. } | Query::Exists { path } => {
-                        match layers.map.get(&(path.root, LabelPath::from(&path.labels[..]))) {
-                            Some(l) => touches_direct(&l.value),
-                            None => true, // no witness — evict conservatively
+                        let memo = verdicts.entry(path.root).or_default();
+                        match memo.get(&path.labels[..]) {
+                            Some(&v) => v,
+                            None => {
+                                let key = (path.root, LabelPath::from(&path.labels[..]));
+                                let v = match layers.map.get(&key) {
+                                    Some(l) => touches_direct(&l.value),
+                                    None => true, // no witness — evict conservatively
+                                };
+                                memo.insert(path.labels.clone(), v);
+                                v
+                            }
                         }
                     }
                 };
@@ -481,8 +503,9 @@ impl MarginalCache {
         if structural {
             let mut s = self.layers.write();
             let mut freed = 0u64;
-            s.map.retain(|_, e| {
-                let stale = touches_direct(&e.value);
+            s.map.retain(|(root, labels), e| {
+                let known = verdicts.get(root).and_then(|m| m.get(labels.labels()));
+                let stale = known.copied().unwrap_or_else(|| touches_direct(&e.value));
                 if stale {
                     freed += e.cost;
                     counts.layers += 1;
@@ -544,7 +567,6 @@ impl InvalidationCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pxml_core::Label;
 
     fn o(raw: u32) -> ObjectId {
         ObjectId::from_raw(raw)
@@ -663,5 +685,134 @@ mod tests {
         assert_eq!(cache.admission_rejections(), 0);
         assert!(cache.get_layers(o(0), &path).is_some());
         assert_eq!(cache.approx_bytes(), cache.recomputed_bytes());
+    }
+
+    impl MarginalCache {
+        /// The linear-scan invalidation the binary-search one replaced,
+        /// kept as its oracle: scans every object of every layer, once
+        /// per cached result.
+        fn invalidate_results_and_layers_linear(
+            &self,
+            direct: &HashSet<ObjectId>,
+            structural: bool,
+            counts: &mut InvalidationCounts,
+        ) {
+            let touches_direct =
+                |layers: &[Vec<ObjectId>]| layers.iter().any(|l| l.iter().any(|o| direct.contains(o)));
+            {
+                let layers = self.layers.read();
+                let mut s = self.results.write();
+                let mut freed = 0u64;
+                s.map.retain(|q, e| {
+                    let stale = match q {
+                        Query::Chain { objects } => objects.iter().any(|o| direct.contains(o)),
+                        Query::Point { path, .. } | Query::Exists { path } => {
+                            match layers.map.get(&(path.root, LabelPath::from(&path.labels[..]))) {
+                                Some(l) => touches_direct(&l.value),
+                                None => true,
+                            }
+                        }
+                    };
+                    if stale {
+                        freed += e.cost;
+                        counts.results += 1;
+                    }
+                    !stale
+                });
+                s.bytes = s.bytes.saturating_sub(freed);
+                self.total_bytes.fetch_sub(freed, Ordering::Relaxed);
+            }
+            if structural {
+                let mut s = self.layers.write();
+                let mut freed = 0u64;
+                s.map.retain(|_, e| {
+                    let stale = touches_direct(&e.value);
+                    if stale {
+                        freed += e.cost;
+                        counts.layers += 1;
+                    }
+                    !stale
+                });
+                s.bytes = s.bytes.saturating_sub(freed);
+                self.total_bytes.fetch_sub(freed, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Over random sorted layers, results and dirty sets, the
+    /// binary-search invalidation evicts exactly the keys, and frees
+    /// exactly the bytes, that the linear scan does.
+    #[test]
+    fn binary_search_invalidation_matches_the_linear_scan() {
+        use pxml_algebra::path::PathExpr;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x1a7e);
+        for round in 0..300 {
+            let objects = rng.gen_range(1..48u32);
+            let mut paths: Vec<(ObjectId, Vec<Label>)> = Vec::new();
+            for _ in 0..rng.gen_range(1..12) {
+                let len = rng.gen_range(0..4);
+                let labels = (0..len).map(|_| Label::from_raw(rng.gen_range(0..3u32))).collect();
+                paths.push((o(rng.gen_range(0..3u32)), labels));
+            }
+            let mut layer_puts = Vec::new();
+            for (root, labels) in &paths {
+                if rng.gen_bool(0.8) {
+                    let layers: Vec<Vec<ObjectId>> = (0..=labels.len())
+                        .map(|_| {
+                            let mut l: Vec<ObjectId> = (0..rng.gen_range(0..10))
+                                .map(|_| o(rng.gen_range(0..objects)))
+                                .collect();
+                            l.sort_unstable();
+                            l.dedup();
+                            l
+                        })
+                        .collect();
+                    layer_puts.push((*root, LabelPath::from(&labels[..]), Arc::new(layers)));
+                }
+            }
+            let mut result_puts = Vec::new();
+            for _ in 0..rng.gen_range(0..40) {
+                let (root, labels) = paths[rng.gen_range(0..paths.len())].clone();
+                let path = PathExpr::new(root, labels);
+                let q = match rng.gen_range(0..3) {
+                    0 => Query::Chain {
+                        objects: (0..rng.gen_range(1..5)).map(|_| o(rng.gen_range(0..objects))).collect(),
+                    },
+                    1 => Query::Exists { path },
+                    _ => Query::Point { path, object: o(rng.gen_range(0..objects)) },
+                };
+                result_puts.push(q);
+            }
+            let direct: HashSet<ObjectId> =
+                (0..rng.gen_range(0..5)).map(|_| o(rng.gen_range(0..objects))).collect();
+            let structural = rng.gen_bool(0.5);
+
+            let fill = || {
+                let cache = MarginalCache::new();
+                for (root, labels, layers) in &layer_puts {
+                    cache.put_layers(*root, labels.clone(), Arc::clone(layers));
+                }
+                for q in &result_puts {
+                    cache.put_result(q.clone(), Ok(0.5));
+                }
+                cache
+            };
+            let (fast, slow) = (fill(), fill());
+            let (mut got, mut want) = (InvalidationCounts::default(), InvalidationCounts::default());
+            fast.invalidate_results_and_layers(&direct, structural, &mut got);
+            slow.invalidate_results_and_layers_linear(&direct, structural, &mut want);
+            assert_eq!(got, want, "round {round}: eviction counts");
+            assert_eq!(fast.approx_bytes(), slow.approx_bytes(), "round {round}: freed bytes");
+            assert_eq!(fast.approx_bytes(), fast.recomputed_bytes());
+            let keys = |c: &MarginalCache| {
+                let results: HashSet<Query> = c.results.read().map.keys().cloned().collect();
+                let layers: HashSet<(ObjectId, LabelPath)> = c.layers.read().map.keys().cloned().collect();
+                (results, layers)
+            };
+            assert_eq!(keys(&fast), keys(&slow), "round {round}: surviving keys");
+        }
     }
 }

@@ -19,7 +19,7 @@
 //! recursion would recompute (see `crate::cache` for the key-soundness
 //! argument).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -209,13 +209,27 @@ pub struct MutationOutcome {
     pub nanos: u64,
 }
 
+/// A mutation's dirty set and its ancestor closure, in the forms the
+/// cache invalidation takes.
+struct DirtyClosure {
+    /// `D`, the directly changed objects.
+    direct: HashSet<ObjectId>,
+    /// The arena indices of `D` (objects no longer in the arena drop out).
+    direct_idx: HashSet<u32>,
+    /// The arena indices of `D ∪ ancestors(D)`.
+    affected_idx: HashSet<u32>,
+    /// `|D ∪ ancestors(D)|`, dropped-out objects of `D` included.
+    affected: usize,
+}
+
 /// Batch query engine over one probabilistic instance.
 #[derive(Debug)]
 pub struct QueryEngine {
     pi: ProbInstance,
     /// Flat lowering of `pi` (arena + CSR + OPF slabs). The ungoverned
-    /// ε and chain kernels run over this; it is re-lowered after every
-    /// successful mutation (lower-on-write).
+    /// ε and chain kernels run over this. An entry-level mutation patches
+    /// the dirty objects' OPF slots in place; a structural one re-lowers
+    /// it wholesale.
     arena: ArenaInstance,
     cache: MarginalCache,
     stats: EngineStats,
@@ -395,85 +409,109 @@ impl QueryEngine {
     ) -> Result<MutationOutcome> {
         let started = Instant::now();
         let effect = self.pi.apply(m).map_err(QueryError::from)?;
+        if effect.dirty.is_empty() && !effect.structural {
+            // A provable no-op changed nothing, so the arena, the
+            // structural summary and the cache all stay valid.
+            return Ok(self.finish_mutation(m, effect, 0, InvalidationCounts::default(), started));
+        }
         // Any mutation can stale the structural summary (presence
         // ceilings read OPF marginals), so rebuild lazily on next use.
         self.summary = OnceLock::new();
-        // Lower-on-write: re-lower the whole instance so the arena
-        // kernels see the post-mutation state. If the index assignment
-        // changed (an object appeared/disappeared or the topological
-        // order shifted), every index-keyed cache entry is unsalvageable.
-        let new_arena = ArenaInstance::lower_unchecked(&self.pi);
-        let rekeyed = new_arena.order() != self.arena.order();
-        let old_arena = std::mem::replace(&mut self.arena, new_arena);
-
-        let mut affected_len = 0usize;
-        let invalidated = if effect.dirty.is_empty() {
-            InvalidationCounts::default() // provable no-op
-        } else if self.invalidation == InvalidationPolicy::FlushAll {
-            self.cache.clear();
-            InvalidationCounts::default()
+        // Entry-level ops keep the weak skeleton, hence the index order
+        // and both CSRs: patch the dirty OPF slots in place. Structural
+        // ops re-lower wholesale; if the index assignment changed (an
+        // object appeared/disappeared or the topological order shifted),
+        // every index-keyed cache entry is unsalvageable.
+        let rekeyed = if effect.structural {
+            let new_arena = ArenaInstance::lower_unchecked(&self.pi);
+            let rekeyed = new_arena.order() != self.arena.order();
+            self.arena = new_arena;
+            rekeyed
         } else {
-            match self.propagate_dirty(&effect.dirty, budget) {
-                Ok((direct, affected)) => {
-                    affected_len = affected.len();
-                    if rekeyed {
-                        self.cache.invalidate_rekeyed(&direct, effect.structural)
-                    } else {
-                        // Index order unchanged, so translating through
-                        // either lowering yields the same u32 sets; use
-                        // the old arena the cached keys were minted under.
-                        let direct_idx = direct.iter().filter_map(|&o| old_arena.index_of(o)).collect();
-                        let affected_idx =
-                            affected.iter().filter_map(|&o| old_arena.index_of(o)).collect();
-                        self.cache.invalidate_dirty(
-                            &direct,
-                            &direct_idx,
-                            &affected_idx,
-                            effect.structural,
-                        )
-                    }
-                }
-                Err(e) => {
-                    // Budget died mid-propagation: the instance already
-                    // mutated, so flush wholesale to stay sound.
-                    self.cache.clear();
-                    let nanos = started.elapsed().as_nanos() as u64;
-                    self.stats.count_mutation(0, nanos);
-                    return Err(e);
-                }
+            self.arena.patch_opfs(&self.pi, &effect.dirty);
+            false
+        };
+        if self.invalidation == InvalidationPolicy::FlushAll {
+            self.cache.clear();
+            return Ok(self.finish_mutation(m, effect, 0, InvalidationCounts::default(), started));
+        }
+        let d = match self.propagate_dirty(&effect.dirty, budget) {
+            Ok(d) => d,
+            Err(e) => {
+                // Budget died mid-propagation: the instance already
+                // mutated, so flush wholesale to stay sound.
+                self.cache.clear();
+                let nanos = started.elapsed().as_nanos() as u64;
+                self.stats.count_mutation(0, nanos);
+                return Err(e);
             }
         };
+        let invalidated = if rekeyed {
+            self.cache.invalidate_rekeyed(&d.direct, effect.structural)
+        } else {
+            // Index order unchanged, so the current lowering's indices
+            // are the ones the cached keys were minted under.
+            self.cache.invalidate_dirty(&d.direct, &d.direct_idx, &d.affected_idx, effect.structural)
+        };
+        Ok(self.finish_mutation(m, effect, d.affected, invalidated, started))
+    }
 
+    /// Counts (and, under full tracing, records) an applied mutation.
+    fn finish_mutation(
+        &self,
+        m: &Mutation,
+        effect: pxml_core::MutationEffect,
+        affected: usize,
+        invalidated: InvalidationCounts,
+        started: Instant,
+    ) -> MutationOutcome {
         let nanos = started.elapsed().as_nanos() as u64;
         self.stats.count_mutation(invalidated.total(), nanos);
         if self.trace_mode.load(Ordering::Relaxed) == TRACE_FULL {
             self.push_mutation_trace(m, nanos);
         }
-        Ok(MutationOutcome { effect, affected: affected_len, invalidated, nanos })
+        MutationOutcome { effect, affected, invalidated, nanos }
     }
 
-    /// Propagates the direct dirty set `D` up the ancestor DAG:
-    /// returns `(D, D ∪ ancestors(D))`. One budget step per object
-    /// visited bounds the walk on adversarial instances.
-    fn propagate_dirty(
-        &self,
-        dirty: &[ObjectId],
-        budget: &Budget,
-    ) -> Result<(std::collections::HashSet<ObjectId>, std::collections::HashSet<ObjectId>)> {
-        let parents = self.pi.weak().parents();
-        let direct: std::collections::HashSet<ObjectId> = dirty.iter().copied().collect();
-        let mut affected = direct.clone();
-        let mut queue: Vec<ObjectId> = dirty.to_vec();
-        while let Some(o) = queue.pop() {
-            budget.charge(1).map_err(pxml_core::CoreError::from)?;
-            let Some(ps) = parents.get(o) else { continue };
-            for &p in ps {
-                if affected.insert(p) {
+    /// Propagates the direct dirty set `D` up the weak-edge ancestor DAG
+    /// over the arena's reverse CSR, so the walk costs
+    /// O(|D ∪ ancestors(D)|), not O(instance). One budget step per
+    /// object visited (each member of `D`, then each newly reached
+    /// ancestor) bounds the walk on adversarial instances.
+    fn propagate_dirty(&self, dirty: &[ObjectId], budget: &Budget) -> Result<DirtyClosure> {
+        let charge = || budget.charge(1).map_err(pxml_core::CoreError::from);
+        let mut direct_idx = HashSet::new();
+        let mut unindexed = 0usize;
+        let mut queue: Vec<u32> = Vec::with_capacity(dirty.len());
+        for &o in dirty {
+            match self.arena.index_of(o) {
+                Some(x) => {
+                    if direct_idx.insert(x) {
+                        queue.push(x);
+                    }
+                }
+                None => {
+                    // Removed objects have no index and no parents.
+                    charge()?;
+                    unindexed += 1;
+                }
+            }
+        }
+        let mut affected_idx = direct_idx.clone();
+        while let Some(x) = queue.pop() {
+            charge()?;
+            for &p in self.arena.parents_of(x) {
+                if affected_idx.insert(p) {
                     queue.push(p);
                 }
             }
         }
-        Ok((direct, affected))
+        Ok(DirtyClosure {
+            direct: dirty.iter().copied().collect(),
+            affected: affected_idx.len() + unindexed,
+            direct_idx,
+            affected_idx,
+        })
     }
 
     /// Materialises one trace record for an applied mutation.
@@ -1912,6 +1950,79 @@ mod tests {
         // Values survive eviction churn unchanged.
         let full = engine.run(&Query::chain(chain)).unwrap();
         assert!((full - 0.5f64.powi(8)).abs() < 1e-12);
+    }
+
+    /// Point, exists and chain queries over Figure 2.
+    fn fig2_queries(pi: &ProbInstance) -> Vec<Query> {
+        let title = parse(pi, "R.book.title");
+        let (b1, t1, t2) = (pi.oid("B1").unwrap(), pi.oid("T1").unwrap(), pi.oid("T2").unwrap());
+        vec![
+            Query::exists(title.clone()),
+            Query::point(title.clone(), t1),
+            Query::point(title, t2),
+            Query::chain([pi.root(), b1, t1]),
+        ]
+    }
+
+    /// The engine's answers to `queries` equal a fresh engine's, `to_bits`.
+    fn assert_fresh_answers(engine: &QueryEngine, queries: &[Query]) {
+        let fresh = QueryEngine::with_threads(engine.instance().clone(), 1);
+        let bits = |r: Vec<Result<f64>>| {
+            r.into_iter().map(|v| v.map(f64::to_bits).map_err(|e| e.to_string())).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(engine.run_batch(queries)), bits(fresh.run_batch(queries)));
+    }
+
+    #[test]
+    fn repeated_identical_setedge_does_no_work() {
+        let pi = fig2_instance();
+        let m = Mutation::SetEdgeProb { parent: pi.root(), child: pi.oid("B1").unwrap(), prob: 0.25 };
+        let queries = fig2_queries(&pi);
+        let mut engine = QueryEngine::with_threads(pi, 1);
+        assert!(!engine.apply_mutation(&m).unwrap().effect.dirty.is_empty());
+        engine.run_batch(&queries);
+        let summary = Arc::clone(engine.summary());
+        let (cache, slabs) = (engine.cache_len(), engine.arena().slab_lens());
+        assert_ne!(cache, (0, 0, 0, 0));
+        let again = engine.apply_mutation(&m).unwrap();
+        assert!(again.effect.dirty.is_empty());
+        assert_eq!((again.affected, again.invalidated.total()), (0, 0));
+        assert_eq!(engine.cache_len(), cache);
+        assert_eq!(engine.arena().slab_lens(), slabs);
+        assert!(Arc::ptr_eq(engine.summary(), &summary), "a no-op must keep the summary");
+    }
+
+    #[test]
+    fn entry_level_mutation_patches_the_arena_in_place() {
+        let pi = fig2_instance();
+        let m = Mutation::SetEdgeProb { parent: pi.root(), child: pi.oid("B1").unwrap(), prob: 0.25 };
+        let queries = fig2_queries(&pi);
+        let mut engine = QueryEngine::with_threads(pi, 1);
+        engine.run_batch(&queries);
+        let (order, slabs) = (engine.arena().order().to_vec(), engine.arena().slab_lens());
+        let out = engine.apply_mutation(&m).unwrap();
+        assert!(!out.effect.structural);
+        assert!(out.affected >= 1);
+        // Neither re-lowered nor re-appended: same order, same slabs.
+        assert_eq!(engine.arena().order(), &order[..]);
+        assert_eq!(engine.arena().slab_lens(), slabs);
+        assert_eq!(engine.arena().garbage(), 0);
+        assert_fresh_answers(&engine, &queries);
+    }
+
+    #[test]
+    fn structural_mutation_relowers_and_answers_identically() {
+        let pi = fig2_instance();
+        let (b1, author) = (pi.oid("B1").unwrap(), pi.lid("author").unwrap());
+        let queries = fig2_queries(&pi);
+        let mut engine = QueryEngine::with_threads(pi, 1);
+        engine.run_batch(&queries);
+        let len = engine.arena().len();
+        // card(B1, author) = [1,2] is saturated, so the new child gets 0.
+        let m = Mutation::InsertObject { name: "A9".into(), parent: b1, label: author, prob: 0.0 };
+        assert!(engine.apply_mutation(&m).unwrap().effect.structural);
+        assert_eq!(engine.arena().len(), len + 1, "the new object is lowered");
+        assert_fresh_answers(&engine, &queries);
     }
 
     #[test]

@@ -314,9 +314,6 @@ pub struct Wal {
     /// the file wholesale and clears the poison.
     poisoned: bool,
     counters: Arc<WalCounters>,
-    /// Ops text appended since the last rotation, in order — the live
-    /// tail `RELOAD` replays without re-reading the file.
-    tail: Vec<String>,
 }
 
 fn create_segment(path: &Path, generation: u64, snapshot_crc: u32) -> Result<File> {
@@ -372,7 +369,6 @@ impl Wal {
                         good_len: seg.valid_len,
                         poisoned: false,
                         counters: Arc::new(WalCounters::default()),
-                        tail: seg.records.clone(),
                     };
                     wal.counters.replayed.fetch_add(seg.records.len() as u64, Ordering::Relaxed);
                     return Ok((wal, outcome, seg.records));
@@ -415,7 +411,6 @@ impl Wal {
             good_len: WAL_HEADER_BYTES as u64,
             poisoned: false,
             counters: Arc::new(WalCounters::default()),
-            tail: Vec::new(),
         })
     }
 
@@ -450,8 +445,21 @@ impl Wal {
 
     /// Ops records appended (or recovered) since the last rotation —
     /// the tail `RELOAD` must replay on top of the on-disk snapshot.
-    pub fn live_records(&self) -> &[String] {
-        &self.tail
+    /// Read back from the segment file rather than kept in memory, so
+    /// the journal's footprint does not grow with every append. Only
+    /// the first `next_seq` records count: bytes past them belong to an
+    /// append that was refused.
+    pub fn live_records(&self) -> Result<Vec<String>> {
+        let mut seg = recover_segment(&self.path)?;
+        if (seg.records.len() as u64) < self.next_seq {
+            return Err(StorageError::Binary(format!(
+                "wal segment holds {} readable records, {} were acknowledged",
+                seg.records.len(),
+                self.next_seq
+            )));
+        }
+        seg.records.truncate(self.next_seq as usize);
+        Ok(seg.records)
     }
 
     /// Appends one ops-text record, honouring the fsync policy, and
@@ -508,7 +516,6 @@ impl Wal {
         self.good_len += frame.len() as u64;
         self.counters.appends.fetch_add(1, Ordering::Relaxed);
         self.counters.appended_bytes.fetch_add(frame.len() as u64, Ordering::Relaxed);
-        self.tail.push(ops_text.to_string());
         Ok(seq)
     }
 
@@ -614,7 +621,6 @@ impl Wal {
         self.unsynced = 0;
         self.good_len = len;
         self.poisoned = false;
-        self.tail = tail.to_vec();
         self.counters.rotations.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -666,7 +672,7 @@ mod tests {
         for i in 0..5 {
             wal.append(&format!("SETEDGE R B{i} PROB 0.5")).unwrap();
         }
-        assert_eq!(wal.live_records().len(), 5);
+        assert_eq!(wal.live_records().unwrap().len(), 5);
         let seg = recover_segment(wal.path()).unwrap();
         assert_eq!(seg.generation, 1);
         assert_eq!(seg.snapshot_crc, 0xAB);
@@ -757,13 +763,30 @@ mod tests {
     }
 
     #[test]
+    fn live_records_reads_back_only_acknowledged_records() {
+        let dir = scratch("live_records");
+        let (mut wal, _, _) = Wal::attach(&dir, "inst", 3, FsyncPolicy::Always).unwrap();
+        wal.append("a").unwrap();
+        wal.append("b").unwrap();
+        // A whole frame for seq 2 that no append acknowledged (a write
+        // that landed before its fsync failed) is not part of the tail.
+        let mut f = OpenOptions::new().append(true).open(wal.path()).unwrap();
+        f.write_all(&record_frame(2, b"refused")).unwrap();
+        assert_eq!(wal.live_records().unwrap(), ["a", "b"]);
+        // A segment that lost acknowledged records is an error, not a
+        // shorter tail.
+        f.set_len(WAL_HEADER_BYTES as u64).unwrap();
+        assert!(wal.live_records().is_err());
+    }
+
+    #[test]
     fn rotation_starts_an_empty_segment_with_bumped_generation() {
         let dir = scratch("rotate");
         let (mut wal, _, _) = Wal::attach(&dir, "inst", 5, FsyncPolicy::Always).unwrap();
         wal.append("pre-checkpoint").unwrap();
         wal.rotate(6).unwrap();
         assert_eq!(wal.generation(), 2);
-        assert!(wal.live_records().is_empty());
+        assert!(wal.live_records().unwrap().is_empty());
         wal.append("post-checkpoint").unwrap();
         drop(wal);
         let seg = recover_segment(&dir.join("inst.wal")).unwrap();
@@ -785,11 +808,11 @@ mod tests {
         assert_eq!(wal.snapshot_crc(), 5);
         // The snapshot moved (CRC 5 → 9): rebind the journal to it,
         // carrying the acknowledged tail into the fresh segment.
-        let tail = wal.live_records().to_vec();
+        let tail = wal.live_records().unwrap();
         wal.rotate_with_tail(9, &tail).unwrap();
         assert_eq!(wal.generation(), 2);
         assert_eq!(wal.snapshot_crc(), 9);
-        assert_eq!(wal.live_records(), ["a", "b"]);
+        assert_eq!(wal.live_records().unwrap(), ["a", "b"]);
         // Appends continue the re-journalled sequence.
         wal.append("c").unwrap();
         drop(wal);

@@ -16,16 +16,27 @@
 //!    `to_bits`-exactly, and a 4-thread run over a shared cache returns
 //!    the bit-identical vector (the strengthened form of the old
 //!    "slot-for-slot equal" determinism test).
-//! 4. **Mutation sequences** — after every successful lower-on-write
-//!    mutation the warm engines (1- and 4-thread) answer the workload
-//!    bit-identically to a cold engine over a fresh clone.
+//! 4. **Mutation sequences** — after every successful mutation the
+//!    warm engines (1- and 4-thread) answer the workload bit-identically
+//!    to a cold engine over a fresh clone.
+//! 5. **Patched ≡ fresh lowering** — after every entry-level op
+//!    (`SETEDGE`, `SETVAL`, and `ReplaceOpf`s that change an OPF's kind
+//!    or table length), `patch_opfs` leaves the arena slot-for-slot
+//!    equal to a fresh `lower_unchecked` of the same instance, with the
+//!    same order and CSRs, the same slab layout once compacted, and
+//!    `to_bits`-equal flat answers.
 
 mod common;
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use pxml::algebra::{locate_weak, PathExpr};
-use pxml::core::{ArenaInstance, Label, ObjectId, ProbInstance};
+use pxml::core::{
+    ArenaInstance, ChildSet, IndependentOpf, Label, LabelProductOpf, Mutation, ObjectId, Opf,
+    OpfView, ProbInstance,
+};
 use pxml::gen::random_mutations;
 use pxml::query::{chain_probability, exists_query, point_query, QueryError};
 use pxml::{BatchQuery, QueryEngine};
@@ -130,8 +141,172 @@ fn assert_bit_identical(
     }
 }
 
+/// A `ReplaceOpf` reshaping `o`'s OPF without changing its
+/// distribution's support beyond `PC(o)`: `how` 0 grows the table by a
+/// zero-probability entry, 1 strips zero entries (or turns a compact
+/// OPF into a table), 2 swaps in a point-mass independent OPF on the
+/// likeliest child set, 3 wraps the table as a one-part label product
+/// (a fallback slot).
+fn reshape_op(pi: &ProbInstance, o: ObjectId, how: u32) -> Option<Mutation> {
+    let node = pi.weak().node(o)?;
+    let universe = node.universe();
+    let mut t = pi.opf(o)?.to_table(universe);
+    let opf = match how % 4 {
+        0 => {
+            if universe.len() > 12 || !universe.fits_mask() {
+                return None;
+            }
+            let unused = (0u64..1 << universe.len())
+                .map(ChildSet::Mask)
+                .find(|s| t.iter().all(|(e, _)| e != s))?;
+            t.set(unused, 0.0);
+            Opf::Table(t)
+        }
+        1 => {
+            t.retain_positive();
+            Opf::Table(t)
+        }
+        2 => {
+            let (set, _) = t.iter().max_by(|a, b| a.1.total_cmp(&b.1))?;
+            let probs = (0..universe.len() as u32)
+                .map(|p| if set.contains_pos(p) { 1.0 } else { 0.0 })
+                .collect();
+            Opf::Independent(IndependentOpf::new(probs))
+        }
+        _ => {
+            let labels = universe.labels();
+            if labels.len() != 1 {
+                return None;
+            }
+            Opf::LabelProduct(LabelProductOpf::new(universe, [(labels[0], t)]))
+        }
+    };
+    Some(Mutation::ReplaceOpf { object: o, opf })
+}
+
+/// Contract 5's comparison: `patched` equals a fresh lowering of `pi`.
+fn assert_matches_fresh_lowering(pi: &ProbInstance, patched: &ArenaInstance, ctx: &str) {
+    let fresh = ArenaInstance::lower_unchecked(pi);
+    assert_eq!(patched.debug_validate(), Ok(()), "{ctx}");
+    assert_eq!(patched.order(), fresh.order(), "{ctx}: order");
+    assert_eq!(patched.member_count(), fresh.member_count(), "{ctx}");
+    assert_eq!(patched.root_index(), fresh.root_index(), "{ctx}");
+    let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for x in 0..fresh.len() as u32 {
+        let (s, e) = fresh.child_range(x);
+        assert_eq!(patched.child_range(x), (s, e), "{ctx}: CSR row {x}");
+        for i in s..e {
+            assert_eq!(patched.child(i), fresh.child(i), "{ctx}");
+            assert_eq!(patched.child_label(i), fresh.child_label(i), "{ctx}");
+            assert_eq!(patched.child_is_weak(i), fresh.child_is_weak(i), "{ctx}");
+            let (a, b) = (patched.marginal_present(x, i - s), fresh.marginal_present(x, i - s));
+            assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "{ctx}: marginal {x}/{}", i - s);
+        }
+        assert_eq!(patched.parents_of(x), fresh.parents_of(x), "{ctx}: parents of {x}");
+        match (patched.opf_view(x), fresh.opf_view(x)) {
+            (OpfView::Independent(p), OpfView::Independent(q)) => {
+                assert_eq!(bits(p), bits(q), "{ctx}: slot {x}")
+            }
+            (OpfView::Table { masks: m, probs: p }, OpfView::Table { masks: n, probs: q }) => {
+                assert_eq!(m, n, "{ctx}: slot {x}");
+                assert_eq!(bits(p), bits(q), "{ctx}: slot {x}");
+            }
+            (v, w) => assert_eq!(v, w, "{ctx}: slot {x}"),
+        }
+    }
+    if patched.garbage() == 0 {
+        assert_eq!(patched.slab_lens(), fresh.slab_lens(), "{ctx}: compacted layout");
+    }
+    for p in build_paths(pi) {
+        let (a, b) = (patched.exists_flat(&p.labels), fresh.exists_flat(&p.labels));
+        assert_eq!(a.map(f64::to_bits).ok(), b.map(f64::to_bits).ok(), "{ctx}: exists {p:?}");
+        for o in locate_weak(pi, &p) {
+            let (a, b) = (patched.point_flat(&p.labels, o), fresh.point_flat(&p.labels, o));
+            assert_eq!(a.map(f64::to_bits).ok(), b.map(f64::to_bits).ok(), "{ctx}: point {p:?}");
+        }
+    }
+}
+
+/// How often each `patch_opfs` path ran in one [`drive_patches`] run.
+#[derive(Default)]
+struct PatchPaths {
+    in_place: usize,
+    appended: usize,
+    compacted: usize,
+    fallback: usize,
+}
+
+/// Applies a random mix of generated entry-level ops and reshaping
+/// `ReplaceOpf`s to `pi`, patching one arena along the way and checking
+/// it against a fresh lowering after every op that applied.
+fn drive_patches(mut pi: ProbInstance, seed: u64) -> PatchPaths {
+    let mut paths = PatchPaths::default();
+    let mut arena = ArenaInstance::lower_unchecked(&pi);
+    let mut owners: Vec<ObjectId> = pi.weak().objects().filter(|&o| pi.opf(o).is_some()).collect();
+    owners.sort_unstable();
+    let generated = random_mutations(&pi, 16, seed ^ 0x5EED);
+    let mut rng = StdRng::seed_from_u64(seed);
+    for step in 0..24 {
+        let op = if !generated.is_empty() && rng.gen_bool(0.5) {
+            Some(generated[step % generated.len()].clone())
+        } else if owners.is_empty() {
+            None
+        } else {
+            let o = owners[rng.gen_range(0..owners.len())];
+            reshape_op(&pi, o, rng.gen_range(0..4u32))
+        };
+        let Some(op) = op else { continue };
+        let Ok(effect) = pi.apply(&op) else { continue };
+        assert!(!effect.structural, "entry-level ops only");
+        let (lens, garbage) = (arena.slab_lens(), arena.garbage());
+        arena.patch_opfs(&pi, &effect.dirty);
+        // Garbage only shrinks by compaction and only grows by appends.
+        if arena.garbage() < garbage {
+            paths.compacted += 1;
+        } else if arena.garbage() > garbage {
+            paths.appended += 1;
+        } else if !effect.dirty.is_empty() && arena.slab_lens() == lens {
+            paths.in_place += 1;
+        }
+        if (0..arena.len() as u32).any(|x| matches!(arena.opf_view(x), OpfView::Fallback(_))) {
+            paths.fallback += 1;
+        }
+        assert_matches_fresh_lowering(&pi, &arena, &format!("seed {seed} step {step}: {op:?}"));
+    }
+    paths
+}
+
+/// The random ops of [`drive_patches`] reach every `patch_opfs` path:
+/// in-place overwrite, append, compaction, and fallback slots.
+#[test]
+fn patch_ops_cover_every_slot_path() {
+    let mut total = PatchPaths::default();
+    for seed in 0..40 {
+        for pi in [random_tree(seed), random_dag(seed)] {
+            let p = drive_patches(pi, seed);
+            total.in_place += p.in_place;
+            total.appended += p.appended;
+            total.compacted += p.compacted;
+            total.fallback += p.fallback;
+        }
+    }
+    assert!(total.in_place > 0, "no in-place patch");
+    assert!(total.appended > 0, "no appended slot");
+    assert!(total.compacted > 0, "no compaction");
+    assert!(total.fallback > 0, "no fallback slot");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Contract 5: after every entry-level op the patched arena matches
+    /// a fresh lowering of the same instance.
+    #[test]
+    fn patched_arena_matches_fresh_lowering(seed in 0u64..3000) {
+        for pi in [random_tree(seed), random_dag(seed)] {
+            drive_patches(pi, seed);
+        }
+    }
 
     /// Contract 1: lowering round-trips — layout invariants hold and
     /// the index assignment is a bijection over the members.
@@ -207,8 +382,8 @@ proptest! {
     }
 
     /// Contract 4: across a random mutation sequence, the warm
-    /// lower-on-write engines answer bit-identically to a cold engine
-    /// over a fresh clone of the mirrored instance, at every step.
+    /// engines answer bit-identically to a cold engine over a fresh
+    /// clone of the mirrored instance, at every step.
     #[test]
     fn mutation_sequences_stay_bit_identical(seed in 0u64..400) {
         let mut mirror = random_tree(seed);

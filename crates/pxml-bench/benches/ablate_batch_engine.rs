@@ -10,7 +10,7 @@
 //!
 //! §7.1 workloads draw query labels from a 2-letter per-depth alphabet,
 //! so a 1000-query batch holds few distinct queries and many shared
-//! suffixes — exactly what the whole-query and ε-suffix memos exploit.
+//! paths — what the whole-query and located-layers memos exploit.
 //!
 //! `cargo bench -p pxml-bench --bench ablate_batch_engine`
 //!
@@ -104,8 +104,8 @@ fn ablate(c: &mut Criterion) {
         // governed path with a generous never-hit budget. Warm measures
         // the budget plumbing on the cache-hit fast path (the PR 1
         // regression guard); cold additionally shows the governed
-        // evaluator's private ε memo (per-query, no cross-query ε
-        // sharing) against the ungoverned shared-memo cold run.
+        // legacy recursion with its private per-query ε memo against
+        // the ungoverned flat sweep.
         let spec = pxml_query::BudgetSpec {
             max_steps: Some(u64::MAX),
             timeout: Some(std::time::Duration::from_secs(3600)),

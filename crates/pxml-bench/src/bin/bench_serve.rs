@@ -178,8 +178,8 @@ fn main() {
         cache.put_link(i, 0, 0.5);
     }
     let warm_bytes = cache.approx_bytes();
-    let oversized: Arc<Vec<Vec<pxml_core::ObjectId>>> =
-        Arc::new(vec![(0..1000).map(pxml_core::ObjectId::from_raw).collect()]);
+    // One layer of 1000 arena indices.
+    let oversized: Arc<Vec<Vec<u32>>> = Arc::new(vec![(0..1000).collect()]);
     let hammer_puts = 10_000u64;
     let started = Instant::now();
     for i in 0..hammer_puts {

@@ -84,10 +84,13 @@ fn batch_writes_metrics_and_trace_jsonl() {
     let metrics = temp_path("batch.prom");
     let traces = temp_path("batch-traces.jsonl");
 
+    // One worker: query 3 repeats query 0, and only a sequential batch
+    // guarantees query 0's result is memoised before query 3 runs.
     let out = pxml_bin()
         .arg("batch")
         .arg(&instance)
         .arg(&queries)
+        .args(["--threads", "1"])
         .args(["--metrics".as_ref(), metrics.as_os_str()])
         .args(["--trace-json".as_ref(), traces.as_os_str()])
         .output()

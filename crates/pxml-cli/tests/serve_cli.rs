@@ -210,6 +210,38 @@ fn mutate_is_visible_until_reload_reverts_it() {
     handle.shutdown_and_join().expect("drain");
 }
 
+/// The STATS reply keeps the shape the end-to-end benchmark parses: a
+/// `H/M` token after each of `result`, `layers`, `eps` and `link`, and
+/// counts after `applied` and `invalidations`. `eps` reads `0/0` on the
+/// ungoverned path, which keeps no ε memo.
+#[test]
+fn stats_reply_keeps_the_tokens_the_benchmark_parses() {
+    let (handle, target, _) = start_two("stats_tokens");
+    let mut client = Client::connect(&target).expect("connect");
+    for _ in 0..2 {
+        let (status, _) = client.roundtrip(&query("fig2", "POINT T2 IN R.book.title")).unwrap();
+        assert_eq!(status, Status::Ok);
+    }
+    let (status, stats) = client.roundtrip(&Request::Stats { instance: "fig2".into() }).unwrap();
+    assert_eq!(status, Status::Ok);
+    let words: Vec<&str> = stats.split_whitespace().collect();
+    let after = |key: &str| {
+        let i = words.iter().position(|w| *w == key).unwrap_or_else(|| panic!("no {key}: {stats}"));
+        words.get(i + 1).copied().unwrap_or_else(|| panic!("nothing after {key}: {stats}"))
+    };
+    let table = |key: &str| {
+        let (h, m) = after(key).split_once('/').unwrap_or_else(|| panic!("{key} not H/M: {stats}"));
+        (h.parse::<u64>().expect("hits"), m.parse::<u64>().expect("misses"))
+    };
+    assert_eq!(table("result"), (1, 1), "{stats}");
+    assert_eq!(table("layers"), (0, 1), "{stats}");
+    assert_eq!(table("eps"), (0, 0), "{stats}");
+    assert_eq!(table("link"), (0, 0), "{stats}");
+    assert_eq!(after("applied").parse::<u64>().ok(), Some(0), "{stats}");
+    assert_eq!(after("invalidations").parse::<u64>().ok(), Some(0), "{stats}");
+    handle.shutdown_and_join().expect("drain");
+}
+
 #[test]
 fn metrics_over_wire_and_http() {
     let (handle, target, _) = start_two("metrics");

@@ -594,6 +594,13 @@ impl ArenaInstance {
     /// weak edges, as sorted arena indices (the flat counterpart of
     /// `layers_weak`; membership per depth is identical).
     pub fn layers_flat(&self, labels: &[Label]) -> Vec<Vec<u32>> {
+        self.layers_flat_from(self.root, labels)
+    }
+
+    /// The per-depth reach sets of `labels` from arena index `start`
+    /// over the weak edges, as sorted arena indices; layer 0 is
+    /// `[start]`. [`ArenaInstance::layers_flat`] is the root case.
+    pub fn layers_flat_from(&self, start: u32, labels: &[Label]) -> Vec<Vec<u32>> {
         // On forests no child can be reached twice, so dedup is free;
         // otherwise a stamp per object replaces per-layer sort+dedup
         // hashing (an index is pushed at most once per depth). Either
@@ -604,7 +611,7 @@ impl ArenaInstance {
         let mut stamp =
             if self.forest { Vec::new() } else { vec![u32::MAX; self.order.len()] };
         let mut layers = Vec::with_capacity(labels.len() + 1);
-        layers.push(vec![self.root]);
+        layers.push(vec![start]);
         for (d, &label) in labels.iter().enumerate() {
             let prev = layers.last().expect("at least the root layer");
             let mut next: Vec<u32> = Vec::new();
@@ -634,7 +641,9 @@ impl ArenaInstance {
     /// The kept region for `targets` with the Section 6 tree-shape
     /// checks (unique role, unique kept parent), mirroring the legacy
     /// kept-region construction over arena indices. Layers must come
-    /// from [`ArenaInstance::layers_flat`] for the same labels.
+    /// from [`ArenaInstance::layers_flat_from`] for the same labels. A
+    /// violation reports the object the legacy check reports (see
+    /// [`ArenaInstance::tree_shape_error`]).
     pub fn kept_flat(
         &self,
         labels: &[Label],
@@ -694,7 +703,7 @@ impl ArenaInstance {
                 });
                 if keeps {
                     if depth_mark[x as usize] != u32::MAX {
-                        return Err(CoreError::NotTreeShaped(self.order[x as usize]));
+                        return Err(self.tree_shape_error(labels, layers, &kept[n]));
                     }
                     depth_mark[x as usize] = d as u32;
                     layer.push(x);
@@ -715,7 +724,7 @@ impl ArenaInstance {
                         let c = self.children[i as usize] as usize;
                         if depth_mark[c] == d as u32 + 1 {
                             if parent_stamp[c] == d as u32 && parent_val[c] != x {
-                                return Err(CoreError::NotTreeShaped(self.order[c]));
+                                return Err(self.tree_shape_error(labels, layers, &kept[n]));
                             }
                             parent_stamp[c] = d as u32;
                             parent_val[c] = x;
@@ -727,12 +736,81 @@ impl ArenaInstance {
         Ok(kept)
     }
 
+    /// The tree-shape violation the legacy kept-region check reports.
+    /// That check builds every kept layer independently, then tests
+    /// unique roles and unique kept parents in ascending [`ObjectId`]
+    /// order, so the object it names can differ from the first
+    /// violation the index-ordered sweep of [`ArenaInstance::kept_flat`]
+    /// meets. Error path only: the caller has already found a
+    /// violation, and the legacy check finds one exactly when it does.
+    #[cold]
+    fn tree_shape_error(
+        &self,
+        labels: &[Label],
+        layers: &[Vec<u32>],
+        targets: &[u32],
+    ) -> CoreError {
+        let n = labels.len();
+        let mut kept: Vec<Vec<u32>> = vec![Vec::new(); n + 1];
+        kept[n] = targets.to_vec();
+        for d in (0..n).rev() {
+            let layer = layers[d]
+                .iter()
+                .copied()
+                .filter(|&x| {
+                    let (s, e) = self.child_range(x);
+                    (s..e).any(|i| {
+                        self.child_weak[i as usize]
+                            && self.child_labels[i as usize] == labels[d]
+                            && kept[d + 1].binary_search(&self.children[i as usize]).is_ok()
+                    })
+                })
+                .collect();
+            kept[d] = layer;
+        }
+        let by_id = |layer: &[u32]| {
+            let mut v = layer.to_vec();
+            v.sort_unstable_by_key(|&x| self.order[x as usize]);
+            v
+        };
+        let mut seen = vec![false; self.order.len()];
+        for layer in &kept {
+            for x in by_id(layer) {
+                if std::mem::replace(&mut seen[x as usize], true) {
+                    return CoreError::NotTreeShaped(self.order[x as usize]);
+                }
+            }
+        }
+        for d in 0..n {
+            let mut parent_of: HashMap<u32, u32> = HashMap::new();
+            for x in by_id(&kept[d]) {
+                let (s, e) = self.child_range(x);
+                for i in s..e {
+                    let c = self.children[i as usize];
+                    if self.child_labels[i as usize] == labels[d]
+                        && kept[d + 1].binary_search(&c).is_ok()
+                        && parent_of.insert(c, x).is_some_and(|prev| prev != x)
+                    {
+                        return CoreError::NotTreeShaped(self.order[c as usize]);
+                    }
+                }
+            }
+        }
+        unreachable!("tree_shape_error called on a tree-shaped kept region")
+    }
+
     /// Bottom-up §6.1 ε marginalisation over a verified kept region:
     /// one reverse sweep filling a dense `ε` array, tight loops over the
     /// CSR rows and OPF slabs. Returns the root ε — bit-identical to
     /// the legacy top-down recursion, because each node's kept children
     /// are gathered in the same (universe) order and the survival
     /// arithmetic replicates [`Opf::survival_probability`] op-for-op.
+    ///
+    /// Errors match the recursion's too: a node's error is its own
+    /// missing OPF (checked before its children), else the error of its
+    /// first failing kept child in universe order, else its own
+    /// non-finite survival value — the first error of a depth-first
+    /// walk, found bottom-up.
     pub fn eps_flat(&self, labels: &[Label], kept: &[Vec<u32>]) -> Result<f64> {
         let n = labels.len();
         if kept[0].binary_search(&self.root).is_err() {
@@ -745,6 +823,9 @@ impl ArenaInstance {
         // makes this membership test equivalent to a depth check.
         let mut below_eps: Vec<f64> = vec![1.0; kept[n].len()];
         let mut kept_children: Vec<(u32, f64)> = Vec::new();
+        // Failed nodes carry ε = NaN (no successful ε is NaN) and their
+        // error here, so an ancestor can pass the error on.
+        let mut failed: Vec<(u32, CoreError)> = Vec::new();
         for d in (0..n).rev() {
             let want = labels[d];
             let below = &kept[d + 1];
@@ -759,15 +840,34 @@ impl ArenaInstance {
                         }
                     }
                 }
-                let Some(v) = self.survival_probability(x, &kept_children) else {
-                    return Err(CoreError::UnknownObject(self.order[x as usize]));
+                let child_error = if failed.is_empty() {
+                    None
+                } else {
+                    kept_children.iter().find(|c| c.1.is_nan()).and_then(|&(pos, _)| {
+                        let c = self.children[(s + pos) as usize];
+                        failed.iter().find(|f| f.0 == c).map(|f| f.1.clone())
+                    })
                 };
-                if !v.is_finite() {
-                    return Err(CoreError::DegenerateMass { total: v });
+                let v = match (self.survival_probability(x, &kept_children), child_error) {
+                    (None, _) => Err(CoreError::UnknownObject(self.order[x as usize])),
+                    (Some(_), Some(e)) => Err(e),
+                    (Some(v), None) if !v.is_finite() => {
+                        Err(CoreError::DegenerateMass { total: v })
+                    }
+                    (Some(v), None) => Ok(v),
+                };
+                match v {
+                    Ok(v) => layer_eps.push(v),
+                    Err(e) => {
+                        failed.push((x, e));
+                        layer_eps.push(f64::NAN);
+                    }
                 }
-                layer_eps.push(v);
             }
             below_eps = layer_eps;
+        }
+        if let Some((_, e)) = failed.into_iter().find(|f| f.0 == self.root) {
+            return Err(e);
         }
         let r = kept[0].binary_search(&self.root).expect("root membership checked above");
         Ok(below_eps[r])

@@ -76,7 +76,7 @@ pub use instance::{SdInstance, SdInstanceBuilder, SdNode};
 pub use lint::{lint, lint_governed, LintClass, LintFinding, LintOutcome, Severity};
 pub use mutate::{parse_ops, render_ops, Mutation, MutationEffect};
 pub use opf::{IndependentOpf, LabelProductOpf, Opf, OpfTable};
-pub use pathkey::{LabelPath, PathSuffix};
+pub use pathkey::LabelPath;
 pub use prob_instance::{ProbInstance, ProbInstanceBuilder};
 pub use summary::{EdgeSummary, LeafSummary, ObjectSummary, StructuralSummary};
 pub use types::{LeafType, TypeTable};

@@ -1,17 +1,10 @@
 //! Shared, hashable label-sequence keys for cross-query caches.
 //!
-//! The batch query engine (`pxml-query::engine`) memoises per-object
-//! marginal probabilities keyed by *the remaining labels of a path*: the
-//! ε value of an object `x` at depth `d` of a query `r.l₁.….lₙ` depends
-//! only on `x`, the label suffix `l_{d+1}.….lₙ`, and the query's target
-//! (Section 6.2 — the survival recursion below `x` never looks above
-//! `x`). [`LabelPath`] is a cheaply clonable interned label sequence and
-//! [`PathSuffix`] a view of its tail that hashes and compares **by the
-//! suffix content**, so two different queries whose paths end identically
-//! produce colliding (that is: shared) cache keys.
+//! The batch query engine (`pxml-query::engine`) memoises the located
+//! layers of a path expression keyed by its root and its label
+//! sequence. [`LabelPath`] is that sequence, interned behind an `Arc`
+//! so keys clone cheaply.
 
-use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::ids::Label;
@@ -42,12 +35,6 @@ impl LabelPath {
     pub fn is_empty(&self) -> bool {
         self.labels.is_empty()
     }
-
-    /// The suffix starting at label index `start` (clamped to the end).
-    /// Shares the underlying allocation.
-    pub fn suffix(&self, start: usize) -> PathSuffix {
-        PathSuffix { path: LabelPath { labels: Arc::clone(&self.labels) }, start: start.min(self.labels.len()) }
-    }
 }
 
 impl From<&[Label]> for LabelPath {
@@ -62,90 +49,18 @@ impl From<Vec<Label>> for LabelPath {
     }
 }
 
-/// A suffix view of a [`LabelPath`] whose `Hash`/`Eq` are defined on the
-/// **suffix content only**, so equal tails of different paths unify in a
-/// hash map.
-#[derive(Clone)]
-pub struct PathSuffix {
-    path: LabelPath,
-    start: usize,
-}
-
-impl PathSuffix {
-    /// The labels of the suffix.
-    pub fn labels(&self) -> &[Label] {
-        &self.path.labels()[self.start..]
-    }
-
-    /// Number of labels remaining.
-    pub fn len(&self) -> usize {
-        self.labels().len()
-    }
-
-    /// True when no labels remain.
-    pub fn is_empty(&self) -> bool {
-        self.start >= self.path.len()
-    }
-}
-
-impl PartialEq for PathSuffix {
-    fn eq(&self, other: &Self) -> bool {
-        self.labels() == other.labels()
-    }
-}
-impl Eq for PathSuffix {}
-
-impl Hash for PathSuffix {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.labels().hash(state);
-    }
-}
-
-impl fmt::Debug for PathSuffix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.labels()).finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::hash_map::DefaultHasher;
-
-    fn l(raw: u32) -> Label {
-        Label::from_raw(raw)
-    }
-
-    fn hash_of(s: &PathSuffix) -> u64 {
-        let mut h = DefaultHasher::new();
-        s.hash(&mut h);
-        h.finish()
-    }
 
     #[test]
-    fn equal_tails_of_different_paths_unify() {
-        let a = LabelPath::new(vec![l(1), l(2), l(3)]);
-        let b = LabelPath::new(vec![l(9), l(2), l(3)]);
-        assert_eq!(a.suffix(1), b.suffix(1));
-        assert_eq!(hash_of(&a.suffix(1)), hash_of(&b.suffix(1)));
-        assert_ne!(a.suffix(0), b.suffix(0));
-    }
-
-    #[test]
-    fn suffix_bounds_are_clamped() {
-        let a = LabelPath::new(vec![l(1)]);
-        assert!(a.suffix(5).is_empty());
-        assert_eq!(a.suffix(0).len(), 1);
-        assert_eq!(a.suffix(0).labels(), &[l(1)]);
-        assert!(!a.is_empty());
-        assert_eq!(a.len(), 1);
-    }
-
-    #[test]
-    fn empty_suffixes_compare_equal_across_paths() {
+    fn label_paths_compare_by_content() {
+        let l = Label::from_raw;
         let a = LabelPath::new(vec![l(1), l(2)]);
-        let b = LabelPath::new(Vec::<Label>::new());
-        assert_eq!(a.suffix(2), b.suffix(0));
-        assert_eq!(hash_of(&a.suffix(2)), hash_of(&b.suffix(0)));
+        assert_eq!(a, LabelPath::from(&[l(1), l(2)][..]));
+        assert_ne!(a, LabelPath::new(vec![l(2), l(1)]));
+        assert_eq!(a.labels(), &[l(1), l(2)]);
+        assert!(!a.is_empty());
+        assert_eq!(a.len(), 2);
     }
 }

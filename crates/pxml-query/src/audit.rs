@@ -10,12 +10,11 @@
 //! holds is exactly what evaluation would recompute against the current
 //! instance:
 //!
-//! * **layers** — rerun the forward locate pass and compare.
+//! * **layers** — translate the cached arena indices back to
+//!   [`ObjectId`]s and compare with the legacy forward locate pass
+//!   (`layers_weak`).
 //! * **links** — compare against `℘(parent)`'s marginal at the cached
 //!   universe position.
-//! * **eps** — rebuild the kept region below the entry's object for its
-//!   `(suffix, target)` key and rerun the §6.2 recursion (bit-exact: the
-//!   recursion order is universe order in both paths).
 //! * **results** — rerun each cached query on a fresh single-threaded
 //!   engine over a clone of the instance and compare answers bit-exactly
 //!   (errors compare by rendered message).
@@ -25,11 +24,9 @@
 
 use pxml_algebra::locate::layers_weak;
 use pxml_algebra::path::PathExpr;
-use pxml_core::{Budget, ObjectId};
+use pxml_core::ObjectId;
 
-use crate::cache::TargetKey;
 use crate::engine::QueryEngine;
-use crate::point::{eps_at, kept_region, NoHook};
 
 impl QueryEngine {
     /// Recomputes every retained cache entry from scratch; returns one
@@ -40,7 +37,6 @@ impl QueryEngine {
         self.audit_bytes(&mut findings);
         self.audit_layers(&mut findings);
         self.audit_links(&mut findings);
-        self.audit_eps(&mut findings);
         self.audit_results(&mut findings);
         findings
     }
@@ -60,14 +56,34 @@ impl QueryEngine {
 
     fn audit_layers(&self, findings: &mut Vec<String>) {
         let pi = self.instance();
+        let arena = self.arena();
         for ((root, labels), cached) in self.cache().layer_entries() {
+            // Layers hold arena indices under the current lowering.
+            let translated: Option<Vec<Vec<ObjectId>>> = cached
+                .iter()
+                .map(|l| {
+                    let mut objects = l
+                        .iter()
+                        .map(|&x| ((x as usize) < arena.len()).then(|| arena.object_at(x)))
+                        .collect::<Option<Vec<ObjectId>>>()?;
+                    objects.sort_unstable();
+                    Some(objects)
+                })
+                .collect();
+            let Some(translated) = translated else {
+                findings.push(format!(
+                    "layers[{root:?}, {:?}]: index outside the current lowering",
+                    labels.labels()
+                ));
+                continue;
+            };
             let p = PathExpr::new(root, labels.labels().to_vec());
             let fresh = layers_weak(pi.weak(), &p);
-            if *cached != fresh {
+            if translated != fresh {
                 findings.push(format!(
                     "layers[{root:?}, {:?}]: cached {:?} != fresh {:?}",
                     labels.labels(),
-                    &*cached,
+                    translated,
                     fresh
                 ));
             }
@@ -100,82 +116,6 @@ impl QueryEngine {
             if cached.to_bits() != fresh.to_bits() {
                 findings.push(format!(
                     "links[{parent:?}, {pos}]: cached {cached} != fresh {fresh}"
-                ));
-            }
-        }
-    }
-
-    fn audit_eps(&self, findings: &mut Vec<String>) {
-        let pi = self.instance();
-        let arena = self.arena();
-        let budget = Budget::unlimited();
-        for (key, cached) in self.cache().eps_entries() {
-            let labels = key.suffix.labels().to_vec();
-            // ε keys are arena indices; translate back to the ObjectId
-            // the legacy recursion speaks, so the recompute below is an
-            // arena-vs-legacy bit-exactness cross-check.
-            let Some(object) = ((key.object as usize) < arena.len())
-                .then(|| arena.object_at(key.object))
-            else {
-                findings.push(format!(
-                    "eps[{}, {labels:?}, {:?}]: index outside the current lowering",
-                    key.object, key.target
-                ));
-                continue;
-            };
-            // Forward locate from the entry's object along the suffix —
-            // `layers_weak` anchors at the instance root, so walk here.
-            let mut layers: Vec<Vec<ObjectId>> = vec![vec![object]];
-            for &l in &labels {
-                let mut next: Vec<ObjectId> = layers
-                    .last()
-                    .expect("at least the seed layer")
-                    .iter()
-                    .flat_map(|&o| {
-                        pi.weak()
-                            .weak_edges(o)
-                            .into_iter()
-                            .filter(move |&(el, _)| el == l)
-                            .map(|(_, c)| c)
-                    })
-                    .collect();
-                next.sort_unstable();
-                next.dedup();
-                layers.push(next);
-            }
-            let targets: Vec<ObjectId> = match &key.target {
-                TargetKey::One(o) => vec![*o],
-                TargetKey::AllLocated => layers.last().cloned().unwrap_or_default(),
-            };
-            let p = PathExpr::new(object, labels.clone());
-            let fresh = match kept_region(pi, &p, &layers, &targets) {
-                Ok(kept) if kept.first().is_some_and(|l| l.contains(&object)) => {
-                    match eps_at(pi, &labels, &kept, object, 0, &mut NoHook, &budget) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            findings.push(format!(
-                                "eps[{object:?}, {labels:?}, {:?}]: recompute failed: {e}",
-                                key.target
-                            ));
-                            continue;
-                        }
-                    }
-                }
-                // Object can no longer reach any target: ε = 0.
-                Ok(_) => 0.0,
-                Err(e) => {
-                    findings.push(format!(
-                        "eps[{object:?}, {labels:?}, {:?}]: kept region invalid ({e}) — \
-                         a retained entry must still be tree-shaped",
-                        key.target
-                    ));
-                    continue;
-                }
-            };
-            if cached.to_bits() != fresh.to_bits() {
-                findings.push(format!(
-                    "eps[{object:?}, {labels:?}, {:?}]: cached {cached} != fresh {fresh}",
-                    key.target
                 ));
             }
         }

@@ -1,37 +1,30 @@
 //! The shared marginalisation cache behind [`crate::engine::QueryEngine`].
 //!
-//! Four memo tables, each guarded by its own [`parking_lot::RwLock`] so
+//! Three memo tables, each guarded by its own [`parking_lot::RwLock`] so
 //! concurrent workers contend only on the table they touch:
 //!
 //! * **results** — whole-query memo: `Query → Result<f64>`. Duplicate
 //!   queries in a batch (common in generated workloads, where distinct
 //!   path expressions are few) cost one lookup.
-//! * **layers** — the forward locate pass of `layers_weak`, keyed by
-//!   `(root, full label path)`. Every query over the same path expression
-//!   shares one traversal.
-//! * **eps** — ε marginals keyed by [`EpsKey`]: `(object, path *suffix*,
-//!   target key)`. The §6.2 survival recursion below an object `x` at
-//!   depth `d` never consults anything above `x`, so its value depends
-//!   only on `x`, the remaining labels `p[d..]`, and which final-layer
-//!   objects count as targets. Keying by suffix (not whole path) lets
-//!   queries with different prefixes but identical tails share subtree
-//!   marginals; a hit prunes the entire recursion below `x`.
-//! * **links** — per-OPF child marginals `(parent, universe position) →
-//!   P(child present)` used by chain queries.
+//! * **layers** — the forward locate pass, keyed by `(root, full label
+//!   path)` and holding sorted **arena indices** of the engine's current
+//!   [`pxml_core::ArenaInstance`]. Every query over the same path
+//!   expression shares one traversal, and the entry doubles as the
+//!   witness that dirty-set invalidation tests results against.
+//! * **links** — per-OPF child marginals `(parent arena index, universe
+//!   position) → P(child present)` used by chain queries.
 //!
-//! ## Why the ε key is sound
+//! There is no ε memo: a point/exists miss re-runs the flat §6.1 sweep
+//! over its kept region. Measured on the 10⁵-object cold-read pool, a
+//! shared `(object, path suffix, target)` ε table hit 15–24 times in
+//! ~470k lookups, and its inserts forced whole-table evictions under
+//! the byte ceiling.
 //!
-//! The kept region below `x` is (forward reachability from `x` along the
-//! suffix labels) ∩ (backward reachability from the targets). For a
-//! *point* query the target set is the single queried object —
-//! [`TargetKey::One`]. For an *exists* query the targets are **all**
-//! objects located at the final layer; since `x` itself is located at
-//! depth `d`, every leaf reachable from `x` along the suffix is located,
-//! so the kept region below `x` is the full forward reachability —
-//! independent of the query's prefix. Both keys therefore determine the
-//! kept region below `x` exactly, and with it the ε value (bit-for-bit:
-//! the recursion order is universe order in both the engine and the
-//! sequential code, which share one implementation).
+//! Arena indices are only stable while the index order is. Entry-level
+//! mutations keep it; when a structural mutation re-lowers the instance
+//! into a different order, [`MarginalCache::invalidate_rekeyed`]
+//! translates the surviving layers entries into the new indices and
+//! wipes the link table.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -39,40 +32,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use pxml_core::{Label, LabelPath, ObjectId, PathSuffix};
+use pxml_core::{Label, LabelPath, ObjectId};
 
 use crate::engine::Query;
 use crate::error::Result;
-
-/// Which final-layer objects the ε recursion treats as targets.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub enum TargetKey {
-    /// A single target object — point queries (Definition 6.1).
-    One(ObjectId),
-    /// Every object located at the final layer — exists queries.
-    AllLocated,
-}
-
-/// Cache key for one memoised ε marginal: the value of `ε_x` where `x`
-/// sits `suffix.len()` labels above the targets.
-///
-/// `object` is an **arena index** into the engine's current
-/// [`pxml_core::ArenaInstance`], not an [`ObjectId`]: the ungoverned ε
-/// recursion runs over the arena, and index keys are only stable while
-/// the index order is. Entry-level mutations patch the arena in place
-/// and keep it; when a structural mutation re-lowers the instance into a
-/// different index order the engine wipes this table wholesale
-/// ([`MarginalCache::invalidate_rekeyed`]) instead of translating keys.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct EpsKey {
-    /// Arena index of the object whose ε is memoised.
-    pub object: u32,
-    /// The labels remaining below `object` (hashed by content, so equal
-    /// tails of different paths unify).
-    pub suffix: PathSuffix,
-    /// The target selector at the final layer.
-    pub target: TargetKey,
-}
 
 /// One memoised entry plus the cost it was admitted at. Storing the
 /// cost with the value makes eviction and replacement re-accounting
@@ -100,8 +63,12 @@ impl<K, V> Default for Shard<K, V> {
     }
 }
 
-/// Per-depth located layers, shared between queries over the same path.
-type LayerTable = Shard<(ObjectId, LabelPath), Arc<Vec<Vec<ObjectId>>>>;
+/// Per-depth located layers as sorted arena indices, shared between
+/// queries over the same path.
+pub(crate) type Layers = Arc<Vec<Vec<u32>>>;
+
+/// The layers table: `(root, label path) → located layers`.
+type LayerTable = Shard<(ObjectId, LabelPath), Layers>;
 
 /// The shared cache. Cheap to clone the handle (`Arc` inside the engine);
 /// all tables are independently locked.
@@ -138,11 +105,10 @@ type LayerTable = Shard<(ObjectId, LabelPath), Arc<Vec<Vec<ObjectId>>>>;
 pub struct MarginalCache {
     results: RwLock<Shard<Query, Result<f64>>>,
     layers: RwLock<LayerTable>,
-    eps: RwLock<Shard<EpsKey, f64>>,
     links: RwLock<Shard<(u32, u32), f64>>,
     /// Byte ceiling; 0 = unlimited.
     max_bytes: AtomicU64,
-    /// Sum of the four shards' `bytes` (kept in lock-step under the
+    /// Sum of the three shards' `bytes` (kept in lock-step under the
     /// respective write locks; reads are advisory).
     total_bytes: AtomicU64,
     /// Whole-table evictions performed by the admission path.
@@ -156,7 +122,6 @@ pub struct MarginalCache {
 /// on top at the insert sites.
 pub(crate) const RESULT_ENTRY_BYTES: u64 = 96;
 pub(crate) const LAYERS_ENTRY_BYTES: u64 = 64;
-pub(crate) const EPS_ENTRY_BYTES: u64 = 80;
 pub(crate) const LINK_ENTRY_BYTES: u64 = 40;
 
 impl MarginalCache {
@@ -176,7 +141,7 @@ impl MarginalCache {
         self.max_bytes.load(Ordering::Relaxed)
     }
 
-    /// The approximate accounted footprint of all four tables.
+    /// The approximate accounted footprint of all three tables.
     pub fn approx_bytes(&self) -> u64 {
         self.total_bytes.load(Ordering::Relaxed)
     }
@@ -200,7 +165,7 @@ impl MarginalCache {
     }
 
     /// The accounted footprint recomputed from scratch — the sum of
-    /// every live entry's admitted cost across all four tables. Equal to
+    /// every live entry's admitted cost across all three tables. Equal to
     /// [`MarginalCache::approx_bytes`] whenever the cache is quiescent;
     /// tests and `audit_cache` use the pair to prove the incremental
     /// accounting never drifts.
@@ -208,7 +173,7 @@ impl MarginalCache {
         fn sum<K, V>(shard: &RwLock<Shard<K, V>>) -> u64 {
             shard.read().map.values().map(|e| e.cost).sum()
         }
-        sum(&self.results) + sum(&self.layers) + sum(&self.eps) + sum(&self.links)
+        sum(&self.results) + sum(&self.layers) + sum(&self.links)
     }
 
     /// Byte-governed insert into one shard, following the documented
@@ -268,31 +233,23 @@ impl MarginalCache {
         self.admit(&self.results, q, r, RESULT_ENTRY_BYTES + extra);
     }
 
-    /// Located-layers lookup for `(root, path labels)`.
-    pub fn get_layers(&self, root: ObjectId, path: &LabelPath) -> Option<Arc<Vec<Vec<ObjectId>>>> {
+    /// Located-layers lookup for `(root, path labels)`: sorted arena
+    /// indices of the engine's current lowering.
+    pub fn get_layers(&self, root: ObjectId, path: &LabelPath) -> Option<Layers> {
         self.layers.read().map.get(&(root, path.clone())).map(|e| Arc::clone(&e.value))
     }
 
     /// Located-layers insert. Each layer must be sorted ascending (as
-    /// `layers_weak` returns them): invalidation binary-searches them.
-    pub fn put_layers(&self, root: ObjectId, path: LabelPath, layers: Arc<Vec<Vec<ObjectId>>>) {
+    /// `ArenaInstance::layers_flat_from` returns them): invalidation
+    /// binary-searches them.
+    pub fn put_layers(&self, root: ObjectId, path: LabelPath, layers: Layers) {
         debug_assert!(layers.iter().all(|l| l.is_sorted()), "layers must be sorted");
         let extra: u64 = layers.iter().map(|l| 24 + l.len() as u64 * 4).sum();
         self.admit(&self.layers, (root, path), layers, LAYERS_ENTRY_BYTES + extra);
     }
 
-    /// ε-marginal lookup.
-    pub fn get_eps(&self, key: &EpsKey) -> Option<f64> {
-        self.eps.read().map.get(key).map(|e| e.value)
-    }
-
-    /// ε-marginal insert.
-    pub fn put_eps(&self, key: EpsKey, value: f64) {
-        self.admit(&self.eps, key, value, EPS_ENTRY_BYTES);
-    }
-
     /// Chain-link marginal lookup: `P(child at universe position ∈
-    /// children(parent))`. `parent` is an arena index (see [`EpsKey`]).
+    /// children(parent))`. `parent` is an arena index.
     pub fn get_link(&self, parent: u32, pos: u32) -> Option<f64> {
         self.links.read().map.get(&(parent, pos)).map(|e| e.value)
     }
@@ -302,7 +259,7 @@ impl MarginalCache {
         self.admit(&self.links, (parent, pos), value, LINK_ENTRY_BYTES);
     }
 
-    /// Drops every memoised entry (all four tables).
+    /// Drops every memoised entry (all three tables).
     pub fn clear(&self) {
         fn wipe<K, V>(shard: &RwLock<Shard<K, V>>) {
             let mut s = shard.write();
@@ -311,37 +268,29 @@ impl MarginalCache {
         }
         wipe(&self.results);
         wipe(&self.layers);
-        wipe(&self.eps);
         wipe(&self.links);
         self.total_bytes.store(0, Ordering::Relaxed);
     }
 
-    /// Entry counts `(results, layers, eps, links)` — used by stats
+    /// Entry counts `(results, layers, links)` — used by stats
     /// reporting and tests.
-    pub fn len(&self) -> (usize, usize, usize, usize) {
-        (
-            self.results.read().map.len(),
-            self.layers.read().map.len(),
-            self.eps.read().map.len(),
-            self.links.read().map.len(),
-        )
+    pub fn len(&self) -> (usize, usize, usize) {
+        (self.results.read().map.len(), self.layers.read().map.len(), self.links.read().map.len())
     }
 
     /// True when no table holds any entry.
     pub fn is_empty(&self) -> bool {
-        self.len() == (0, 0, 0, 0)
+        self.len() == (0, 0, 0)
     }
 
     /// Dirty-set invalidation after a mutation: evicts exactly the
     /// entries whose keys can be affected, leaving the rest warm.
     ///
     /// `direct` is the set `D` of directly changed objects (mutated
-    /// parents, removed objects, the inserted object); `affected` is
-    /// `D ∪ ancestors(D)` over the weak-edge DAG. Per table:
+    /// parents, removed objects, the inserted object) and `direct_idx`
+    /// its arena indices under the lowering the cached entries were
+    /// keyed under. Per table:
     ///
-    /// * **eps** — `ε_x` integrates over the subtree below `x`, so it is
-    ///   stale exactly when `subtree(x) ∩ D ≠ ∅`, i.e. when `x` is in
-    ///   `D` or an ancestor of a member: evict `key.object ∈ affected`.
     /// * **links** — `(parent, pos)` memoises one OPF marginal: evict
     ///   `parent ∈ D`.
     /// * **layers** — located layers depend only on the weak skeleton,
@@ -358,10 +307,7 @@ impl MarginalCache {
     ///   evict on overlap with `D`, or conservatively when the layers
     ///   entry is gone.
     ///
-    /// The ε and link tables are keyed by arena index, so the caller
-    /// additionally passes `direct_idx` / `affected_idx` — the same sets
-    /// as indices of the lowering the cached entries were keyed under.
-    /// Only call this while that index order still holds (always after
+    /// Only call this while the index order still holds (always after
     /// an entry-level mutation, which patches the arena in place); after
     /// a structural re-lowering that changed it, use
     /// [`MarginalCache::invalidate_rekeyed`].
@@ -369,95 +315,100 @@ impl MarginalCache {
         &self,
         direct: &HashSet<ObjectId>,
         direct_idx: &HashSet<u32>,
-        affected_idx: &HashSet<u32>,
         structural: bool,
     ) -> InvalidationCounts {
         let mut counts = InvalidationCounts::default();
-        self.invalidate_results_and_layers(direct, structural, &mut counts);
+        self.invalidate_results_and_layers(direct, direct_idx, structural, &mut counts);
 
-        {
-            let mut s = self.eps.write();
-            let mut freed = 0u64;
-            s.map.retain(|k, e| {
-                let stale = affected_idx.contains(&k.object);
-                if stale {
-                    freed += e.cost;
-                    counts.eps += 1;
-                }
-                !stale
-            });
-            s.bytes = s.bytes.saturating_sub(freed);
-            self.total_bytes.fetch_sub(freed, Ordering::Relaxed);
-        }
-
-        {
-            let mut s = self.links.write();
-            let mut freed = 0u64;
-            s.map.retain(|(parent, _), e| {
-                let stale = direct_idx.contains(parent);
-                if stale {
-                    freed += e.cost;
-                    counts.links += 1;
-                }
-                !stale
-            });
-            s.bytes = s.bytes.saturating_sub(freed);
-            self.total_bytes.fetch_sub(freed, Ordering::Relaxed);
-        }
-
+        let mut s = self.links.write();
+        let mut freed = 0u64;
+        s.map.retain(|(parent, _), e| {
+            let stale = direct_idx.contains(parent);
+            if stale {
+                freed += e.cost;
+                counts.links += 1;
+            }
+            !stale
+        });
+        s.bytes = s.bytes.saturating_sub(freed);
+        self.total_bytes.fetch_sub(freed, Ordering::Relaxed);
         counts
     }
 
     /// Dirty-set invalidation when the mutation changed the arena's
     /// index order (an object appeared, disappeared, or the topological
-    /// order shifted): the results and layers tables — keyed by stable
-    /// [`ObjectId`]s — are filtered exactly as in
-    /// [`MarginalCache::invalidate_dirty`], while the index-keyed ε and
-    /// link tables are wiped wholesale (their `u32` keys refer to the
-    /// old lowering and cannot be translated), with exact freed-byte
-    /// accounting.
+    /// order shifted). `old_direct_idx` holds the *old* lowering's
+    /// indices of `D` — removed objects still have one there — so the
+    /// results and layers tables are filtered exactly as in
+    /// [`MarginalCache::invalidate_dirty`]. Each surviving layers entry
+    /// is then re-keyed through `rekey` (old index → new index, `None`
+    /// for an object the new lowering lacks) and re-sorted; an entry
+    /// holding a removed object is stale and evicted. The link table is
+    /// wiped wholesale. Freed bytes are accounted exactly.
     pub fn invalidate_rekeyed(
         &self,
         direct: &HashSet<ObjectId>,
+        old_direct_idx: &HashSet<u32>,
         structural: bool,
+        rekey: impl Fn(u32) -> Option<u32>,
     ) -> InvalidationCounts {
         let mut counts = InvalidationCounts::default();
-        self.invalidate_results_and_layers(direct, structural, &mut counts);
+        self.invalidate_results_and_layers(direct, old_direct_idx, structural, &mut counts);
 
         {
-            let mut s = self.eps.write();
-            counts.eps += s.map.len() as u64;
-            self.total_bytes.fetch_sub(s.bytes, Ordering::Relaxed);
-            s.map.clear();
-            s.bytes = 0;
+            let mut s = self.layers.write();
+            let mut freed = 0u64;
+            s.map.retain(|_, e| {
+                let moved: Option<Vec<Vec<u32>>> = e
+                    .value
+                    .iter()
+                    .map(|layer| {
+                        let mut l = layer.iter().map(|&x| rekey(x)).collect::<Option<Vec<u32>>>()?;
+                        l.sort_unstable();
+                        Some(l)
+                    })
+                    .collect();
+                match moved {
+                    // Same layer lengths, so the admitted cost still holds.
+                    Some(layers) => {
+                        e.value = Arc::new(layers);
+                        true
+                    }
+                    None => {
+                        freed += e.cost;
+                        counts.layers += 1;
+                        false
+                    }
+                }
+            });
+            s.bytes = s.bytes.saturating_sub(freed);
+            self.total_bytes.fetch_sub(freed, Ordering::Relaxed);
         }
-        {
-            let mut s = self.links.write();
-            counts.links += s.map.len() as u64;
-            self.total_bytes.fetch_sub(s.bytes, Ordering::Relaxed);
-            s.map.clear();
-            s.bytes = 0;
-        }
-
+        let mut s = self.links.write();
+        counts.links += s.map.len() as u64;
+        self.total_bytes.fetch_sub(s.bytes, Ordering::Relaxed);
+        s.map.clear();
+        s.bytes = 0;
         counts
     }
 
-    /// The `ObjectId`-keyed half of dirty invalidation, shared by
+    /// The results-and-layers half of dirty invalidation, shared by
     /// [`MarginalCache::invalidate_dirty`] and
     /// [`MarginalCache::invalidate_rekeyed`]. A layers entry touches `D`
-    /// when some member of `D` is found by binary search in one of its
-    /// sorted layers; each distinct `(root, labels)` verdict is computed
-    /// once per call and shared by every result over that path.
+    /// when some member of `direct_idx` is found by binary search in one
+    /// of its sorted layers; each distinct `(root, labels)` verdict is
+    /// computed once per call and shared by every result over that path.
     fn invalidate_results_and_layers(
         &self,
         direct: &HashSet<ObjectId>,
+        direct_idx: &HashSet<u32>,
         structural: bool,
         counts: &mut InvalidationCounts,
     ) {
-        let mut dirty: Vec<ObjectId> = direct.iter().copied().collect();
+        let mut dirty: Vec<u32> = direct_idx.iter().copied().collect();
         dirty.sort_unstable();
-        let touches_direct = |layers: &[Vec<ObjectId>]| {
-            layers.iter().any(|l| dirty.iter().any(|o| l.binary_search(o).is_ok()))
+        let touches_direct = |layers: &[Vec<u32>]| {
+            layers.iter().any(|l| dirty.iter().any(|x| l.binary_search(x).is_ok()))
         };
         // Verdicts by root, then by label sequence (looked up by slice,
         // so a memo hit allocates nothing).
@@ -527,11 +478,6 @@ impl MarginalCache {
         self.layers.read().map.iter().map(|(k, e)| (k.clone(), Arc::clone(&e.value))).collect()
     }
 
-    /// Snapshot of the ε memo (audit support).
-    pub(crate) fn eps_entries(&self) -> Vec<(EpsKey, f64)> {
-        self.eps.read().map.iter().map(|(k, e)| (k.clone(), e.value)).collect()
-    }
-
     /// Snapshot of the link-marginal memo (audit support). Keys are
     /// `(parent arena index, universe position)`.
     pub(crate) fn link_entries(&self) -> Vec<((u32, u32), f64)> {
@@ -541,7 +487,7 @@ impl MarginalCache {
 
 /// Snapshot of the located-layers memo: `(root, label path)` key plus
 /// the cached per-depth layers (audit support).
-pub(crate) type LayerEntries = Vec<((ObjectId, LabelPath), Arc<Vec<Vec<ObjectId>>>)>;
+pub(crate) type LayerEntries = Vec<((ObjectId, LabelPath), Layers)>;
 
 /// Per-table eviction counts from one [`MarginalCache::invalidate_dirty`]
 /// call.
@@ -551,16 +497,14 @@ pub struct InvalidationCounts {
     pub results: u64,
     /// Located-layer entries evicted.
     pub layers: u64,
-    /// ε marginals evicted.
-    pub eps: u64,
     /// Link marginals evicted.
     pub links: u64,
 }
 
 impl InvalidationCounts {
-    /// Total entries evicted across all four tables.
+    /// Total entries evicted across all three tables.
     pub fn total(&self) -> u64 {
-        self.results + self.layers + self.eps + self.links
+        self.results + self.layers + self.links
     }
 }
 
@@ -589,7 +533,7 @@ mod tests {
         }
         assert_eq!(cache.approx_bytes(), 4 * LINK_ENTRY_BYTES);
 
-        let big: Arc<Vec<Vec<ObjectId>>> = Arc::new(vec![(0..100).map(o).collect()]);
+        let big: Layers = Arc::new(vec![(0..100).collect()]);
         let path = LabelPath::new(vec![Label::from_raw(1)]);
         assert!(layer_cost(&[100]) > cache.max_bytes());
         for _ in 0..10 {
@@ -616,15 +560,12 @@ mod tests {
         for i in 0..4 {
             cache.put_link(i, 0, 0.25);
         }
-        // eps entry would fit nowhere: links hold 160 of the 200-byte
-        // budget and emptying the (empty) eps shard frees nothing.
-        let key = EpsKey {
-            object: 9,
-            suffix: LabelPath::new(vec![Label::from_raw(1)]).suffix(0),
-            target: TargetKey::AllLocated,
-        };
-        cache.put_eps(key.clone(), 0.125);
-        assert_eq!(cache.get_eps(&key), None);
+        // A result entry would fit nowhere: links hold 160 of the
+        // 200-byte budget and emptying the (empty) results shard frees
+        // nothing.
+        let q = Query::Chain { objects: vec![o(9)] };
+        cache.put_result(q.clone(), Ok(0.125));
+        assert_eq!(cache.get_result(&q), None);
         assert_eq!(cache.evictions(), 0);
         assert_eq!(cache.admission_rejections(), 1);
 
@@ -651,8 +592,8 @@ mod tests {
     fn replacement_reaccounts_bytes() {
         let cache = MarginalCache::new();
         let path = LabelPath::new(vec![Label::from_raw(1)]);
-        let small: Arc<Vec<Vec<ObjectId>>> = Arc::new(vec![vec![o(1)]]);
-        let large: Arc<Vec<Vec<ObjectId>>> = Arc::new(vec![(0..10).map(o).collect()]);
+        let small: Layers = Arc::new(vec![vec![1]]);
+        let large: Layers = Arc::new(vec![(0..10).collect()]);
 
         cache.put_layers(o(0), path.clone(), Arc::clone(&small));
         assert_eq!(cache.approx_bytes(), layer_cost(&[1]));
@@ -666,7 +607,7 @@ mod tests {
         cache.put_layers(o(0), path.clone(), small);
         assert_eq!(cache.approx_bytes(), layer_cost(&[1]));
         assert_eq!(cache.approx_bytes(), cache.recomputed_bytes());
-        assert_eq!(cache.len(), (0, 1, 0, 0));
+        assert_eq!(cache.len(), (0, 1, 0));
     }
 
     /// Under a ceiling, replacing a key accounts for the bytes it frees:
@@ -676,7 +617,7 @@ mod tests {
     fn replacement_under_ceiling_counts_freed_bytes() {
         let cache = MarginalCache::new();
         let path = LabelPath::new(vec![Label::from_raw(1)]);
-        let layers: Arc<Vec<Vec<ObjectId>>> = Arc::new(vec![(0..10).map(o).collect()]);
+        let layers: Layers = Arc::new(vec![(0..10).collect()]);
         cache.set_max_bytes(layer_cost(&[10]));
         cache.put_layers(o(0), path.clone(), Arc::clone(&layers));
         assert_eq!(cache.approx_bytes(), cache.max_bytes());
@@ -694,11 +635,13 @@ mod tests {
         fn invalidate_results_and_layers_linear(
             &self,
             direct: &HashSet<ObjectId>,
+            direct_idx: &HashSet<u32>,
             structural: bool,
             counts: &mut InvalidationCounts,
         ) {
-            let touches_direct =
-                |layers: &[Vec<ObjectId>]| layers.iter().any(|l| l.iter().any(|o| direct.contains(o)));
+            let touches_direct = |layers: &[Vec<u32>]| {
+                layers.iter().any(|l| l.iter().any(|x| direct_idx.contains(x)))
+            };
             {
                 let layers = self.layers.read();
                 let mut s = self.results.write();
@@ -760,10 +703,10 @@ mod tests {
             let mut layer_puts = Vec::new();
             for (root, labels) in &paths {
                 if rng.gen_bool(0.8) {
-                    let layers: Vec<Vec<ObjectId>> = (0..=labels.len())
+                    let layers: Vec<Vec<u32>> = (0..=labels.len())
                         .map(|_| {
-                            let mut l: Vec<ObjectId> = (0..rng.gen_range(0..10))
-                                .map(|_| o(rng.gen_range(0..objects)))
+                            let mut l: Vec<u32> = (0..rng.gen_range(0..10))
+                                .map(|_| rng.gen_range(0..objects))
                                 .collect();
                             l.sort_unstable();
                             l.dedup();
@@ -788,6 +731,9 @@ mod tests {
             }
             let direct: HashSet<ObjectId> =
                 (0..rng.gen_range(0..5)).map(|_| o(rng.gen_range(0..objects))).collect();
+            // Arena index = raw id here; the indices drive layers, the
+            // ids chain results.
+            let direct_idx: HashSet<u32> = direct.iter().map(|o| o.raw()).collect();
             let structural = rng.gen_bool(0.5);
 
             let fill = || {
@@ -802,8 +748,8 @@ mod tests {
             };
             let (fast, slow) = (fill(), fill());
             let (mut got, mut want) = (InvalidationCounts::default(), InvalidationCounts::default());
-            fast.invalidate_results_and_layers(&direct, structural, &mut got);
-            slow.invalidate_results_and_layers_linear(&direct, structural, &mut want);
+            fast.invalidate_results_and_layers(&direct, &direct_idx, structural, &mut got);
+            slow.invalidate_results_and_layers_linear(&direct, &direct_idx, structural, &mut want);
             assert_eq!(got, want, "round {round}: eviction counts");
             assert_eq!(fast.approx_bytes(), slow.approx_bytes(), "round {round}: freed bytes");
             assert_eq!(fast.approx_bytes(), fast.recomputed_bytes());

@@ -11,13 +11,11 @@
 //! Engine answers are **exactly** (`==`, not within-epsilon) the answers
 //! of the sequential functions [`crate::point_query`],
 //! [`crate::exists_query`] and [`crate::chain_probability`]: the
-//! ungoverned engine paths run the flat arena kernels
-//! (`crate::arena_eps`, [`pxml_core::ArenaInstance`]), which are
-//! operation-for-operation transliterations of the sequential
-//! recursion — bit-identical by construction — the engine only adds
-//! memo lookups, and a memoised value is bit-identical to what the
-//! recursion would recompute (see `crate::cache` for the key-soundness
-//! argument).
+//! ungoverned point/exists path runs the flat §6.1 pipeline of
+//! [`pxml_core::ArenaInstance`] (`layers_flat_from` → `kept_flat` →
+//! `eps_flat`), whose arithmetic replicates the sequential recursion
+//! operation for operation and whose errors name the same objects; the
+//! engine only adds whole-result, located-layers and chain-link memos.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
@@ -26,24 +24,22 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use pxml_algebra::locate::layers_weak;
 use pxml_algebra::path::PathExpr;
 use pxml_core::catalog::DisplayObject;
 use pxml_core::summary::StructuralSummary;
 use pxml_core::{
-    render_ops, ArenaInstance, Budget, CancelToken, Exhausted, LabelPath, Mutation, ObjectId,
-    ProbInstance,
+    render_ops, ArenaInstance, Budget, CancelToken, CoreError, Exhausted, Label, LabelPath,
+    Mutation, ObjectId, ProbInstance,
 };
 use pxml_interval::Interval;
 use std::sync::Arc;
 
-use crate::arena_eps::{arena_eps_at, map_kept, ArenaEpsHook};
-use crate::cache::{EpsKey, InvalidationCounts, MarginalCache, TargetKey};
+use crate::cache::{InvalidationCounts, Layers, MarginalCache};
 use crate::chain::{chain_probability_budgeted, chain_probability_interval};
 use crate::dag::{exists_query_dag_governed, point_query_dag_governed, DagOutcome};
 use crate::error::{QueryError, Result};
 use crate::metrics::MetricsRegistry;
-use crate::point::{epsilon_root_interval, epsilon_root_with, kept_region, EpsHook};
+use crate::point::{epsilon_root_interval, epsilon_root_with, EpsHook};
 use crate::preflight;
 use crate::stats::{EngineStats, StatsSnapshot};
 use crate::trace::{QueryKind, QueryTrace, TraceMode, TraceOutcome, TraceRing, TraceTally};
@@ -200,7 +196,7 @@ pub enum InvalidationPolicy {
 pub struct MutationOutcome {
     /// The core-layer effect: dirty/removed/inserted objects.
     pub effect: pxml_core::MutationEffect,
-    /// Size of the affected set `D ∪ ancestors(D)` used for ε eviction.
+    /// Size of the affected set `D ∪ ancestors(D)`.
     pub affected: usize,
     /// Per-table eviction counts (all zero under `FlushAll`, which
     /// bypasses entry-level accounting).
@@ -209,15 +205,13 @@ pub struct MutationOutcome {
     pub nanos: u64,
 }
 
-/// A mutation's dirty set and its ancestor closure, in the forms the
-/// cache invalidation takes.
+/// A mutation's dirty set, in the forms the cache invalidation takes,
+/// and the size of its ancestor closure.
 struct DirtyClosure {
     /// `D`, the directly changed objects.
     direct: HashSet<ObjectId>,
     /// The arena indices of `D` (objects no longer in the arena drop out).
     direct_idx: HashSet<u32>,
-    /// The arena indices of `D ∪ ancestors(D)`.
-    affected_idx: HashSet<u32>,
     /// `|D ∪ ancestors(D)|`, dropped-out objects of `D` included.
     affected: usize,
 }
@@ -227,9 +221,9 @@ struct DirtyClosure {
 pub struct QueryEngine {
     pi: ProbInstance,
     /// Flat lowering of `pi` (arena + CSR + OPF slabs). The ungoverned
-    /// ε and chain kernels run over this. An entry-level mutation patches
-    /// the dirty objects' OPF slots in place; a structural one re-lowers
-    /// it wholesale.
+    /// point/exists sweep and the chain kernel run over this. An
+    /// entry-level mutation patches the dirty objects' OPF slots in
+    /// place; a structural one re-lowers it wholesale.
     arena: ArenaInstance,
     cache: MarginalCache,
     stats: EngineStats,
@@ -342,9 +336,8 @@ impl QueryEngine {
         self.cache.clear();
     }
 
-    /// Entry counts of the four cache tables
-    /// `(results, layers, eps, links)`.
-    pub fn cache_len(&self) -> (usize, usize, usize, usize) {
+    /// Entry counts of the three cache tables `(results, layers, links)`.
+    pub fn cache_len(&self) -> (usize, usize, usize) {
         self.cache.len()
     }
 
@@ -371,7 +364,7 @@ impl QueryEngine {
     }
 
     /// The current flat lowering (audit support: translating the
-    /// cache's arena-index keys back to [`ObjectId`]s).
+    /// cache's arena indices back to [`ObjectId`]s).
     pub(crate) fn arena(&self) -> &ArenaInstance {
         &self.arena
     }
@@ -421,15 +414,13 @@ impl QueryEngine {
         // and both CSRs: patch the dirty OPF slots in place. Structural
         // ops re-lower wholesale; if the index assignment changed (an
         // object appeared/disappeared or the topological order shifted),
-        // every index-keyed cache entry is unsalvageable.
+        // the old lowering is kept to translate the cache's indices.
         let rekeyed = if effect.structural {
-            let new_arena = ArenaInstance::lower_unchecked(&self.pi);
-            let rekeyed = new_arena.order() != self.arena.order();
-            self.arena = new_arena;
-            rekeyed
+            let old = std::mem::replace(&mut self.arena, ArenaInstance::lower_unchecked(&self.pi));
+            (old.order() != self.arena.order()).then_some(old)
         } else {
             self.arena.patch_opfs(&self.pi, &effect.dirty);
-            false
+            None
         };
         if self.invalidation == InvalidationPolicy::FlushAll {
             self.cache.clear();
@@ -446,12 +437,18 @@ impl QueryEngine {
                 return Err(e);
             }
         };
-        let invalidated = if rekeyed {
-            self.cache.invalidate_rekeyed(&d.direct, effect.structural)
-        } else {
+        let invalidated = match rekeyed {
+            // The cached entries hold the old lowering's indices, which
+            // removed objects still have.
+            Some(old) => {
+                let old_idx = d.direct.iter().filter_map(|&o| old.index_of(o)).collect();
+                self.cache.invalidate_rekeyed(&d.direct, &old_idx, effect.structural, |x| {
+                    self.arena.index_of(old.object_at(x))
+                })
+            }
             // Index order unchanged, so the current lowering's indices
-            // are the ones the cached keys were minted under.
-            self.cache.invalidate_dirty(&d.direct, &d.direct_idx, &d.affected_idx, effect.structural)
+            // are the ones the cached entries were minted under.
+            None => self.cache.invalidate_dirty(&d.direct, &d.direct_idx, effect.structural),
         };
         Ok(self.finish_mutation(m, effect, d.affected, invalidated, started))
     }
@@ -510,7 +507,6 @@ impl QueryEngine {
             direct: dirty.iter().copied().collect(),
             affected: affected_idx.len() + unindexed,
             direct_idx,
-            affected_idx,
         })
     }
 
@@ -614,14 +610,16 @@ impl QueryEngine {
             "Cache inserts refused because no eviction could make room.",
             s.cache_admission_rejections,
         );
-        let (results, layers, eps, links) = self.cache_len();
+        let (results, layers, links) = self.cache_len();
+        // The `eps` series stays (at zero) so the exposition keeps its
+        // shape now that no ε memo exists.
         reg.gauge_vec(
             "pxml_cache_entries",
             "Entries per cache table.",
             &[
                 ("table=\"result\"", results as f64),
                 ("table=\"layers\"", layers as f64),
-                ("table=\"eps\"", eps as f64),
+                ("table=\"eps\"", 0.0),
                 ("table=\"link\"", links as f64),
             ],
         );
@@ -1260,8 +1258,7 @@ impl QueryEngine {
         budget: &Budget,
         mut t: Option<&mut TraceTally>,
     ) -> (Result<Answer>, bool) {
-        let labels = LabelPath::from(&path.labels[..]);
-        let layers = self.layers_for(path, &labels, t.as_deref_mut());
+        let layers = self.object_layers(&self.layers_for(path, t.as_deref_mut()));
         if layers.last().is_none_or(|l| l.binary_search(&object).is_err()) {
             return (Ok(Answer::Exact(0.0)), true);
         }
@@ -1295,8 +1292,7 @@ impl QueryEngine {
         budget: &Budget,
         mut t: Option<&mut TraceTally>,
     ) -> (Result<Answer>, bool) {
-        let labels = LabelPath::from(&path.labels[..]);
-        let layers = self.layers_for(path, &labels, t.as_deref_mut());
+        let layers = self.object_layers(&self.layers_for(path, t.as_deref_mut()));
         let located = layers.last().cloned().unwrap_or_default();
         if located.is_empty() {
             return (Ok(Answer::Exact(0.0)), true);
@@ -1382,24 +1378,26 @@ impl QueryEngine {
         }
     }
 
-    /// The locate pass of `layers_weak`, memoised per
-    /// `(path root, label sequence)`.
-    fn layers_for(
-        &self,
-        path: &PathExpr,
-        labels: &LabelPath,
-        t: Option<&mut TraceTally>,
-    ) -> Arc<Vec<Vec<ObjectId>>> {
+    /// The located layers of `path` as sorted arena indices, memoised
+    /// per `(path root, label sequence)`. Like `layers_weak`, a path not
+    /// anchored at the instance root locates nothing.
+    fn layers_for(&self, path: &PathExpr, t: Option<&mut TraceTally>) -> Layers {
         let start = Instant::now();
-        let (layers, hit) = match self.cache.get_layers(path.root, labels) {
+        let labels = LabelPath::from(&path.labels[..]);
+        let (layers, hit) = match self.cache.get_layers(path.root, &labels) {
             Some(l) => {
                 self.stats.count_layers(true);
                 (l, true)
             }
             None => {
                 self.stats.count_layers(false);
-                let l = Arc::new(layers_weak(self.pi.weak(), path));
-                self.cache.put_layers(path.root, labels.clone(), Arc::clone(&l));
+                let l = if path.root == self.pi.root() {
+                    self.arena.layers_flat_from(self.arena.root_index(), &path.labels)
+                } else {
+                    vec![Vec::new(); path.labels.len() + 1]
+                };
+                let l = Arc::new(l);
+                self.cache.put_layers(path.root, labels, Arc::clone(&l));
                 (l, false)
             }
         };
@@ -1416,92 +1414,72 @@ impl QueryEngine {
         layers
     }
 
+    /// Arena-index layers as sorted [`ObjectId`] layers, the form the
+    /// governed legacy recursion takes.
+    fn object_layers(&self, layers: &[Vec<u32>]) -> Vec<Vec<ObjectId>> {
+        layers
+            .iter()
+            .map(|l| {
+                let mut objects: Vec<ObjectId> =
+                    l.iter().map(|&x| self.arena.object_at(x)).collect();
+                objects.sort_unstable();
+                objects
+            })
+            .collect()
+    }
+
     fn eval_point(
         &self,
         path: &PathExpr,
         object: ObjectId,
         mut t: Option<&mut TraceTally>,
     ) -> Result<f64> {
-        let labels = LabelPath::from(&path.labels[..]);
-        let layers = self.layers_for(path, &labels, t.as_deref_mut());
+        let layers = self.layers_for(path, t.as_deref_mut());
         // Mirrors `point_query`: absent from the located layer ⇒ 0.
-        if layers.last().is_none_or(|l| l.binary_search(&object).is_err()) {
-            return Ok(0.0);
+        match (self.arena.index_of(object), layers.last()) {
+            (Some(x), Some(located)) if located.binary_search(&x).is_ok() => {
+                self.sweep(&path.labels, &layers, &[x], t)
+            }
+            _ => Ok(0.0),
         }
-        self.eps_arena(path, &layers, &[object], labels, TargetKey::One(object), t)
     }
 
     fn eval_exists(&self, path: &PathExpr, mut t: Option<&mut TraceTally>) -> Result<f64> {
-        let labels = LabelPath::from(&path.labels[..]);
-        let layers = self.layers_for(path, &labels, t.as_deref_mut());
+        let layers = self.layers_for(path, t.as_deref_mut());
         // Mirrors `exists_query`: nothing located ⇒ 0.
-        let located = layers.last().cloned().unwrap_or_default();
-        if located.is_empty() {
-            return Ok(0.0);
+        match layers.last() {
+            Some(located) if !located.is_empty() => self.sweep(&path.labels, &layers, located, t),
+            _ => Ok(0.0),
         }
-        self.eps_arena(path, &layers, &located, labels, TargetKey::AllLocated, t)
     }
 
-    /// The shared ε evaluation of the ungoverned point/exists paths:
-    /// kept-region extraction on the legacy representation (so error
-    /// payloads like [`QueryError::NotTreeShaped`] are byte-identical),
-    /// then the flat arena recursion through the shared index-keyed
-    /// cache. Bit-identical to [`epsilon_root_with`] — the arena kernel
-    /// is an operation-for-operation transliteration (see
-    /// `crate::arena_eps`).
-    fn eps_arena(
+    /// The ungoverned point/exists evaluation: the kept region for
+    /// `targets` (`kept_flat`), then one bottom-up ε sweep over it
+    /// (`eps_flat`). OPF entries count as Σ `stored_len` over the swept
+    /// nodes, as the recursion counted them.
+    fn sweep(
         &self,
-        path: &PathExpr,
-        layers: &[Vec<ObjectId>],
-        targets: &[ObjectId],
-        labels: LabelPath,
-        target: TargetKey,
-        mut t: Option<&mut TraceTally>,
-    ) -> Result<f64> {
-        let start = Instant::now();
-        let r = self.eps_arena_inner(path, layers, targets, labels, target, t.as_deref_mut());
-        let elapsed = start.elapsed();
-        self.stats.add_marginal(elapsed);
-        if let Some(t) = t {
-            t.marginal_nanos += elapsed.as_nanos() as u64;
-        }
-        r
-    }
-
-    /// Untimed body of [`QueryEngine::eps_arena`].
-    fn eps_arena_inner(
-        &self,
-        path: &PathExpr,
-        layers: &[Vec<ObjectId>],
-        targets: &[ObjectId],
-        labels: LabelPath,
-        target: TargetKey,
+        labels: &[Label],
+        layers: &[Vec<u32>],
+        targets: &[u32],
         t: Option<&mut TraceTally>,
     ) -> Result<f64> {
-        let kept = kept_region(&self.pi, path, layers, targets)?;
-        if kept[0].binary_search(&self.pi.root()).is_err() {
-            return Ok(0.0);
+        let start = Instant::now();
+        let swept = self.arena.kept_flat(labels, layers, targets).and_then(|kept| {
+            let v = self.arena.eps_flat(labels, &kept)?;
+            let entries: u64 =
+                kept[..labels.len()].iter().flatten().map(|&x| self.arena.stored_len(x)).sum();
+            Ok((v, entries))
+        });
+        let elapsed = start.elapsed();
+        self.stats.add_marginal(elapsed);
+        let entries = swept.as_ref().map_or(0, |&(_, e)| e);
+        self.stats.add_opf_entries(entries);
+        if let Some(t) = t {
+            t.marginal_nanos += elapsed.as_nanos() as u64;
+            t.opf_entries += entries;
         }
-        let Some(akept) = map_kept(&self.arena, &kept) else {
-            // Unreachable for an arena lowered from `self.pi` (phantom
-            // indices make the map total); answer through the legacy
-            // recursion uncached rather than panic.
-            let mut hook = LocalHook::default();
-            let r = epsilon_root_with(&self.pi, path, layers, targets, &mut hook, &Budget::unlimited());
-            self.stats.add_opf_entries(hook.opf_entries);
-            return r;
-        };
-        let mut hook =
-            ArenaCacheHook { cache: &self.cache, stats: &self.stats, path: labels, target, tally: t };
-        arena_eps_at(
-            &self.arena,
-            &path.labels,
-            &akept,
-            self.arena.root_index(),
-            0,
-            &mut hook,
-            &Budget::unlimited(),
-        )
+        swept.map(|(v, _)| v).map_err(flat_error)
     }
 
     /// `chain_probability` with the per-link marginal memoised. The memo
@@ -1577,6 +1555,16 @@ impl QueryEngine {
     }
 }
 
+/// A flat-kernel error as the variant the sequential path raises, so
+/// the rendered message is identical.
+fn flat_error(e: CoreError) -> QueryError {
+    match e {
+        CoreError::NotTreeShaped(o) => QueryError::NotTreeShaped(o),
+        CoreError::UnknownObject(o) => QueryError::UnknownObject(o),
+        e => QueryError::Core(e),
+    }
+}
+
 /// The exhaustion record inside a [`QueryError`], if that is what it is.
 fn exhaustion_of(e: &QueryError) -> Option<pxml_core::Exhausted> {
     match e {
@@ -1603,8 +1591,8 @@ fn bounds_answer(lo: f64, hi: f64) -> Answer {
 /// other queries or threads have cached.
 ///
 /// The hit/miss tallies here describe the *private* memo — they feed
-/// the per-query trace, not the engine-wide `eps_hits`/`eps_misses`
-/// counters (which track the shared cache only).
+/// the per-query trace only; the engine-wide `eps_hits`/`eps_misses`
+/// counters stay at zero, as no shared ε memo exists.
 #[derive(Default)]
 struct LocalHook {
     memo: HashMap<(ObjectId, usize), f64>,
@@ -1639,52 +1627,6 @@ impl EpsHook for LocalHook {
 
     fn visited_opf_entries(&mut self, entries: u64) {
         self.opf_entries += entries;
-    }
-}
-
-/// The [`ArenaEpsHook`] wiring the shared ε memo and counters into the
-/// flat recursion of `crate::arena_eps::arena_eps_at`. Keys are arena
-/// indices, valid for the engine's current lowering (mutations that
-/// change the index order wipe the table — see
-/// [`MarginalCache::invalidate_rekeyed`]).
-struct ArenaCacheHook<'a> {
-    cache: &'a MarginalCache,
-    stats: &'a EngineStats,
-    path: LabelPath,
-    target: TargetKey,
-    /// Per-query provenance tally; `None` when tracing is off.
-    tally: Option<&'a mut TraceTally>,
-}
-
-impl ArenaCacheHook<'_> {
-    fn key(&self, x: u32, depth: usize) -> EpsKey {
-        EpsKey { object: x, suffix: self.path.suffix(depth), target: self.target.clone() }
-    }
-}
-
-impl ArenaEpsHook for ArenaCacheHook<'_> {
-    fn get(&mut self, x: u32, depth: usize) -> Option<f64> {
-        let hit = self.cache.get_eps(&self.key(x, depth));
-        self.stats.count_eps(hit.is_some());
-        if let Some(t) = self.tally.as_deref_mut() {
-            if hit.is_some() {
-                t.eps_hits += 1;
-            } else {
-                t.eps_misses += 1;
-            }
-        }
-        hit
-    }
-
-    fn put(&mut self, x: u32, depth: usize, value: f64) {
-        self.cache.put_eps(self.key(x, depth), value);
-    }
-
-    fn visited_opf_entries(&mut self, entries: u64) {
-        self.stats.add_opf_entries(entries);
-        if let Some(t) = self.tally.as_deref_mut() {
-            t.opf_entries += entries;
-        }
     }
 }
 
@@ -1731,7 +1673,7 @@ mod tests {
     }
 
     #[test]
-    fn eps_cache_shares_suffixes_across_point_targets() {
+    fn layers_are_shared_across_point_and_exists() {
         let pi = chain_fixture(3, 0.5);
         let o3 = pi.oid("o3").unwrap();
         let p = parse(&pi, "r.next.next.next");
@@ -1744,11 +1686,8 @@ mod tests {
         let snap = engine.stats();
         assert_eq!(snap.layers_misses, 1);
         assert_eq!(snap.layers_hits, 1);
-        let (results, layers, eps, links) = engine.cache_len();
-        assert_eq!(results, 2);
-        assert_eq!(layers, 1);
-        assert!(eps > 0);
-        assert_eq!(links, 0);
+        assert_eq!(engine.cache_len(), (2, 1, 0), "results, layers, links");
+        assert_eq!((snap.eps_hits, snap.eps_misses), (0, 0), "no ε memo");
     }
 
     #[test]
@@ -1983,7 +1922,7 @@ mod tests {
         engine.run_batch(&queries);
         let summary = Arc::clone(engine.summary());
         let (cache, slabs) = (engine.cache_len(), engine.arena().slab_lens());
-        assert_ne!(cache, (0, 0, 0, 0));
+        assert_ne!(cache, (0, 0, 0));
         let again = engine.apply_mutation(&m).unwrap();
         assert!(again.effect.dirty.is_empty());
         assert_eq!((again.affected, again.invalidated.total()), (0, 0));
@@ -2010,6 +1949,127 @@ mod tests {
         assert_fresh_answers(&engine, &queries);
     }
 
+    /// A structural op that re-lowers into a new index order in a
+    /// disjoint subtree keeps the title path's result and its layers
+    /// witness: the layers entry is re-keyed, not wiped.
+    #[test]
+    fn rekeying_structural_op_keeps_disjoint_results_warm() {
+        let pi = fig2_instance();
+        let (a3, institution) = (pi.oid("A3").unwrap(), pi.lid("institution").unwrap());
+        let title = parse(&pi, "R.book.title");
+        let (t1, t2) = (pi.oid("T1").unwrap(), pi.oid("T2").unwrap());
+        let warm = Query::point(title.clone(), t2);
+        let mut engine = QueryEngine::with_threads(pi, 1);
+        engine.run(&warm).unwrap();
+        let order = engine.arena().order().to_vec();
+        // card(A3, institution) = [1,1] is saturated, so the new child
+        // gets 0; A3 is on no title path.
+        let m =
+            Mutation::InsertObject { name: "I9".into(), parent: a3, label: institution, prob: 0.0 };
+        let out = engine.apply_mutation(&m).unwrap();
+        assert_ne!(engine.arena().order(), &order[..], "the insert must re-key the arena");
+        assert_eq!((out.invalidated.results, out.invalidated.layers), (0, 0));
+        let before = engine.stats();
+        let again = engine.run(&warm).unwrap();
+        // A new query over the same path must find the re-keyed layers.
+        let other = engine.run(&Query::point(title.clone(), t1)).unwrap();
+        let after = engine.stats();
+        assert_eq!(after.result_hits - before.result_hits, 1, "the warm result still hits");
+        assert_eq!(after.layers_hits - before.layers_hits, 1, "the layers entry survived");
+        assert_eq!(after.layers_misses, before.layers_misses);
+        let fresh = QueryEngine::with_threads(engine.instance().clone(), 1);
+        assert_eq!(again.to_bits(), fresh.run(&warm).unwrap().to_bits());
+        assert_eq!(other.to_bits(), fresh.run(&Query::point(title, t1)).unwrap().to_bits());
+        assert!(engine.audit_cache().is_empty(), "{:?}", engine.audit_cache());
+    }
+
+    /// Builds `R` with the given `(parent, label, children)` rows, an
+    /// OPF per parent that keeps all or none of its children with equal
+    /// odds, and typed leaves for every childless object.
+    fn all_or_none_instance(rows: &[(&str, &str, &[&str])]) -> ProbInstance {
+        use pxml_core::{LeafType, Value};
+        let mut b = ProbInstance::builder();
+        b.define_type(LeafType::new("vt", [Value::Int(1)]));
+        let r = b.object("R");
+        let mut parents: Vec<&str> = Vec::new();
+        let mut children: Vec<Vec<&str>> = Vec::new();
+        for &(parent, label, kids) in rows {
+            b.lch(parent, label, kids);
+            match parents.iter().position(|p| *p == parent) {
+                Some(i) => children[i].extend_from_slice(kids),
+                None => {
+                    parents.push(parent);
+                    children.push(kids.to_vec());
+                }
+            }
+        }
+        for (p, kids) in parents.iter().zip(&children) {
+            b.opf_table(p, &[(kids, 0.5), (&[], 0.5)]);
+        }
+        for kids in &children {
+            for k in kids.iter().filter(|k| !parents.contains(k)) {
+                b.leaf(k, "vt", None);
+                b.vpf(k, &[(Value::Int(1), 1.0)]);
+            }
+        }
+        b.build(r).expect("test instance is valid")
+    }
+
+    /// Where arena index order and `ObjectId` order disagree, the flat
+    /// sweep still names the object the sequential recursion names.
+    #[test]
+    fn flat_errors_name_the_objects_the_recursion_names() {
+        let same_error = |pi: &ProbInstance, path: &str| {
+            let p = parse(pi, path);
+            let want = exists_query(pi, &p).unwrap_err();
+            let engine = QueryEngine::with_threads(pi.clone(), 1);
+            assert_eq!(engine.run(&Query::exists(p)).unwrap_err(), want, "{path}");
+            want
+        };
+        // X and Y each have two kept parents. Ids ascend A, B, D, E, but
+        // the q-edges put the index order at E, D, B, A: the legacy
+        // check meets D's claim on X first, an index-ordered one B's
+        // claim on Y.
+        let pi = all_or_none_instance(&[
+            ("R", "p", &["A", "B", "D", "E"]),
+            ("A", "c", &["X"]),
+            ("B", "c", &["Y"]),
+            ("D", "c", &["X"]),
+            ("E", "c", &["Y"]),
+            ("E", "q", &["D"]),
+            ("D", "q", &["B"]),
+            ("B", "q", &["A"]),
+        ]);
+        let x = pi.oid("X").unwrap();
+        assert_eq!(same_error(&pi, "R.p.c"), QueryError::NotTreeShaped(x));
+        // B and C are kept at depths 1 and 2; the q-edge puts C before B
+        // in index order, while B has the smaller id.
+        let pi = all_or_none_instance(&[
+            ("R", "p", &["A", "B", "C"]),
+            ("A", "p", &["B", "C"]),
+            ("B", "p", &["Z1"]),
+            ("C", "p", &["Z2"]),
+            ("C", "q", &["B"]),
+        ]);
+        let b = pi.oid("B").unwrap();
+        assert_eq!(same_error(&pi, "R.p.p"), QueryError::NotTreeShaped(b));
+        // Missing OPFs at depth 1 (M0) and depth 2 (K1): the recursion
+        // checks M0 before descending, a bottom-up sweep meets K1 first.
+        let pi = all_or_none_instance(&[
+            ("R", "p", &["M0", "M1"]),
+            ("M0", "c", &["K0"]),
+            ("M1", "c", &["K1"]),
+            ("K0", "d", &["L0"]),
+            ("K1", "d", &["L1"]),
+        ]);
+        let (m0, k1) = (pi.oid("M0").unwrap(), pi.oid("K1").unwrap());
+        let (weak, mut opf, vpf) = pi.into_parts();
+        opf.remove(m0);
+        opf.remove(k1);
+        let pi = ProbInstance::from_parts_unchecked(weak, opf, vpf);
+        assert_eq!(same_error(&pi, "R.p.c.d"), QueryError::UnknownObject(m0));
+    }
+
     #[test]
     fn structural_mutation_relowers_and_answers_identically() {
         let pi = fig2_instance();
@@ -2034,9 +2094,9 @@ mod tests {
         engine.set_threads(2);
         assert_eq!(engine.threads(), 2);
         engine.run(&Query::exists(p)).unwrap();
-        assert_ne!(engine.cache_len(), (0, 0, 0, 0));
+        assert_ne!(engine.cache_len(), (0, 0, 0));
         engine.clear_cache();
-        assert_eq!(engine.cache_len(), (0, 0, 0, 0));
+        assert_eq!(engine.cache_len(), (0, 0, 0));
         engine.reset_stats();
         assert_eq!(engine.stats().queries_run, 0);
         let pi = engine.into_instance();

@@ -16,7 +16,9 @@
 //!   shared marginalisation cache ([`cache::MarginalCache`]), with
 //!   optional multi-threaded fan-out and [`stats::EngineStats`]
 //!   instrumentation. Engine answers are exactly equal (`==`) to the
-//!   sequential functions' answers — they share one ε implementation.
+//!   sequential functions' answers: the engine's flat §6.1 sweep
+//!   ([`pxml_core::ArenaInstance::eps_flat`]) replicates the sequential
+//!   recursion's arithmetic operation for operation.
 //!
 //! ## Resource governance
 //!
@@ -57,7 +59,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub(crate) mod arena_eps;
 pub mod audit;
 pub mod cache;
 pub mod chain;
@@ -71,7 +72,7 @@ pub mod preflight;
 pub mod stats;
 pub mod trace;
 
-pub use cache::{EpsKey, InvalidationCounts, MarginalCache, TargetKey};
+pub use cache::{InvalidationCounts, MarginalCache};
 pub use chain::{chain_probability, chain_probability_budgeted, chain_probability_named};
 pub use conditional::{
     conditional_exists_query, conditional_exists_query_budgeted, conditional_point_query,

@@ -59,13 +59,13 @@ pub fn exists_query_budgeted(pi: &ProbInstance, p: &PathExpr, budget: &Budget) -
     epsilon_root(pi, p, &layers, &located, budget)
 }
 
-/// Observer/memo hook threaded through the ε computation so the batch
-/// engine (`crate::engine`) can share per-`(object, path-suffix)`
-/// marginals across queries. The sequential entry points use [`NoHook`];
-/// a hook must only ever return values previously computed for the same
-/// `(object, depth-suffix, target)` triple — the recursion below an
-/// object never looks above it, so such values are bit-identical to what
-/// would be recomputed.
+/// Observer/memo hook threaded through the ε computation: the governed
+/// engine path (`crate::engine`) memoises per `(object, depth)` within
+/// one query and counts OPF entries through it. The sequential entry
+/// points use [`NoHook`]; a hook must only ever return values
+/// previously computed for the same `(object, depth-suffix, target)`
+/// triple — the recursion below an object never looks above it, so such
+/// values are bit-identical to what would be recomputed.
 pub(crate) trait EpsHook {
     /// A previously memoised ε for `x` at `depth`, if any.
     fn get(&mut self, x: ObjectId, depth: usize) -> Option<f64>;
@@ -177,7 +177,7 @@ pub(crate) fn eps_at(
     hook.visited_opf_entries(opf.stored_len() as u64);
     let v = opf.survival_probability(&kept_children);
     // An unchecked instance with NaN/∞ OPF mass would otherwise poison the
-    // shared ε memo and every query that reuses it.
+    // memo and every ancestor that reuses the value.
     if !v.is_finite() {
         return Err(QueryError::Core(pxml_core::CoreError::DegenerateMass { total: v }));
     }

@@ -32,7 +32,7 @@
 use pxml_core::summary::StructuralSummary;
 use pxml_core::{Exhausted, ObjectId, Resource};
 
-use crate::cache::{EPS_ENTRY_BYTES, LAYERS_ENTRY_BYTES, LINK_ENTRY_BYTES, RESULT_ENTRY_BYTES};
+use crate::cache::{LAYERS_ENTRY_BYTES, LINK_ENTRY_BYTES, RESULT_ENTRY_BYTES};
 use crate::dag::MAX_CHAINS;
 use crate::engine::{BudgetSpec, DegradePolicy, Query};
 
@@ -133,7 +133,7 @@ pub struct CostEstimate {
     /// chain extensions, inclusion–exclusion terms).
     pub steps: u64,
     /// Upper bound on bytes the query can add to the shared
-    /// [`crate::MarginalCache`] (result + layers + ε/link entries).
+    /// [`crate::MarginalCache`] (result + layers + link entries).
     pub memo_bytes: u64,
     /// True when `steps` is the *exact* governed charge count (tree
     /// point/exists regions and chains), enabling admission control.
@@ -291,8 +291,8 @@ fn analyze_path(
             // Tree-shaped region: the governed evaluator charges one
             // step per kept node above the target depth, exactly.
             let steps: u64 = kept[..n].iter().map(|l| l.len() as u64).sum();
-            let eps_entries: u64 = steps; // one shared-cache ε entry per charged node
-            let memo_bytes = base_bytes(q, &layers) + eps_entries * EPS_ENTRY_BYTES;
+            // Only the result and layers entries are memoised.
+            let memo_bytes = base_bytes(q, &layers);
             // Blocked targets: reachable in the weak graph but only
             // through an edge of marginal probability exactly zero.
             // The survival recursion then yields exactly 0.0.

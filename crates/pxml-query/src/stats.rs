@@ -141,10 +141,6 @@ pub struct EngineStats {
     pub layers_hits: AtomicU64,
     /// Locate-layer memo misses (forward traversals run).
     pub layers_misses: AtomicU64,
-    /// ε-marginal memo hits (each prunes a whole subtree recursion).
-    pub eps_hits: AtomicU64,
-    /// ε-marginal memo misses (survival evaluations run).
-    pub eps_misses: AtomicU64,
     /// Chain-link marginal memo hits.
     pub link_hits: AtomicU64,
     /// Chain-link marginal memo misses.
@@ -224,9 +220,6 @@ impl EngineStats {
     pub(crate) fn count_layers(&self, hit: bool) {
         bump!(if hit { &self.layers_hits } else { &self.layers_misses });
     }
-    pub(crate) fn count_eps(&self, hit: bool) {
-        bump!(if hit { &self.eps_hits } else { &self.eps_misses });
-    }
     pub(crate) fn count_link(&self, hit: bool) {
         bump!(if hit { &self.link_hits } else { &self.link_misses });
     }
@@ -282,8 +275,6 @@ impl EngineStats {
             &self.result_misses,
             &self.layers_hits,
             &self.layers_misses,
-            &self.eps_hits,
-            &self.eps_misses,
             &self.link_hits,
             &self.link_misses,
             &self.opf_entries_visited,
@@ -328,8 +319,8 @@ impl EngineStats {
             result_misses,
             layers_hits: g(&self.layers_hits),
             layers_misses: g(&self.layers_misses),
-            eps_hits: g(&self.eps_hits),
-            eps_misses: g(&self.eps_misses),
+            eps_hits: 0,
+            eps_misses: 0,
             link_hits: g(&self.link_hits),
             link_misses: g(&self.link_misses),
             opf_entries_visited: g(&self.opf_entries_visited),
@@ -368,9 +359,11 @@ pub struct StatsSnapshot {
     pub layers_hits: u64,
     /// Locate-layer memo misses.
     pub layers_misses: u64,
-    /// ε-marginal memo hits.
+    /// ε-marginal memo hits: always 0, as no shared ε memo exists; kept
+    /// so the STATS line and the `table="eps"` metric families keep
+    /// their shape.
     pub eps_hits: u64,
-    /// ε-marginal memo misses.
+    /// ε-marginal memo misses: always 0 (see `eps_hits`).
     pub eps_misses: u64,
     /// Chain-link memo hits.
     pub link_hits: u64,
@@ -591,7 +584,7 @@ mod tests {
         s.count_query();
         s.count_result(true);
         s.count_result(false);
-        s.count_eps(true);
+        s.count_layers(true);
         s.add_opf_entries(7);
         s.add_budget_spend(40, 2);
         s.observe_query_nanos(100);
@@ -599,7 +592,7 @@ mod tests {
         assert_eq!(snap.queries_run, 1);
         assert_eq!(snap.result_hits, 1);
         assert_eq!(snap.result_misses, 1);
-        assert_eq!(snap.eps_hits, 1);
+        assert_eq!(snap.layers_hits, 1);
         assert_eq!(snap.opf_entries_visited, 7);
         assert_eq!(snap.budget_steps_spent, 40);
         assert_eq!(snap.budget_polls, 2);

@@ -361,22 +361,25 @@ set -e
   echo "error: wal daemon SIGTERM drain exited $code, want 0"; cat "$smoke_dir/crash-serve.log"; exit 1;
 }
 
-# End-to-end benchmark smoke: a short mixed read/write run of
-# mixed_rw_1e4 against the release daemon (python3 e2ebench/run.py; its
-# last stdout line is the JSON result). Every read answer is checked
-# against an in-process engine, so the step fails unless the result
-# says correct and no request failed.
-echo "==> e2ebench smoke (mixed_rw_1e4, 3 s)"
-e2e_out="$(python3 e2ebench/run.py --workload mixed_rw_1e4 --seed 1 --seconds 3 --trace 0)" || {
-  echo "error: e2ebench run exited nonzero:"; echo "$e2e_out"; exit 1;
-}
-e2e_line="$(printf '%s\n' "$e2e_out" | tail -n 1)"
-python3 -c '
+# End-to-end benchmark smokes against the release daemon (python3
+# e2ebench/run.py; its last stdout line is the JSON result): a short
+# mixed read/write run of mixed_rw_1e4, and a short cold_reads_1e5 run
+# whose reads mostly miss the cache and so run the served §6.1 sweep.
+# Every read answer is checked against an in-process engine, so each
+# step fails unless the result says correct and no request failed.
+for workload in mixed_rw_1e4 cold_reads_1e5; do
+  echo "==> e2ebench smoke ($workload, 3 s)"
+  e2e_out="$(python3 e2ebench/run.py --workload "$workload" --seed 1 --seconds 3 --trace 0)" || {
+    echo "error: e2ebench $workload run exited nonzero:"; echo "$e2e_out"; exit 1;
+  }
+  e2e_line="$(printf '%s\n' "$e2e_out" | tail -n 1)"
+  python3 -c '
 import json, sys
 r = json.loads(sys.argv[1])
 sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)
 ' "$e2e_line" || {
-  echo "error: e2ebench smoke not correct or had failures: $e2e_line"; exit 1;
-}
+    echo "error: e2ebench $workload smoke not correct or had failures: $e2e_line"; exit 1;
+  }
+done
 
 echo "==> ci.sh: all green"

@@ -1,5 +1,5 @@
 //! Admission/eviction hammer for the byte-governed [`MarginalCache`]:
-//! multi-threaded churn across all four tables under a tight ceiling,
+//! multi-threaded churn across all three tables under a tight ceiling,
 //! then accounting proofs — the running byte total must equal the
 //! recomputed sum of live entry costs, and oversized inserts must be
 //! refused without evicting warm state (the admission-thrash bug).
@@ -10,8 +10,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use pxml::algebra::PathExpr;
 use pxml::core::{Label, LabelPath, ObjectId};
-use pxml::query::{EpsKey, MarginalCache, Query, TargetKey};
+use pxml::query::{MarginalCache, Query};
 
 fn o(raw: u32) -> ObjectId {
     ObjectId::from_raw(raw)
@@ -21,34 +22,34 @@ fn lp(raw: u32) -> LabelPath {
     LabelPath::new(vec![Label::from_raw(raw % 7)])
 }
 
-fn eps_key(raw: u32) -> EpsKey {
-    EpsKey {
-        object: raw, // arena index
-        suffix: lp(raw).suffix(0),
-        target: TargetKey::AllLocated,
-    }
+/// An exists query over the path the layers entry `(o(raw), lp(raw))`
+/// locates, so that entry is its invalidation witness.
+fn exists_query(raw: u32) -> Query {
+    Query::Exists { path: PathExpr::new(o(raw), lp(raw).labels().to_vec()) }
 }
 
 fn chain_query(raw: u32, len: u32) -> Query {
     Query::Chain { objects: (raw..raw + 1 + len % 4).map(o).collect() }
 }
 
-fn layers(raw: u32, len: u32) -> Arc<Vec<Vec<ObjectId>>> {
-    Arc::new(vec![(raw..raw + len).map(o).collect()])
+/// One layer of `len` consecutive arena indices from `raw`.
+fn layers(raw: u32, len: u32) -> Arc<Vec<Vec<u32>>> {
+    Arc::new(vec![(raw..raw + len).collect()])
 }
 
-/// One deterministic put into one of the four tables; `sel` picks the
-/// table, `raw` the key, `len` scales value-bearing entry costs.
+/// One deterministic put: `sel` picks the table (two selectors land in
+/// the results table, as chain and as exists queries), `raw` the key,
+/// `len` scales value-bearing entry costs.
 fn put(cache: &MarginalCache, sel: u8, raw: u32, len: u32) {
     match sel % 4 {
         0 => cache.put_result(chain_query(raw % 32, len), Ok(0.5)),
         1 => cache.put_layers(o(raw % 32), lp(raw), layers(raw, 1 + len % 24)),
-        2 => cache.put_eps(eps_key(raw % 32), 0.25),
+        2 => cache.put_result(exists_query(raw % 32), Ok(0.25)),
         _ => cache.put_link(raw % 32, raw % 3, 0.125),
     }
 }
 
-/// Multi-threaded churn across all four tables under a ceiling small
+/// Multi-threaded churn across all three tables under a ceiling small
 /// enough to keep admission/eviction/refusal all hot. After quiescence
 /// the running byte total must equal the recomputed sum of live entry
 /// costs exactly — any drift means an admit path skipped accounting.
@@ -99,7 +100,7 @@ fn concurrent_churn_keeps_byte_accounting_exact() {
     );
 }
 
-/// Warm all four tables below the ceiling, then hammer oversized puts
+/// Warm all three tables below the ceiling, then hammer oversized puts
 /// from many threads: every one must be refused (counted), none may
 /// evict, and the warm entries must still hit afterwards.
 #[test]
@@ -112,7 +113,7 @@ fn oversized_hammer_causes_zero_spurious_evictions() {
     // Warm state in every table (well under the ceiling).
     for i in 0..4 {
         cache.put_result(chain_query(i, 1), Ok(0.5));
-        cache.put_eps(eps_key(i), 0.25);
+        cache.put_result(exists_query(i), Ok(0.25));
         cache.put_link(i, 0, 0.125);
     }
     cache.put_layers(o(0), lp(0), layers(0, 4));
@@ -143,7 +144,7 @@ fn oversized_hammer_causes_zero_spurious_evictions() {
     );
     for i in 0..4 {
         assert!(cache.get_result(&chain_query(i, 1)).is_some(), "warm result {i} lost");
-        assert!(cache.get_eps(&eps_key(i)).is_some(), "warm eps {i} lost");
+        assert!(cache.get_result(&exists_query(i)).is_some(), "warm exists result {i} lost");
         assert!(cache.get_link(i, 0).is_some(), "warm link {i} lost");
     }
     assert!(cache.get_layers(o(0), &lp(0)).is_some(), "warm layers lost");
@@ -151,44 +152,54 @@ fn oversized_hammer_causes_zero_spurious_evictions() {
     assert_eq!(cache.approx_bytes(), cache.recomputed_bytes());
 }
 
-/// Regression for the arena re-keying: the ε/link tables are keyed by
-/// arena index now, and both entry-level (`invalidate_dirty`, with
-/// translated index sets) and wholesale (`invalidate_rekeyed`, after a
-/// lowering changed the index order) invalidation must free exactly the
-/// admitted costs — `approx == recomputed` must hold after either path.
+/// Regression for the arena re-keying: the layers and link tables hold
+/// arena indices, and both entry-level (`invalidate_dirty`, index sets
+/// testing the layers witnesses) and re-keying (`invalidate_rekeyed`,
+/// after a lowering changed the index order) invalidation must free
+/// exactly the admitted costs — `approx == recomputed` must hold after
+/// either path — and re-keying must translate the surviving layers.
 #[test]
 fn invalidation_over_index_keyed_entries_keeps_accounting_exact() {
     use std::collections::HashSet;
     let cache = MarginalCache::new();
     for i in 0..16u32 {
         cache.put_result(chain_query(i, 1), Ok(0.5));
-        cache.put_layers(o(i), lp(i), layers(i, 4));
-        cache.put_eps(eps_key(i), 0.25);
+        // Entry i locates the arena indices 4i..4i+4.
+        cache.put_layers(o(i), lp(i), layers(4 * i, 4));
+        cache.put_result(exists_query(i), Ok(0.25));
         cache.put_link(i, i % 3, 0.125);
     }
     assert_eq!(cache.approx_bytes(), cache.recomputed_bytes());
 
-    // Entry-level: ObjectId sets drive results/layers, index sets the
-    // ε/link tables.
+    // Entry-level: ObjectId sets drive chain results, index sets the
+    // layers witnesses and the link table.
     let direct: HashSet<ObjectId> = (0..4u32).map(o).collect();
-    let direct_idx: HashSet<u32> = (0..4u32).collect();
-    let affected_idx: HashSet<u32> = (0..8u32).collect();
-    let counts = cache.invalidate_dirty(&direct, &direct_idx, &affected_idx, true);
-    assert_eq!(counts.eps, 8, "eps evicted per affected index set");
-    assert_eq!(counts.links, 4, "links evicted per direct index set");
+    let direct_idx: HashSet<u32> = (0..8u32).collect();
+    let counts = cache.invalidate_dirty(&direct, &direct_idx, true);
+    assert_eq!(counts.results, 4 + 2, "chains over D, exists over the dirty witnesses");
+    assert_eq!(counts.layers, 2, "layers evicted per direct index set");
+    assert_eq!(counts.links, 8, "links evicted per direct index set");
     assert_eq!(cache.approx_bytes(), cache.recomputed_bytes());
     for i in 0..16u32 {
-        assert_eq!(cache.get_eps(&eps_key(i)).is_some(), i >= 8, "eps {i}");
-        assert_eq!(cache.get_link(i, i % 3).is_some(), i >= 4, "link {i}");
+        assert_eq!(cache.get_result(&exists_query(i)).is_some(), i >= 2, "exists {i}");
+        assert_eq!(cache.get_layers(o(i), &lp(i)).is_some(), i >= 2, "layers {i}");
+        assert_eq!(cache.get_link(i, i % 3).is_some(), i >= 8, "link {i}");
     }
 
-    // Wholesale: a rekeying lowering wipes every index-keyed entry and
-    // must account for every freed byte.
-    let counts = cache.invalidate_rekeyed(&direct, true);
-    assert_eq!(counts.eps, 8, "all surviving eps entries wiped");
-    assert_eq!(counts.links, 12, "all surviving link entries wiped");
-    let (_, _, eps_n, links_n) = cache.len();
-    assert_eq!((eps_n, links_n), (0, 0));
+    // Re-keying: a lowering that reverses the index order and drops the
+    // object at index 60 (held by entry 15). Surviving layers move to
+    // the new indices, re-sorted; the entry holding the dropped object
+    // is stale; every link entry is wiped.
+    let rekey = |x: u32| (x != 60).then(|| 1000 - x);
+    let counts = cache.invalidate_rekeyed(&HashSet::new(), &HashSet::new(), true, rekey);
+    assert_eq!(counts.results, 0, "no result's witness holds a dirty index");
+    assert_eq!(counts.layers, 1, "the entry holding the dropped object");
+    assert_eq!(counts.links, 8, "all surviving link entries wiped");
+    let (results_n, layers_n, links_n) = cache.len();
+    assert_eq!((results_n, layers_n, links_n), (12 + 14, 13, 0));
+    let moved = cache.get_layers(o(5), &lp(5)).expect("entry 5 survives");
+    assert_eq!(*moved, vec![vec![977, 978, 979, 980]], "translated and sorted");
+    assert!(cache.get_layers(o(15), &lp(15)).is_none());
     assert_eq!(cache.approx_bytes(), cache.recomputed_bytes());
 }
 
@@ -200,7 +211,7 @@ enum Op {
     SetMax(u64),
 }
 
-/// A deterministic op script: mostly puts across all four tables,
+/// A deterministic op script: mostly puts across all three tables,
 /// seasoned with wholesale clears and ceiling moves.
 fn op_script(seed: u64, steps: usize) -> Vec<Op> {
     let mut rng = StdRng::seed_from_u64(seed);

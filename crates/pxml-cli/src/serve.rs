@@ -6,25 +6,47 @@
 //! ```text
 //!                 ┌────────────────────────────────────────────┐
 //!   accept loop → │ Registry: RwLock<BTreeMap<name, Arc<Slot>>>│
-//!   (1 thread)    │   Slot { path, RwLock<QueryEngine> }       │
-//!   conn threads →│     engine owns the warm MarginalCache     │
+//!   (1 thread)    │   Slot { path, writer: Mutex<()>,          │
+//!   conn threads →│          engine: RwLock<QueryEngine>, wal }│
+//!                 │     engine owns the warm MarginalCache     │
 //!                 └────────────────────────────────────────────┘
 //! ```
+//!
+//! **Lock order: `slot.writer` → `slot.engine` → `wal`.** The per-slot
+//! `writer` mutex serialises every write verb on the slot; the engine
+//! `RwLock` guards only in-memory state, so its write side is held for
+//! the in-memory apply alone and never across I/O.
+//!
+//! | verb               | `writer` | `engine`                            | `wal`                  |
+//! |--------------------|----------|-------------------------------------|------------------------|
+//! | QUERY, STATS       | —        | read                                | —                      |
+//! | MUTATE             | held     | read (parse, render); write (apply) | append, no engine lock |
+//! | CHECKPOINT         | held     | read across save + rotate           | rotate                 |
+//! | RELOAD             | held     | — (readers keep the old engine)     | tail + rebind          |
+//! | post-panic rebuild | held     | write across the rebuild            | repair or rotate       |
 //!
 //! * **Queries** clone the slot's `Arc` out of the registry (a brief
 //!   registry read lock), then take the slot's engine **read** lock —
 //!   so any number of connections answer concurrently from the shared
 //!   [`pxml_query::MarginalCache`], exactly like threads inside
 //!   `run_batch`.
-//! * **Mutations** take the engine **write** lock and route through
+//! * **Mutations** take the slot's `writer` lock, then journal and
+//!   apply one op at a time: render under the engine read lock, WAL
+//!   append (with its fsync) under no engine lock, then the engine
+//!   **write** lock just for
 //!   [`pxml_query::QueryEngine::apply_mutation_governed`] with
 //!   dirty-set invalidation — no flush-on-write, so unrelated cached
-//!   answers stay warm across writes. Mutations live in registry
-//!   memory; `RELOAD` (or a restart) reverts to the on-disk instance.
-//! * **Hot reload** builds a fresh engine for one instance and swaps
-//!   the slot's `Arc` in the registry map atomically. In-flight
-//!   requests holding the old `Arc` finish against the old instance;
-//!   every *other* instance keeps its warm cache untouched.
+//!   answers stay warm across writes. A reader may see the applied
+//!   prefix of a multi-op frame while the frame is still running; each
+//!   op is atomic, and a frame never was (it stops at its first failing
+//!   op and keeps the prefix). Mutations live in registry memory;
+//!   `RELOAD` (or a restart) reverts to the on-disk instance.
+//! * **Hot reload** builds a fresh engine for one instance under the
+//!   slot's `writer` lock alone and swaps the slot's `Arc` in the
+//!   registry map atomically. Readers keep answering from the old
+//!   engine until the swap; in-flight requests holding the old `Arc`
+//!   finish against the old instance; every *other* instance keeps its
+//!   warm cache untouched.
 //! * **Admission control**: the daemon's `--max-steps/--timeout/
 //!   --degrade` defaults apply to every request; requests may tighten
 //!   or override them with `k=v` options. Exhaustion maps to wire
@@ -34,10 +56,12 @@
 //!   applies — a failed append refuses the mutation (and physically
 //!   rolls its partial bytes back). Boot replays the journal on top of
 //!   the loaded snapshot; `CHECKPOINT` snapshots atomically and rotates
-//!   the segment; `RELOAD` replays the live tail **and rebinds the
-//!   journal** to the snapshot now being served (fresh segment, tail
-//!   re-journalled), so acknowledged writes survive both the reload
-//!   and the next reboot.
+//!   the segment, holding `writer` across both so no MUTATE can journal
+//!   a record between the captured state and the rotation; `RELOAD`
+//!   replays the live tail **and rebinds the journal** to the snapshot
+//!   now being served (fresh segment, tail re-journalled) under
+//!   `writer`, so acknowledged writes survive both the reload and the
+//!   next reboot.
 //! * **Fail-safe serving**: dispatch runs under `catch_unwind`, so a
 //!   panicking request answers status 1 on its own connection while
 //!   the daemon keeps serving (parking_lot locks release, unpoisoned,
@@ -157,17 +181,46 @@ struct WalHandle {
 
 /// One loaded instance: its origin path (for `RELOAD`/`CHECKPOINT`),
 /// the engine owning the warm cache, and the instance's WAL when the
-/// daemon runs with `--wal`. Queries share the engine behind the read
-/// lock; mutations serialise on the write lock. The `WalHandle` is
-/// shared (`Arc`) across `RELOAD` slot swaps so the journal survives
-/// hot reloads.
+/// daemon runs with `--wal`. Write verbs serialise on `writer`; queries
+/// share the engine behind its read lock, and the engine's write lock
+/// is held only for an in-memory apply or a post-panic rebuild. The
+/// `WalHandle` is shared (`Arc`) across `RELOAD` slot swaps so the
+/// journal survives hot reloads.
 struct Slot {
     path: PathBuf,
+    writer: Mutex<()>,
     engine: RwLock<QueryEngine>,
     wal: Option<Arc<WalHandle>>,
 }
 
-/// Request counters keyed `(verb, status byte)` plus connection gauges.
+impl Slot {
+    fn new(path: PathBuf, engine: RwLock<QueryEngine>, wal: Option<Arc<WalHandle>>) -> Slot {
+        Slot { path, writer: Mutex::new(()), engine, wal }
+    }
+}
+
+/// Every verb a request counter can carry, sorted so the exposition
+/// lists them in the order a `(verb, status)`-keyed map would: the wire
+/// verbs of [`verb_name`] plus `ACCEPT` (shed connections) and `FRAME`
+/// (undecodable frames).
+const COUNTED_VERBS: [&str; 10] = [
+    "ACCEPT",
+    "CHECKPOINT",
+    "FRAME",
+    "METRICS",
+    "MUTATE",
+    "PING",
+    "QUERY",
+    "RELOAD",
+    "SHUTDOWN",
+    "STATS",
+];
+
+/// Status digits `0..=3`, indexed by [`Status::exit_code`].
+const STATUSES: [Status; 4] =
+    [Status::Ok, Status::RunError, Status::BadRequest, Status::BudgetRejected];
+
+/// Request counters indexed `(verb, status)` plus connection gauges.
 #[derive(Default)]
 struct ServeMetrics {
     connections: AtomicU64,
@@ -178,7 +231,9 @@ struct ServeMetrics {
     panics: AtomicU64,
     /// Connections dropped by the per-frame slow-loris deadline.
     timeouts: AtomicU64,
-    requests: Mutex<BTreeMap<(&'static str, u8), u64>>,
+    /// `requests[v][s]` counts answers to `COUNTED_VERBS[v]` with
+    /// status digit `s` — one atomic per pair, no lock per request.
+    requests: [[AtomicU64; 4]; COUNTED_VERBS.len()],
 }
 
 struct ServerInner {
@@ -247,7 +302,7 @@ impl Server {
                 }
             };
             if slots
-                .insert(name.clone(), Arc::new(Slot { path: path.clone(), engine, wal }))
+                .insert(name.clone(), Arc::new(Slot::new(path.clone(), engine, wal)))
                 .is_some()
             {
                 return Err(format!(
@@ -361,7 +416,7 @@ fn build_engine(pi: pxml_core::ProbInstance, cfg: &ServeConfig) -> RwLock<QueryE
 /// binds to, recomputed after every checkpoint snapshot. (Boot and
 /// reload use [`crate::load_with_crc`] instead, which hashes the same
 /// buffer it parses; here the file was just written by `save` under the
-/// engine lock, so there is no second state to race against.)
+/// slot's `writer` lock, so there is no second state to race against.)
 fn snapshot_crc(path: &Path) -> Result<u32, String> {
     let bytes =
         std::fs::read(path).map_err(|e| format!("hashing snapshot {}: {e}", path.display()))?;
@@ -657,6 +712,7 @@ fn handle_conn(inner: &Arc<ServerInner>, mut conn: Conn) {
                 return;
             }
         };
+        let mut timing = RequestTiming::default();
         let (verb, status, body, detail) = match std::str::from_utf8(&payload) {
             Err(_) => (
                 "FRAME",
@@ -678,7 +734,7 @@ fn handle_conn(inner: &Arc<ServerInner>, mut conn: Conn) {
                     // slot from snapshot + journal before it is served
                     // again (read-only verbs need no repair).
                     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                        || dispatch(inner, &req),
+                        || dispatch(inner, &req, &mut timing),
                     ));
                     let (status, body) = match outcome {
                         Ok(r) => r,
@@ -698,7 +754,7 @@ fn handle_conn(inner: &Arc<ServerInner>, mut conn: Conn) {
             },
         };
         inner.count_request(verb, status);
-        inner.trace_request(verb, status, &detail, started.elapsed());
+        inner.trace_request(verb, status, &detail, started.elapsed(), &timing);
         if write_frame(&mut conn, &encode_response(status, &body)).is_err() {
             return;
         }
@@ -737,7 +793,7 @@ impl ServerInner {
     }
 
     /// True while `slot` is still the registry's live entry for `name`.
-    /// Write verbs re-check this *after* taking the slot's engine lock:
+    /// Write verbs re-check this *after* taking the slot's `writer` lock:
     /// a `RELOAD` (or post-panic rebuild) may have swapped the slot in
     /// between, and work applied to the stale slot would be acknowledged
     /// yet invisible to every later request.
@@ -746,13 +802,31 @@ impl ServerInner {
     }
 
     fn count_request(&self, verb: &'static str, status: Status) {
-        *self.metrics.requests.lock().entry((verb, status.byte())).or_insert(0) += 1;
+        // Every counted verb is listed (the unit test below checks).
+        if let Some(v) = COUNTED_VERBS.iter().position(|&c| c == verb) {
+            self.metrics.requests[v][usize::from(status.exit_code())]
+                .fetch_add(1, Ordering::Relaxed);
+        }
     }
 
-    fn trace_request(&self, verb: &str, status: Status, detail: &str, elapsed: Duration) {
+    fn trace_request(
+        &self,
+        verb: &str,
+        status: Status,
+        detail: &str,
+        elapsed: Duration,
+        timing: &RequestTiming,
+    ) {
         let Some(trace) = &self.trace else { return };
+        let mut waits = String::new();
+        if let Some(d) = timing.lock_wait {
+            waits.push_str(&format!(",\"lock_wait_us\":{}", d.as_micros()));
+        }
+        if let Some(d) = timing.wal {
+            waits.push_str(&format!(",\"wal_us\":{}", d.as_micros()));
+        }
         let line = format!(
-            "{{\"verb\":\"{}\",\"status\":{},\"micros\":{},\"detail\":\"{}\"}}\n",
+            "{{\"verb\":\"{}\",\"status\":{},\"micros\":{}{waits},\"detail\":\"{}\"}}\n",
             json_escape(verb),
             status.exit_code(),
             elapsed.as_micros(),
@@ -781,11 +855,27 @@ impl ServerInner {
     }
 }
 
+/// Where one request's time went, for its `--trace-json` record.
+#[derive(Default)]
+struct RequestTiming {
+    /// From dispatch until the request held its slot lock: the engine
+    /// read lock for QUERY, `writer` for MUTATE.
+    lock_wait: Option<Duration>,
+    /// Time inside WAL appends (fsync included), summed over a MUTATE's
+    /// ops; zero without `--wal`.
+    wal: Option<Duration>,
+}
+
 fn is_exhausted(e: &pxml_query::QueryError) -> bool {
     matches!(e, pxml_query::QueryError::Core(pxml_core::CoreError::Exhausted(_)))
 }
 
-fn dispatch(inner: &Arc<ServerInner>, req: &Request) -> (Status, String) {
+fn dispatch(
+    inner: &Arc<ServerInner>,
+    req: &Request,
+    timing: &mut RequestTiming,
+) -> (Status, String) {
+    let started = Instant::now();
     match req {
         Request::Ping => (Status::Ok, "pong".into()),
         Request::Metrics => (Status::Ok, render_metrics(inner)),
@@ -804,6 +894,7 @@ fn dispatch(inner: &Arc<ServerInner>, req: &Request) -> (Status, String) {
                     debug_panic(query);
                 }
                 let engine = slot.engine.read();
+                timing.lock_wait = Some(started.elapsed());
                 let q = match translate_query(engine.instance(), query) {
                     Ok(q) => q,
                     Err(e) => return (Status::BadRequest, e),
@@ -822,59 +913,68 @@ fn dispatch(inner: &Arc<ServerInner>, req: &Request) -> (Status, String) {
                 }
             }
         },
+        // Write verbs take the slot's `writer` lock, then re-check
+        // `slot_is_current` and retry on the swapped-in slot.
         Request::Mutate { instance, options, ops } => loop {
             let Some(slot) = inner.slot(instance) else {
                 break unknown_instance(inner, instance);
             };
-            let mut engine = slot.engine.write();
+            let _writer = slot.writer.lock();
             if !inner.slot_is_current(instance, &slot) {
-                drop(engine);
                 continue;
             }
-            break mutate_locked(inner, &slot, &mut engine, options, ops);
+            timing.lock_wait = Some(started.elapsed());
+            break mutate_as_writer(inner, &slot, options, ops, timing);
         },
         Request::Reload { instance } => loop {
             let Some(slot) = inner.slot(instance) else {
                 break unknown_instance(inner, instance);
             };
-            // The *write* lock spans the journal-tail read, the WAL
-            // rebind, and the slot swap: no MUTATE can journal+apply an
-            // op in between, which would leave it acknowledged yet
-            // missing from the fresh engine until the next boot.
-            let guard = slot.engine.write();
+            // `writer` spans the journal-tail read, the WAL rebind and
+            // the slot swap: no MUTATE can journal+apply an op in
+            // between, which would leave it acknowledged yet missing
+            // from the fresh engine until the next boot. The old
+            // engine's lock is never taken, so readers keep answering
+            // from it until the swap.
+            let _writer = slot.writer.lock();
             if !inner.slot_is_current(instance, &slot) {
-                drop(guard);
                 continue;
             }
-            break reload_locked(inner, instance, &slot);
+            break reload_as_writer(inner, instance, &slot);
         },
         Request::Checkpoint { instance } => loop {
             let Some(slot) = inner.slot(instance) else {
                 break unknown_instance(inner, instance);
             };
-            // Hold the engine *read* lock across the snapshot and the
-            // rotation: mutations (write lock) cannot slip a journal
-            // record between "state captured" and "segment rotated",
-            // so the new segment's binding is exact.
-            let engine = slot.engine.read();
+            // `writer` spans the snapshot and the rotation: no MUTATE
+            // can slip a journal record between "state captured" and
+            // "segment rotated" (the rotation would drop it), so the new
+            // segment's binding is exact. The engine read lock only
+            // lends the instance to the save.
+            let _writer = slot.writer.lock();
             if !inner.slot_is_current(instance, &slot) {
-                drop(engine);
                 continue;
             }
-            break checkpoint_locked(instance, &slot, &engine);
+            break checkpoint_as_writer(instance, &slot, &slot.engine.read());
         },
     }
 }
 
-/// `MUTATE` under the slot's engine write lock.
-fn mutate_locked(
+/// `MUTATE` as the slot's single writer. Holding `writer` means no one
+/// else mutates the engine or appends to the journal, so the state an
+/// op is parsed and rendered against is the state it applies to, and
+/// journal order is apply order. The engine locks are taken per step:
+/// read to parse and render, none for the WAL append (whose fsync
+/// would otherwise stall every reader), write for the apply alone.
+fn mutate_as_writer(
     inner: &Arc<ServerInner>,
     slot: &Slot,
-    engine: &mut QueryEngine,
     options: &RequestOptions,
     ops: &str,
+    timing: &mut RequestTiming,
 ) -> (Status, String) {
-    let parsed = match pxml_core::parse_ops(engine.instance(), ops) {
+    let wal_time = timing.wal.insert(Duration::ZERO);
+    let parsed = match pxml_core::parse_ops(slot.engine.read().instance(), ops) {
         Ok(p) => p,
         Err(e) => return (Status::BadRequest, e.to_string()),
     };
@@ -891,8 +991,12 @@ fn mutate_locked(
         // at this point, which is the state replay parses
         // it against.
         if let Some(handle) = &slot.wal {
-            let text = pxml_core::render_ops(engine.instance(), std::slice::from_ref(op));
-            if let Err(e) = handle.wal.lock().append(&text) {
+            let text =
+                pxml_core::render_ops(slot.engine.read().instance(), std::slice::from_ref(op));
+            let appending = Instant::now();
+            let appended = handle.wal.lock().append(&text);
+            *wal_time += appending.elapsed();
+            if let Err(e) = appended {
                 // A mutation that cannot be journalled must
                 // not apply: refuse it (and the rest of the
                 // block) with the run-error status.
@@ -912,7 +1016,8 @@ fn mutate_locked(
             // divergence the post-panic rebuild must reconcile.
             debug_panic(ops);
         }
-        match engine.apply_mutation_governed(op, &budget) {
+        let applied = slot.engine.write().apply_mutation_governed(op, &budget);
+        match applied {
             Ok(outcome) => {
                 dirty += outcome.effect.dirty.len();
                 invalidated += outcome.invalidated.total();
@@ -948,15 +1053,15 @@ fn mutate_locked(
     )
 }
 
-/// `RELOAD` under the old slot's engine write lock: builds a fresh
-/// engine from one read of the snapshot, **rebinds** the journal to
-/// that snapshot (new segment bound to its CRC, acknowledged tail
-/// re-journalled), replays the tail, and swaps the slot. Without the
-/// rebind the segment header would keep the *old* snapshot's CRC while
-/// the daemon serves new-snapshot state — the next boot would see the
-/// mismatch and quarantine the whole segment, silently losing every
-/// acknowledged, fsynced mutation journalled after the reload.
-fn reload_locked(inner: &Arc<ServerInner>, name: &str, slot: &Slot) -> (Status, String) {
+/// `RELOAD` as the old slot's writer: builds a fresh engine from one
+/// read of the snapshot, **rebinds** the journal to that snapshot (new
+/// segment bound to its CRC, acknowledged tail re-journalled), replays
+/// the tail, and swaps the slot. Without the rebind the segment header
+/// would keep the *old* snapshot's CRC while the daemon serves
+/// new-snapshot state — the next boot would see the mismatch and
+/// quarantine the whole segment, silently losing every acknowledged,
+/// fsynced mutation journalled after the reload.
+fn reload_as_writer(inner: &Arc<ServerInner>, name: &str, slot: &Slot) -> (Status, String) {
     let (pi, crc) = match crate::load_with_crc(&slot.path) {
         Ok(v) => v,
         Err(e) => return (Status::RunError, e),
@@ -986,7 +1091,7 @@ fn reload_locked(inner: &Arc<ServerInner>, name: &str, slot: &Slot) -> (Status, 
         }
         replayed = replay_records(&mut engine.write(), &tail);
     }
-    let fresh = Arc::new(Slot { path: slot.path.clone(), engine, wal: slot.wal.clone() });
+    let fresh = Arc::new(Slot::new(slot.path.clone(), engine, slot.wal.clone()));
     // The atomic swap: in-flight requests holding the old Arc finish
     // against the old instance; every other slot keeps its warm cache.
     inner.slots.write().insert(name.to_string(), fresh);
@@ -998,8 +1103,8 @@ fn reload_locked(inner: &Arc<ServerInner>, name: &str, slot: &Slot) -> (Status, 
     (Status::Ok, format!("reloaded {name} ({objects} objects{suffix})"))
 }
 
-/// `CHECKPOINT` under the slot's engine read lock.
-fn checkpoint_locked(name: &str, slot: &Slot, engine: &QueryEngine) -> (Status, String) {
+/// `CHECKPOINT` as the slot's writer, with the engine read lock held.
+fn checkpoint_as_writer(name: &str, slot: &Slot, engine: &QueryEngine) -> (Status, String) {
     if let Err(e) = crate::save(engine.instance(), &slot.path) {
         return (Status::RunError, format!("checkpoint snapshot failed: {e}"));
     }
@@ -1087,7 +1192,10 @@ fn recover_after_panic(inner: &Arc<ServerInner>, req: &Request) -> String {
 ///   an empty segment bound to it instead of double-applying.
 fn rebuild_slot(inner: &Arc<ServerInner>, name: &str, slot: &Arc<Slot>) -> Result<usize, String> {
     // Serialise behind any in-flight writer (the panicking request's
-    // own guards were released as its unwind passed them).
+    // own guards were released as its unwind passed them), and hold the
+    // engine write lock across the rebuild: a half-applied engine must
+    // not answer reads.
+    let _writer = slot.writer.lock();
     let _stale = slot.engine.write();
     if !inner.slot_is_current(name, slot) {
         // A concurrent reload/rebuild already swapped this slot; the
@@ -1107,7 +1215,7 @@ fn rebuild_slot(inner: &Arc<ServerInner>, name: &str, slot: &Arc<Slot>) -> Resul
             wal.rotate(crc).map_err(|e| e.to_string())?;
         }
     }
-    let fresh = Arc::new(Slot { path: slot.path.clone(), engine, wal: slot.wal.clone() });
+    let fresh = Arc::new(Slot::new(slot.path.clone(), engine, slot.wal.clone()));
     inner.slots.write().insert(name.to_string(), fresh);
     Ok(replayed)
 }
@@ -1138,13 +1246,16 @@ fn budget_from(spec: Option<BudgetSpec>) -> pxml_query::Budget {
 /// instance so N registries never collide on family names).
 fn render_metrics(inner: &Arc<ServerInner>) -> String {
     let mut reg = pxml_query::MetricsRegistry::new();
-    let requests = inner.metrics.requests.lock().clone();
-    let labelled: Vec<(String, u64)> = requests
-        .iter()
-        .map(|((verb, status), n)| {
-            (format!("verb=\"{verb}\",status=\"{}\"", *status as char), *n)
-        })
-        .collect();
+    let mut labelled: Vec<(String, u64)> = Vec::new();
+    for (verb, row) in COUNTED_VERBS.iter().zip(&inner.metrics.requests) {
+        for (status, n) in STATUSES.iter().zip(row) {
+            let n = n.load(Ordering::Relaxed);
+            if n > 0 {
+                let label = format!("verb=\"{verb}\",status=\"{}\"", status.byte() as char);
+                labelled.push((label, n));
+            }
+        }
+    }
     let borrowed: Vec<(&str, u64)> = labelled.iter().map(|(l, n)| (l.as_str(), *n)).collect();
     reg.counter_vec(
         "pxml_serve_requests_total",
@@ -1511,4 +1622,33 @@ pub fn install_term_handler() {
 /// True once SIGTERM or SIGINT arrived.
 pub fn term_requested() -> bool {
     TERM_REQUESTED.load(Ordering::SeqCst)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `count_request` drops a verb missing from the table, and
+    /// `render_metrics` relies on the table's order.
+    #[test]
+    fn counted_verbs_cover_every_wire_verb_in_sorted_order() {
+        assert!(COUNTED_VERBS.windows(2).all(|w| w[0] < w[1]), "{COUNTED_VERBS:?}");
+        let (instance, options) = (String::from("i"), RequestOptions::default());
+        let query = String::new();
+        for req in [
+            Request::Query { instance: instance.clone(), options: options.clone(), query },
+            Request::Mutate { instance: instance.clone(), options, ops: String::new() },
+            Request::Stats { instance: instance.clone() },
+            Request::Reload { instance: instance.clone() },
+            Request::Checkpoint { instance },
+            Request::Metrics,
+            Request::Ping,
+            Request::Shutdown,
+        ] {
+            assert!(COUNTED_VERBS.contains(&verb_name(&req)), "{}", verb_name(&req));
+        }
+        for (i, status) in STATUSES.iter().enumerate() {
+            assert_eq!(usize::from(status.exit_code()), i);
+        }
+    }
 }

@@ -610,3 +610,87 @@ fn concurrent_mixed_clients_never_error() {
     assert_eq!(handle.active_connections(), 0, "clients disconnected cleanly");
     handle.shutdown_and_join().expect("drain");
 }
+
+/// RELOAD runs its load, build and journal rebind under the slot's
+/// `writer` lock alone, so readers keep answering from the old engine
+/// until the swap. The instance (9 841 objects) is large enough that
+/// the reload takes about 200 ms in a debug build; queries sent on a
+/// second connection once the RELOAD frame is on the wire must all be
+/// answered — correctly, and none after waiting out the reload —
+/// before the RELOAD reply arrives.
+#[test]
+fn reload_does_not_stall_readers() {
+    let dir = temp_dir("reload_readers");
+    let path = dir.join("big.pxmlb");
+    let g = generate(&WorkloadConfig::paper(8, 3, Labeling::SameLabel, 5));
+    save(&g.instance, &path).expect("save generated instance");
+    let handle = Server::start(ServeConfig::ephemeral(vec![path])).expect("server starts");
+    let port = handle.port().expect("tcp bind reports a port");
+    let target = Target::Tcp(format!("127.0.0.1:{port}"));
+
+    // Probe queries with their oracle answers; one pass warms the
+    // daemon's cache so each probe during the reload is a cheap hit.
+    let oracle = QueryEngine::new(g.instance.clone());
+    let probes: Vec<(Request, String)> = serve_workload(&g, 64, 0, 9)
+        .into_iter()
+        .filter_map(|r| match r {
+            ServeRequest::Query(line) => Some(line),
+            ServeRequest::Mutate(_) => None,
+        })
+        .take(8)
+        .map(|line| {
+            let q = translate_query(oracle.instance(), &line).expect("probe translates");
+            let expected = format!("{:.6}", oracle.run(&q).expect("oracle run"));
+            (query("big", &line), expected)
+        })
+        .collect();
+    let mut reader = Client::connect(&target).expect("connect reader");
+    for (req, expected) in &probes {
+        assert_eq!(reader.roundtrip(req).unwrap(), (Status::Ok, expected.clone()));
+    }
+
+    // The RELOAD connection is proven live by a PING first, so its
+    // frame is read the moment it lands.
+    let (sent_tx, sent_rx) = std::sync::mpsc::channel();
+    let reloader = std::thread::spawn(move || {
+        let Target::Tcp(addr) = target else { unreachable!() };
+        let mut conn = TcpStream::connect(addr.as_str()).expect("connect reloader");
+        conn.set_nodelay(true).expect("nodelay");
+        let mut roundtrip = |req: &Request, sent: Option<&std::sync::mpsc::Sender<()>>| {
+            protocol::write_frame(&mut conn, req.render().as_bytes()).expect("send");
+            if let Some(tx) = sent {
+                tx.send(()).expect("signal reload sent");
+            }
+            let payload = protocol::read_frame(&mut conn).expect("read").expect("a reply");
+            let reply = protocol::parse_response(&payload).expect("parse reply");
+            (reply, std::time::Instant::now())
+        };
+        assert_eq!(roundtrip(&Request::Ping, None).0, (Status::Ok, "pong".into()));
+        let started = std::time::Instant::now();
+        let ((status, body), replied) =
+            roundtrip(&Request::Reload { instance: "big".into() }, Some(&sent_tx));
+        assert_eq!(status, Status::Ok, "{body:?}");
+        (replied, replied - started)
+    });
+
+    sent_rx.recv().expect("reload frame sent");
+    let mut answered = Vec::new();
+    let mut slowest = std::time::Duration::ZERO;
+    for _ in 0..5 {
+        for (req, expected) in &probes {
+            let sent = std::time::Instant::now();
+            assert_eq!(reader.roundtrip(req).unwrap(), (Status::Ok, expected.clone()));
+            let now = std::time::Instant::now();
+            slowest = slowest.max(now - sent);
+            answered.push(now);
+        }
+    }
+    let (reload_replied, reload_took) = reloader.join().expect("reloader panicked");
+    let late = answered.iter().filter(|t| **t > reload_replied).count();
+    assert_eq!(late, 0, "{late} of {} queries outlived a {reload_took:?} reload", answered.len());
+    assert!(
+        slowest < reload_took / 2,
+        "a query took {slowest:?}, waiting out the {reload_took:?} reload"
+    );
+    handle.shutdown_and_join().expect("drain");
+}

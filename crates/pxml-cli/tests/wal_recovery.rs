@@ -14,7 +14,9 @@ use std::path::{Path, PathBuf};
 use pxml_cli::protocol::{Request, RequestOptions, Status};
 use pxml_cli::serve::{Client, Server, ServeConfig, ServerHandle, Target};
 use pxml_cli::{load, save, translate_query};
-use pxml_gen::{generate, serve_workload, Labeling, ServeRequest, WorkloadConfig};
+use pxml_gen::{
+    generate, serve_workload, GeneratedInstance, Labeling, ServeRequest, WorkloadConfig,
+};
 use pxml_query::QueryEngine;
 use pxml_storage::recover_segment;
 
@@ -166,4 +168,144 @@ fn acknowledged_prefix_survives_simulated_crashes() {
         assert!(compared >= 100, "[{tag}] only {compared} queries compared");
         handle.shutdown_and_join().expect("drain");
     }
+}
+
+/// One racing round: a writer streams `ops` as MUTATEs, a second
+/// client loops CHECKPOINT until the writer is halfway through (so the
+/// round's last checkpoint is not followed by another that would
+/// capture an op it dropped), and a third queries until the writer is
+/// done. Returns the number of checkpoints taken.
+fn race_checkpoints_against(target: &Target, g: &GeneratedInstance, ops: &[String]) -> usize {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    let acked = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        let checkpointer = s.spawn(|| {
+            let mut client = Client::connect(target).expect("connect checkpointer");
+            let mut n = 0usize;
+            while acked.load(Ordering::SeqCst) < ops.len() / 2 {
+                let (status, body) = client
+                    .roundtrip(&Request::Checkpoint { instance: "gen".into() })
+                    .expect("checkpoint roundtrip");
+                assert_eq!(status, Status::Ok, "{body:?}");
+                n += 1;
+            }
+            n
+        });
+        s.spawn(|| {
+            let mut client = Client::connect(target).expect("connect reader");
+            let lines: Vec<String> = serve_workload(g, 200, 0, 5)
+                .into_iter()
+                .filter_map(|r| match r {
+                    ServeRequest::Query(line) => Some(line),
+                    ServeRequest::Mutate(_) => None,
+                })
+                .collect();
+            for line in lines.iter().cycle() {
+                if acked.load(Ordering::SeqCst) == ops.len() {
+                    break;
+                }
+                let wire = Request::Query {
+                    instance: "gen".into(),
+                    options: RequestOptions::default(),
+                    query: line.clone(),
+                };
+                let (status, body) = client.roundtrip(&wire).expect("query roundtrip");
+                // A mutation may delete a name the query mentions.
+                assert!(matches!(status, Status::Ok | Status::BadRequest), "{line:?}: {body:?}");
+            }
+        });
+        let mut client = Client::connect(target).expect("connect writer");
+        for ops in ops {
+            let (status, body) = client
+                .roundtrip(&Request::Mutate {
+                    instance: "gen".into(),
+                    options: RequestOptions::default(),
+                    ops: ops.clone(),
+                })
+                .expect("mutate roundtrip");
+            assert_eq!(status, Status::Ok, "{body:?}");
+            acked.fetch_add(1, Ordering::SeqCst);
+        }
+        checkpointer.join().expect("checkpointer panicked")
+    })
+}
+
+/// CHECKPOINT saves the snapshot and rotates the journal while holding
+/// the slot's `writer` lock. Without it, a MUTATE could journal its
+/// record after the snapshot was captured and before the rotation; the
+/// rotation would drop that acknowledged op. Each round races
+/// checkpoints, queries and a mutation stream, then reboots from
+/// snapshot + journal: the recovered instance must be byte-equal to an
+/// oracle that applied every acknowledged op in order, and every probe
+/// must answer like it.
+#[test]
+fn checkpoint_racing_mutate_loses_no_acknowledged_op() {
+    let dir = scratch("checkpoint_race");
+    let snapshot = dir.join("gen.pxmlb");
+    let expected = dir.join("oracle.pxmlb");
+    // 510 edges and 256 distinct SETEDGE ops: a later op rarely
+    // overwrites the edge of an earlier one, so a lost op shows.
+    let g = generate(&WorkloadConfig::paper(8, 2, Labeling::SameLabel, 11));
+    save(&g.instance, &snapshot).expect("save generated instance");
+    let mut oracle = QueryEngine::new(g.instance.clone());
+    let stream: Vec<String> = serve_workload(&g, 256, 1000, 99)
+        .into_iter()
+        .filter_map(|r| match r {
+            ServeRequest::Mutate(ops) => Some(ops),
+            ServeRequest::Query(_) => None,
+        })
+        .collect();
+    assert_eq!(stream.len(), 256, "an all-mutate stream");
+    let wal_dir = dir.join("wal");
+
+    let (mut handle, mut target) = boot(&snapshot, &wal_dir);
+    for (round, ops) in stream.chunks(64).enumerate() {
+        let checkpoints = race_checkpoints_against(&target, &g, ops);
+        assert!(checkpoints >= 2, "[round {round}] only {checkpoints} checkpoint(s) raced");
+        handle.shutdown_and_join().expect("drain");
+        for text in ops {
+            let parsed = pxml_core::parse_ops(oracle.instance(), text).expect("acked ops parse");
+            for op in &parsed {
+                oracle.apply_mutation(op).expect("acked op applies");
+            }
+        }
+
+        // Reboot from the last checkpoint's snapshot plus its journal,
+        // then checkpoint the recovered state to compare all of it.
+        (handle, target) = boot(&snapshot, &wal_dir);
+        let mut client = Client::connect(&target).expect("reconnect");
+        let (status, body) = client
+            .roundtrip(&Request::Checkpoint { instance: "gen".into() })
+            .expect("checkpoint the recovered state");
+        assert_eq!(status, Status::Ok, "{body:?}");
+        save(oracle.instance(), &expected).expect("save oracle");
+        assert!(
+            std::fs::read(&snapshot).expect("recovered snapshot")
+                == std::fs::read(&expected).expect("oracle snapshot"),
+            "[round {round}] recovered state differs from the oracle: an acknowledged op was lost"
+        );
+    }
+
+    let mut client = Client::connect(&target).expect("reconnect");
+    let mut compared = 0usize;
+    for req in serve_workload(&g, 300, 0, 123) {
+        let ServeRequest::Query(line) = req else { continue };
+        let wire = Request::Query {
+            instance: "gen".into(),
+            options: RequestOptions::default(),
+            query: line.clone(),
+        };
+        let (status, body) = client.roundtrip(&wire).expect("probe roundtrip");
+        match translate_query(oracle.instance(), &line) {
+            Ok(q) => {
+                let expected = format!("{:.6}", oracle.run(&q).expect("oracle run"));
+                assert_eq!((status, body), (Status::Ok, expected), "probe {line:?} diverged");
+                compared += 1;
+            }
+            Err(_) => assert_eq!(status, Status::BadRequest, "{line:?}"),
+        }
+    }
+    assert!(compared >= 100, "only {compared} probes compared");
+    handle.shutdown_and_join().expect("drain");
 }

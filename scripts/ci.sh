@@ -272,6 +272,11 @@ set -e
 grep -q '^{"verb":"MUTATE","status":0' "$smoke_dir/serve-traces.jsonl" || {
   echo "error: trace JSONL missed the mutation record"; exit 1;
 }
+# The MUTATE record splits out its writer-lock wait and WAL time.
+grep '^{"verb":"MUTATE"' "$smoke_dir/serve-traces.jsonl" \
+  | grep -Eq '"micros":[0-9]+,"lock_wait_us":[0-9]+,"wal_us":[0-9]+,' || {
+  echo "error: the MUTATE trace record lacks lock_wait_us/wal_us"; exit 1;
+}
 
 # Crash-recovery smoke: boot a WAL-backed daemon over a scratch copy of
 # Figure 2, acknowledge mutations under --fsync always, then kill -9 —

@@ -103,9 +103,9 @@ fn ablate(c: &mut Criterion) {
         // Resource-governance overhead: the same batch through the
         // governed path with a generous never-hit budget. Warm measures
         // the budget plumbing on the cache-hit fast path (the PR 1
-        // regression guard); cold additionally shows the governed
-        // legacy recursion with its private per-query ε memo against
-        // the ungoverned flat sweep.
+        // regression guard); cold additionally shows the flat sweep's
+        // pre-order grant pass (a limited budget charges each kept node
+        // in the recursion's order) against the ungoverned sweep.
         let spec = pxml_query::BudgetSpec {
             max_steps: Some(u64::MAX),
             timeout: Some(std::time::Duration::from_secs(3600)),

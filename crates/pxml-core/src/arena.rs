@@ -31,6 +31,7 @@
 
 use std::collections::HashMap;
 
+use crate::budget::{Budget, DegradePolicy};
 use crate::childset::ChildSet;
 use crate::error::{CoreError, Result};
 use crate::ids::{Label, ObjectId};
@@ -61,6 +62,39 @@ enum OpfSlot {
     /// Any other representation, evaluated through a cloned legacy
     /// [`Opf`] (bit-identical by construction).
     Fallback(u32),
+}
+
+/// The root ε of a budgeted sweep ([`ArenaInstance::eps_flat`]):
+/// exact when `lo == hi`, otherwise a guaranteed bracket.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct EpsBounds {
+    /// Lower bound; the value itself when exact.
+    pub lo: f64,
+    /// Upper bound; the value itself when exact.
+    pub hi: f64,
+    /// OPF entries of the evaluated nodes (Σ `stored_len`), the
+    /// paper's `|℘|` work measure.
+    pub opf_entries: u64,
+}
+
+/// What the pre-order grant pass decided for one kept node.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Grant {
+    /// Not reached: below a refused node, or past the stop.
+    Unvisited,
+    /// Charged, with an OPF: the sweep evaluates it.
+    Granted,
+    /// Its charge was refused under [`DegradePolicy::Interval`].
+    Refused,
+    /// The walk stopped here, with [`Grants::stop`].
+    Stopped,
+}
+
+/// The grant pass's per-layer decisions, aligned to the kept layers
+/// above the targets, and the error it stopped at, if any.
+struct Grants {
+    state: Vec<Vec<Grant>>,
+    stop: Option<CoreError>,
 }
 
 impl OpfSlot {
@@ -799,78 +833,224 @@ impl ArenaInstance {
         unreachable!("tree_shape_error called on a tree-shaped kept region")
     }
 
-    /// Bottom-up §6.1 ε marginalisation over a verified kept region:
-    /// one reverse sweep filling a dense `ε` array, tight loops over the
-    /// CSR rows and OPF slabs. Returns the root ε — bit-identical to
-    /// the legacy top-down recursion, because each node's kept children
-    /// are gathered in the same (universe) order and the survival
-    /// arithmetic replicates [`Opf::survival_probability`] op-for-op.
+    /// Budgeted bottom-up §6.1 ε marginalisation over a verified kept
+    /// region. Returns the root ε as `lo == hi` when every node was
+    /// evaluated, and a guaranteed bracket `[lo, hi]` when
+    /// [`DegradePolicy::Interval`] left some subtrees unevaluated.
     ///
-    /// Errors match the recursion's too: a node's error is its own
-    /// missing OPF (checked before its children), else the error of its
-    /// first failing kept child in universe order, else its own
-    /// non-finite survival value — the first error of a depth-first
-    /// walk, found bottom-up.
-    pub fn eps_flat(&self, labels: &[Label], kept: &[Vec<u32>]) -> Result<f64> {
-        let n = labels.len();
+    /// The budget is charged one step per kept node above the targets,
+    /// in depth-first pre-order (universe order within a row), the order
+    /// the sequential top-down ε recursion charges in, so both spend the
+    /// same steps: a pre-order grant pass charges each node, checks its
+    /// OPF slot, and descends only below a granted node. A refused charge is the typed
+    /// [`CoreError::Exhausted`] under [`DegradePolicy::Error`]; under
+    /// [`DegradePolicy::Interval`] it gives that node's whole subtree the
+    /// trivial bracket `[0, 1]`. The sweep then evaluates the granted
+    /// nodes bottom-up, each node's kept children gathered in universe
+    /// order and its survival arithmetic replicating
+    /// [`Opf::survival_probability`] op-for-op, so exact values equal
+    /// the recursion's to the last bit. `Opf` survival is monotone in
+    /// every child's ε, so a node with an inexact child is evaluated
+    /// twice, over the children's lower and then upper bounds.
+    ///
+    /// Errors are the depth-first walk's first event: a refused charge
+    /// or missing OPF where the walk meets the node, non-finite mass
+    /// once its subtree is done. An unlimited budget cannot refuse, so
+    /// the grant pass is skipped and the steps are charged in one call
+    /// (one deadline poll instead of one per 64 steps).
+    pub fn eps_flat(
+        &self,
+        labels: &[Label],
+        kept: &[Vec<u32>],
+        budget: &Budget,
+        degrade: DegradePolicy,
+    ) -> Result<EpsBounds> {
         if kept[0].binary_search(&self.root).is_err() {
-            return Ok(0.0);
+            return Ok(EpsBounds { lo: 0.0, hi: 0.0, opf_entries: 0 });
         }
+        if budget.is_unlimited() {
+            if let Ok(bounds) = self.sweep(labels, kept, None) {
+                let steps = kept[..labels.len()].iter().map(|l| l.len() as u64).sum();
+                budget.charge(steps)?;
+                return Ok(bounds);
+            }
+            // Error path: charge exactly the steps the walk spends
+            // before it stops.
+        }
+        self.sweep(labels, kept, Some(&self.grant(labels, kept, budget, degrade)))
+    }
+
+    /// The pre-order grant pass of [`ArenaInstance::eps_flat`]: charges
+    /// the budget once per node the top-down walk would visit, in its
+    /// order, and stops at the walk's first pre-order error.
+    fn grant(
+        &self,
+        labels: &[Label],
+        kept: &[Vec<u32>],
+        budget: &Budget,
+        degrade: DegradePolicy,
+    ) -> Grants {
+        let n = labels.len();
+        let mut state: Vec<Vec<Grant>> =
+            kept[..n].iter().map(|l| vec![Grant::Unvisited; l.len()]).collect();
+        // With no labels the root is a target: nothing is charged.
+        let mut stack = Vec::new();
+        if n > 0 {
+            stack.push((0, kept[0].binary_search(&self.root).expect("root membership checked")));
+        }
+        while let Some((d, k)) = stack.pop() {
+            // A repeated universe entry (unchecked instances only)
+            // reaches a granted node again; it is not charged twice.
+            if state[d][k] == Grant::Granted {
+                continue;
+            }
+            if let Err(ex) = budget.charge(1) {
+                if degrade == DegradePolicy::Interval {
+                    state[d][k] = Grant::Refused;
+                    continue;
+                }
+                state[d][k] = Grant::Stopped;
+                return Grants { state, stop: Some(CoreError::Exhausted(ex)) };
+            }
+            let x = kept[d][k];
+            if !self.has_opf(x) {
+                state[d][k] = Grant::Stopped;
+                let missing = CoreError::UnknownObject(self.order[x as usize]);
+                return Grants { state, stop: Some(missing) };
+            }
+            state[d][k] = Grant::Granted;
+            if d + 1 < n {
+                let (s, e) = self.child_range(x);
+                // Pushed in reverse so the stack pops them in universe order.
+                for i in (s..e).rev() {
+                    if self.child_labels[i as usize] == labels[d] {
+                        if let Ok(p) = kept[d + 1].binary_search(&self.children[i as usize]) {
+                            stack.push((d + 1, p));
+                        }
+                    }
+                }
+            }
+        }
+        Grants { state, stop: None }
+    }
+
+    /// The bottom-up half of [`ArenaInstance::eps_flat`]. Without
+    /// `grants` every node is evaluated; with them, only granted nodes
+    /// are, refused ones are `[0, 1]`, and the stop node carries the
+    /// grant pass's error.
+    fn sweep(&self, labels: &[Label], kept: &[Vec<u32>], grants: Option<&Grants>) -> Result<EpsBounds> {
+        let n = labels.len();
         // ε lives in per-layer vectors aligned to the sorted kept
         // layers (membership and lookup are one binary search into the
         // cache-resident layer below), so the sweep allocates O(kept),
         // not O(arena). A valid kept region has disjoint layers, which
-        // makes this membership test equivalent to a depth check.
-        let mut below_eps: Vec<f64> = vec![1.0; kept[n].len()];
-        let mut kept_children: Vec<(u32, f64)> = Vec::new();
+        // makes this membership test equivalent to a depth check. The
+        // lower bound (the value, for exact nodes) is dense; upper
+        // bounds exist only below refused nodes, so they are kept as
+        // sparse `(layer position, hi)` rows.
+        let mut below_lo: Vec<f64> = vec![1.0; kept[n].len()];
+        let mut below_hi: Vec<(usize, f64)> = Vec::new();
+        let mut lo_children: Vec<(u32, f64)> = Vec::new();
+        let mut hi_children: Vec<(u32, f64)> = Vec::new();
         // Failed nodes carry ε = NaN (no successful ε is NaN) and their
         // error here, so an ancestor can pass the error on.
         let mut failed: Vec<(u32, CoreError)> = Vec::new();
+        let mut opf_entries = 0;
         for d in (0..n).rev() {
             let want = labels[d];
             let below = &kept[d + 1];
-            let mut layer_eps: Vec<f64> = Vec::with_capacity(kept[d].len());
-            for &x in &kept[d] {
+            let mut layer_lo: Vec<f64> = Vec::with_capacity(kept[d].len());
+            let mut layer_hi: Vec<(usize, f64)> = Vec::new();
+            for (k, &x) in kept[d].iter().enumerate() {
+                match grants.map_or(Grant::Granted, |g| g.state[d][k]) {
+                    Grant::Granted => {}
+                    Grant::Refused => {
+                        layer_lo.push(0.0);
+                        layer_hi.push((k, 1.0));
+                        continue;
+                    }
+                    Grant::Stopped => {
+                        if let Some(e) = grants.and_then(|g| g.stop.clone()) {
+                            failed.push((x, e));
+                        }
+                        layer_lo.push(f64::NAN);
+                        continue;
+                    }
+                    Grant::Unvisited => {
+                        // Past the stop: no ancestor reads it before an
+                        // earlier sibling's failure.
+                        layer_lo.push(f64::NAN);
+                        continue;
+                    }
+                }
                 let (s, e) = self.child_range(x);
-                kept_children.clear();
+                lo_children.clear();
+                hi_children.clear();
+                let mut exact = true;
                 for i in s..e {
                     if self.child_labels[i as usize] == want {
                         if let Ok(p) = below.binary_search(&self.children[i as usize]) {
-                            kept_children.push((i - s, below_eps[p]));
+                            lo_children.push((i - s, below_lo[p]));
+                            if !below_hi.is_empty() {
+                                let hi = match below_hi.binary_search_by_key(&p, |h| h.0) {
+                                    Ok(j) => {
+                                        exact = false;
+                                        below_hi[j].1
+                                    }
+                                    Err(_) => below_lo[p],
+                                };
+                                hi_children.push((i - s, hi));
+                            }
                         }
                     }
                 }
                 let child_error = if failed.is_empty() {
                     None
                 } else {
-                    kept_children.iter().find(|c| c.1.is_nan()).and_then(|&(pos, _)| {
+                    lo_children.iter().find(|c| c.1.is_nan()).and_then(|&(pos, _)| {
                         let c = self.children[(s + pos) as usize];
                         failed.iter().find(|f| f.0 == c).map(|f| f.1.clone())
                     })
                 };
-                let v = match (self.survival_probability(x, &kept_children), child_error) {
+                let v = match (self.survival_probability(x, &lo_children), child_error) {
                     (None, _) => Err(CoreError::UnknownObject(self.order[x as usize])),
                     (Some(_), Some(e)) => Err(e),
-                    (Some(v), None) if !v.is_finite() => {
-                        Err(CoreError::DegenerateMass { total: v })
+                    (Some(lo), None) => {
+                        opf_entries += self.stored_len(x);
+                        let hi = if exact {
+                            lo
+                        } else {
+                            self.survival_probability(x, &hi_children).expect("x has an OPF")
+                        };
+                        if lo.is_finite() && hi.is_finite() {
+                            Ok((lo.min(hi), hi.max(lo)))
+                        } else {
+                            Err(CoreError::DegenerateMass { total: lo })
+                        }
                     }
-                    (Some(v), None) => Ok(v),
                 };
                 match v {
-                    Ok(v) => layer_eps.push(v),
+                    Ok((lo, hi)) => {
+                        layer_lo.push(lo);
+                        if hi != lo {
+                            layer_hi.push((k, hi));
+                        }
+                    }
                     Err(e) => {
                         failed.push((x, e));
-                        layer_eps.push(f64::NAN);
+                        layer_lo.push(f64::NAN);
                     }
                 }
             }
-            below_eps = layer_eps;
+            below_lo = layer_lo;
+            below_hi = layer_hi;
         }
         if let Some((_, e)) = failed.into_iter().find(|f| f.0 == self.root) {
             return Err(e);
         }
         let r = kept[0].binary_search(&self.root).expect("root membership checked above");
-        Ok(below_eps[r])
+        let hi = below_hi.iter().find(|h| h.0 == r).map_or(below_lo[r], |h| h.1);
+        Ok(EpsBounds { lo: below_lo[r], hi, opf_entries })
     }
 
     /// `P(∃ o: o ∈ p)` for a root-anchored label path, entirely over
@@ -882,7 +1062,7 @@ impl ArenaInstance {
             return Ok(0.0);
         }
         let kept = self.kept_flat(labels, &layers, &located)?;
-        self.eps_flat(labels, &kept)
+        Ok(self.eps_flat(labels, &kept, &Budget::unlimited(), DegradePolicy::Error)?.lo)
     }
 
     /// `P(target ∈ p)` for a root-anchored label path, entirely over
@@ -895,7 +1075,7 @@ impl ArenaInstance {
             return Ok(0.0);
         }
         let kept = self.kept_flat(labels, &layers, &[t])?;
-        self.eps_flat(labels, &kept)
+        Ok(self.eps_flat(labels, &kept, &Budget::unlimited(), DegradePolicy::Error)?.lo)
     }
 
     /// Layout-invariant check (debug-asserted after every lowering and

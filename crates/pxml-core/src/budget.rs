@@ -82,6 +82,19 @@ impl fmt::Display for Exhausted {
 
 impl std::error::Error for Exhausted {}
 
+/// What a governed evaluation does when its [`Budget`] runs out.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum DegradePolicy {
+    /// Surface the typed [`Exhausted`] error (via
+    /// [`CoreError::Exhausted`](crate::CoreError::Exhausted)). The
+    /// default.
+    #[default]
+    Error,
+    /// Degrade to a guaranteed-bracketing interval `[lo, hi]` built from
+    /// the partially-marginalised state.
+    Interval,
+}
+
 /// A cloneable cooperative cancellation token. Cloning shares the flag,
 /// so one token can cancel every query of a batch.
 #[derive(Clone, Debug, Default)]

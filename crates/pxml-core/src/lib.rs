@@ -65,8 +65,8 @@ pub mod vpf;
 pub mod weak;
 pub mod worlds;
 
-pub use arena::{ArenaInstance, OpfView};
-pub use budget::{Budget, CancelToken, Exhausted, Resource};
+pub use arena::{ArenaInstance, EpsBounds, OpfView};
+pub use budget::{Budget, CancelToken, DegradePolicy, Exhausted, Resource};
 pub use catalog::Catalog;
 pub use childset::{ChildSet, ChildUniverse};
 pub use error::{CoreError, Result, PROB_EPS};

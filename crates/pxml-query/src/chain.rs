@@ -21,44 +21,13 @@ pub fn chain_probability(pi: &ProbInstance, chain: &[ObjectId]) -> Result<f64> {
 }
 
 /// [`chain_probability`] under a resource [`Budget`]: one step per link
-/// marginal; exhaustion surfaces as
-/// [`pxml_core::CoreError::Exhausted`].
+/// marginal, charged before the link is looked up; exhaustion surfaces
+/// as [`pxml_core::CoreError::Exhausted`].
 pub fn chain_probability_budgeted(
     pi: &ProbInstance,
     chain: &[ObjectId],
     budget: &Budget,
 ) -> Result<f64> {
-    match chain_links(pi, chain, budget)? {
-        LinkScan::Complete(p) => Ok(p),
-        LinkScan::Exhausted { exhausted, .. } => {
-            Err(QueryError::Core(pxml_core::CoreError::Exhausted(exhausted)))
-        }
-    }
-}
-
-/// Interval-mode chain probability: on exhaustion after `j` links the
-/// answer is `[0, Π_{i≤j} mᵢ]` — the prefix product is an upper bound
-/// because appending links only multiplies by marginals `≤ 1`, and `0`
-/// is always a lower bound. Structural errors still propagate.
-pub(crate) fn chain_probability_interval(
-    pi: &ProbInstance,
-    chain: &[ObjectId],
-    budget: &Budget,
-) -> Result<(f64, f64)> {
-    match chain_links(pi, chain, budget)? {
-        LinkScan::Complete(p) => Ok((p, p)),
-        LinkScan::Exhausted { prefix, .. } => Ok((0.0, prefix.clamp(0.0, 1.0))),
-    }
-}
-
-/// Outcome of the budget-charged link walk shared by the exact and
-/// interval chain evaluations.
-enum LinkScan {
-    Complete(f64),
-    Exhausted { prefix: f64, exhausted: pxml_core::Exhausted },
-}
-
-fn chain_links(pi: &ProbInstance, chain: &[ObjectId], budget: &Budget) -> Result<LinkScan> {
     let Some((&first, rest)) = chain.split_first() else {
         return Err(QueryError::EmptyChain);
     };
@@ -68,9 +37,7 @@ fn chain_links(pi: &ProbInstance, chain: &[ObjectId], budget: &Budget) -> Result
     let mut p = 1.0;
     let mut parent = first;
     for &child in rest {
-        if let Err(e) = budget.charge(1) {
-            return Ok(LinkScan::Exhausted { prefix: p, exhausted: e });
-        }
+        budget.charge(1).map_err(pxml_core::CoreError::from)?;
         let node = pi
             .weak()
             .node(parent)
@@ -82,11 +49,11 @@ fn chain_links(pi: &ProbInstance, chain: &[ObjectId], budget: &Budget) -> Result
         let opf = pi.opf(parent).ok_or(QueryError::UnknownObject(parent))?;
         p *= opf.marginal_present(pos);
         if p == 0.0 {
-            return Ok(LinkScan::Complete(0.0));
+            return Ok(0.0);
         }
         parent = child;
     }
-    Ok(LinkScan::Complete(p))
+    Ok(p)
 }
 
 /// Resolves a dotted name chain (`["r", "o1", "o2"]`) and computes its

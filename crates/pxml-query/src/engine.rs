@@ -8,16 +8,23 @@
 //! vector order always matches the input order regardless of thread
 //! count.
 //!
+//! Every query, governed or not, runs one pipeline: count → result
+//! probe → optional pre-flight → budgeted evaluation → writeback and
+//! counters → optional trace record. An ungoverned run is a run on an
+//! unlimited budget. Point/exists queries evaluate through the flat §6.1
+//! sweep of [`pxml_core::ArenaInstance`] (`layers_flat_from` →
+//! `kept_flat` → `eps_flat`), chains through a link walk over the same
+//! arena.
+//!
 //! Engine answers are **exactly** (`==`, not within-epsilon) the answers
 //! of the sequential functions [`crate::point_query`],
-//! [`crate::exists_query`] and [`crate::chain_probability`]: the
-//! ungoverned point/exists path runs the flat §6.1 pipeline of
-//! [`pxml_core::ArenaInstance`] (`layers_flat_from` → `kept_flat` →
-//! `eps_flat`), whose arithmetic replicates the sequential recursion
-//! operation for operation and whose errors name the same objects; the
-//! engine only adds whole-result, located-layers and chain-link memos.
+//! [`crate::exists_query`] and [`crate::chain_probability`]: the sweep's
+//! arithmetic replicates the sequential recursion operation for
+//! operation, charges a budget in the recursion's order, and its errors
+//! name the same objects; the engine only adds whole-result,
+//! located-layers and chain-link memos.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -28,18 +35,16 @@ use pxml_algebra::path::PathExpr;
 use pxml_core::catalog::DisplayObject;
 use pxml_core::summary::StructuralSummary;
 use pxml_core::{
-    render_ops, ArenaInstance, Budget, CancelToken, CoreError, Exhausted, Label, LabelPath,
+    render_ops, ArenaInstance, Budget, CancelToken, CoreError, Label, LabelPath,
     Mutation, ObjectId, ProbInstance,
 };
 use pxml_interval::Interval;
 use std::sync::Arc;
 
 use crate::cache::{InvalidationCounts, Layers, MarginalCache};
-use crate::chain::{chain_probability_budgeted, chain_probability_interval};
 use crate::dag::{exists_query_dag_governed, point_query_dag_governed, DagOutcome};
 use crate::error::{QueryError, Result};
 use crate::metrics::MetricsRegistry;
-use crate::point::{epsilon_root_interval, epsilon_root_with, EpsHook};
 use crate::preflight;
 use crate::stats::{EngineStats, StatsSnapshot};
 use crate::trace::{QueryKind, QueryTrace, TraceMode, TraceOutcome, TraceRing, TraceTally};
@@ -83,17 +88,9 @@ impl Query {
     }
 }
 
-/// What a governed run does when a query exhausts its [`Budget`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DegradePolicy {
-    /// Surface the typed [`pxml_core::Exhausted`] error (via
-    /// [`pxml_core::CoreError::Exhausted`]). The default.
-    #[default]
-    Error,
-    /// Degrade to a guaranteed-bracketing interval `[lo, hi]` built from
-    /// the partially-marginalised state (see [`Answer::Interval`]).
-    Interval,
-}
+/// What a governed run does when a query exhausts its [`Budget`];
+/// under `Interval` the answer is an [`Answer::Interval`].
+pub use pxml_core::DegradePolicy;
 
 /// Per-query resource limits for [`QueryEngine::run_governed`] and
 /// [`QueryEngine::run_batch_governed`]. Every field is optional;
@@ -529,8 +526,6 @@ impl QueryEngine {
             result_hit: false,
             layers_hits: 0,
             layers_misses: 0,
-            eps_hits: 0,
-            eps_misses: 0,
             link_hits: 0,
             link_misses: 0,
             opf_entries: 0,
@@ -724,142 +719,8 @@ impl QueryEngine {
 
     /// Answers one query through the shared cache.
     pub fn run(&self, q: &Query) -> Result<f64> {
-        // Hot path: with tracing and pre-flight off this is the
-        // seed-identical code — the two opt-in layers cost one relaxed
-        // load and a branch each.
-        if self.trace_mode.load(Ordering::Relaxed) == TRACE_OFF {
-            if self.preflight.load(Ordering::Relaxed) {
-                return self.run_preflighted(q);
-            }
-            return self.run_inner(q);
-        }
-        self.run_observed(q)
-    }
-
-    /// The untraced evaluation path: count, memo lookup, evaluate,
-    /// writeback.
-    fn run_inner(&self, q: &Query) -> Result<f64> {
-        self.stats.count_query();
-        if let Some(r) = self.cache.get_result(q) {
-            self.stats.count_result(true);
-            return r;
-        }
-        self.stats.count_result(false);
-        let r = self.evaluate(q, None);
-        self.cache.put_result(q.clone(), r.clone());
-        r
-    }
-
-    /// [`QueryEngine::run`] behind the opt-in pre-flight stage:
-    /// provably-zero queries return exact `0.0` without evaluation and
-    /// canonicalisable plans are rewritten onto their canonical cache
-    /// key. The result cache is probed *before* any analysis — a
-    /// memoised answer needs no verdict, so steady-state serving pays
-    /// nothing for pre-flight — and a proved zero is written back as an
-    /// ordinary exact result, so each zero is proved once, not per
-    /// encounter.
-    #[inline(never)]
-    fn run_preflighted(&self, q: &Query) -> Result<f64> {
-        self.stats.count_query();
-        if let Some(r) = self.cache.get_result(q) {
-            self.stats.count_result(true);
-            return r;
-        }
-        let report = preflight::analyze(self.summary(), q);
-        if report.is_provably_zero() {
-            self.stats.count_result(false);
-            self.stats.count_preflight_zero();
-            self.cache.put_result(q.clone(), Ok(0.0));
-            return Ok(0.0);
-        }
-        match report.normalised {
-            Some(nq) => {
-                self.stats.count_preflight_rewrite();
-                // The canonical key may be warm even though the
-                // original's probe above missed.
-                if let Some(r) = self.cache.get_result(&nq) {
-                    self.stats.count_result(true);
-                    return r;
-                }
-                self.evaluate_preflight_miss(&nq)
-            }
-            None => self.evaluate_preflight_miss(q),
-        }
-    }
-
-    /// Miss path behind [`QueryEngine::run_preflighted`]: the caller
-    /// already counted the query and probed the (canonical) key.
-    fn evaluate_preflight_miss(&self, q: &Query) -> Result<f64> {
-        self.stats.count_result(false);
-        let r = self.evaluate(q, None);
-        self.cache.put_result(q.clone(), r.clone());
-        r
-    }
-
-    /// [`QueryEngine::run`] with per-query observation: phase spans,
-    /// provenance tally, histogram observations, and (in `Full` mode) a
-    /// trace record. Kept out of line so the traced machinery never
-    /// bloats the disabled fast path in [`QueryEngine::run`].
-    #[cold]
-    #[inline(never)]
-    fn run_observed(&self, q: &Query) -> Result<f64> {
-        let started = Instant::now();
-        if self.preflight.load(Ordering::Relaxed) {
-            let report = preflight::analyze(self.summary(), q);
-            if report.is_provably_zero() {
-                self.stats.count_query();
-                self.stats.count_preflight_zero();
-                let total = started.elapsed().as_nanos() as u64;
-                self.stats.observe_query_nanos(total);
-                if self.trace_mode.load(Ordering::Relaxed) == TRACE_FULL {
-                    self.push_trace(
-                        q,
-                        &TraceTally::default(),
-                        total,
-                        TraceOutcome::PreflightZero,
-                        0.0,
-                        0.0,
-                        None,
-                    );
-                }
-                return Ok(0.0);
-            }
-            if let Some(nq) = report.normalised {
-                self.stats.count_preflight_rewrite();
-                return self.run_observed_inner(&nq, started);
-            }
-        }
-        self.run_observed_inner(q, started)
-    }
-
-    /// The traced evaluation path, timed from `started` (which may
-    /// include a pre-flight stage).
-    fn run_observed_inner(&self, q: &Query, started: Instant) -> Result<f64> {
-        self.stats.count_query();
-        let mut tally = TraceTally::default();
-        let r = if let Some(r) = self.cache.get_result(q) {
-            self.stats.count_result(true);
-            tally.result_hit = true;
-            r
-        } else {
-            self.stats.count_result(false);
-            let r = self.evaluate(q, Some(&mut tally));
-            // Normalise span: answer assembly + result-memo writeback.
-            let n0 = Instant::now();
-            self.cache.put_result(q.clone(), r.clone());
-            tally.normalise_nanos = n0.elapsed().as_nanos() as u64;
-            r
-        };
-        let total = started.elapsed().as_nanos() as u64;
-        self.stats.observe_query_nanos(total);
-        if self.trace_mode.load(Ordering::Relaxed) == TRACE_FULL {
-            let (outcome, lo, hi, error) = match &r {
-                Ok(v) => (TraceOutcome::Exact, *v, *v, None),
-                Err(e) => (TraceOutcome::Error, 0.0, 0.0, Some(e.to_string())),
-            };
-            self.push_trace(q, &tally, total, outcome, lo, hi, error);
-        }
-        r
+        // An unlimited budget never degrades: the answer is exact.
+        self.run_one(q, None).map(|a| a.lo())
     }
 
     /// Answers a batch; `results[i]` corresponds to `queries[i]`. With
@@ -867,12 +728,46 @@ impl QueryEngine {
     /// threads sharing the cache; the result order is positional either
     /// way, and the values are identical for any worker count.
     pub fn run_batch(&self, queries: &[Query]) -> Vec<Result<f64>> {
+        self.fan_out(queries, |q| self.run(q))
+    }
+
+    /// Answers one query under a resource budget built from `spec`.
+    ///
+    /// Differences from [`QueryEngine::run`]:
+    ///
+    /// * Evaluation is charged against a fresh per-query [`Budget`];
+    ///   exhaustion yields the typed error or — under
+    ///   [`DegradePolicy::Interval`] — a bracketing [`Answer::Interval`].
+    /// * Non-tree point/exists queries fall back to the governed DAG
+    ///   inclusion–exclusion engine instead of erring `NotTreeShaped`.
+    /// * The steps a query spends (and hence `Exhausted::spent`) are a
+    ///   deterministic function of the instance, the query and the
+    ///   budget: the ε sweep keeps no memo, and a chain-link memo hit
+    ///   pays its step like a miss, so neither worker count nor shared
+    ///   cache state moves them. Only exact whole-query results that the
+    ///   ungoverned path would also produce are written back to the
+    ///   shared cache; degraded and DAG-fallback answers are never
+    ///   cached.
+    pub fn run_governed(&self, q: &Query, spec: &BudgetSpec) -> Result<Answer> {
+        self.run_one(q, Some(spec))
+    }
+
+    /// Governed batch: `results[i]` answers `queries[i]`. Fan-out
+    /// mirrors [`QueryEngine::run_batch`]; every query gets its own
+    /// budget from `spec` (see [`BudgetSpec`]).
+    pub fn run_batch_governed(&self, queries: &[Query], spec: &BudgetSpec) -> Vec<Result<Answer>> {
+        self.fan_out(queries, |q| self.run_governed(q, spec))
+    }
+
+    /// Runs `run` over every query, inline on one worker or over scoped
+    /// threads pulling indices from an atomic counter; results land in
+    /// per-index slots, so the output order is the input order.
+    fn fan_out<T: Send>(&self, queries: &[Query], run: impl Fn(&Query) -> T + Sync) -> Vec<T> {
         let start = Instant::now();
         let out = if self.threads == 1 || queries.len() <= 1 {
-            queries.iter().map(|q| self.run(q)).collect()
+            queries.iter().map(&run).collect()
         } else {
-            let slots: Vec<Mutex<Option<Result<f64>>>> =
-                queries.iter().map(|_| Mutex::new(None)).collect();
+            let slots: Vec<Mutex<Option<T>>> = queries.iter().map(|_| Mutex::new(None)).collect();
             let next = AtomicUsize::new(0);
             let workers = self.threads.min(queries.len());
             crossbeam::thread::scope(|s| {
@@ -882,7 +777,7 @@ impl QueryEngine {
                         if i >= queries.len() {
                             break;
                         }
-                        *slots[i].lock() = Some(self.run(&queries[i]));
+                        *slots[i].lock() = Some(run(&queries[i]));
                     });
                 }
             })
@@ -896,208 +791,202 @@ impl QueryEngine {
         out
     }
 
-    /// Answers one query under a resource budget built from `spec`.
-    ///
-    /// Differences from [`QueryEngine::run`]:
-    ///
-    /// * Evaluation is charged against a fresh per-query [`Budget`];
-    ///   exhaustion yields the typed error or — under
-    ///   [`DegradePolicy::Interval`] — a bracketing [`Answer::Interval`].
-    /// * Non-tree point/exists queries fall back to the governed DAG
-    ///   inclusion–exclusion engine instead of erring `NotTreeShaped`.
-    /// * ε memoisation is **query-private**, so the steps a query spends
-    ///   (and hence `Exhausted::spent`) are a deterministic function of
-    ///   the instance and query, independent of worker count or shared
-    ///   cache state. Only exact whole-query results that the ungoverned
-    ///   path would also produce are written back to the shared cache;
-    ///   degraded and DAG-fallback answers are never cached.
-    pub fn run_governed(&self, q: &Query, spec: &BudgetSpec) -> Result<Answer> {
-        if self.trace_mode.load(Ordering::Relaxed) == TRACE_OFF {
-            if self.preflight.load(Ordering::Relaxed) {
-                return self.run_governed_preflighted(q, spec);
-            }
-            return self.run_governed_inner(q, spec);
-        }
-        self.run_governed_observed(q, spec)
-    }
-
-    /// The untraced governed path: count, memo lookup, miss handling.
-    fn run_governed_inner(&self, q: &Query, spec: &BudgetSpec) -> Result<Answer> {
-        self.stats.count_query();
-        if let Some(Ok(v)) = self.cache.get_result(q) {
-            self.stats.count_result(true);
-            return Ok(Answer::Exact(v));
-        }
-        self.run_governed_miss(q, spec, None)
-    }
-
-    /// Governed miss path. `admission` carries a pre-flight verdict
-    /// that the budget is certain to exhaust; reaching here means every
-    /// cache probe missed, so honouring it now preserves the invariant
-    /// that a memoised exact answer never opens a budget and always
-    /// wins over admission control.
-    fn run_governed_miss(
-        &self,
-        q: &Query,
-        spec: &BudgetSpec,
-        admission: Option<Exhausted>,
-    ) -> Result<Answer> {
-        self.stats.count_result(false);
-        if let Some(ex) = admission {
-            self.stats.count_preflight_rejection();
-            self.stats.count_exhausted();
-            return Err(QueryError::Core(pxml_core::CoreError::Exhausted(ex)));
-        }
-        let budget = spec.budget();
-        let (r, cacheable) = self.evaluate_governed(q, spec, &budget, None);
-        self.finish_governed(q, &r, cacheable);
-        self.stats.add_budget_spend(budget.steps_spent(), budget.polls_performed());
-        r
-    }
-
-    /// [`QueryEngine::run_governed`] behind the pre-flight stage:
-    /// provable zeros short-circuit (and are memoised, like the
-    /// ungoverned path), plans are canonicalised, and budget-doomed
-    /// queries (exact step prediction above the ceiling under
-    /// [`DegradePolicy::Error`]) are refused without spending. The
-    /// result cache is probed before analysis, so warm serving pays
-    /// nothing and cache hits keep winning over admission control.
-    #[inline(never)]
-    fn run_governed_preflighted(&self, q: &Query, spec: &BudgetSpec) -> Result<Answer> {
-        self.stats.count_query();
-        if let Some(Ok(v)) = self.cache.get_result(q) {
-            self.stats.count_result(true);
-            return Ok(Answer::Exact(v));
-        }
-        let report = preflight::analyze(self.summary(), q);
-        if report.is_provably_zero() {
-            self.stats.count_result(false);
-            self.stats.count_preflight_zero();
-            self.cache.put_result(q.clone(), Ok(0.0));
-            return Ok(Answer::Exact(0.0));
-        }
-        let admission = report.predicted_exhaustion(spec);
-        match report.normalised {
-            Some(nq) => {
-                self.stats.count_preflight_rewrite();
-                if let Some(Ok(v)) = self.cache.get_result(&nq) {
-                    self.stats.count_result(true);
-                    return Ok(Answer::Exact(v));
-                }
-                self.run_governed_miss(&nq, spec, admission)
-            }
-            None => self.run_governed_miss(q, spec, admission),
+    /// The run pipeline behind every entry point; `spec` is `None` for
+    /// an ungoverned run. With tracing off (the default) the trace stage
+    /// costs one relaxed load and a branch.
+    fn run_one(&self, q: &Query, spec: Option<&BudgetSpec>) -> Result<Answer> {
+        match self.trace_mode.load(Ordering::Relaxed) {
+            TRACE_OFF => self.run_stages(q, spec, None),
+            mode => self.run_traced(q, spec, mode == TRACE_FULL),
         }
     }
 
-    /// Post-evaluation accounting shared by the governed paths: result
-    /// writeback for cacheable exact answers, degradation/exhaustion
-    /// counting. A query answered under `DegradePolicy::Interval` is
-    /// counted exactly once in `queries_run` (by its single
-    /// `count_query` on entry) and lands in `result_misses` +
-    /// `queries_degraded` — there is no retry path that could count it
-    /// again.
-    fn finish_governed(&self, q: &Query, r: &Result<Answer>, cacheable: bool) {
-        match r {
-            Ok(Answer::Exact(v)) if cacheable => {
-                self.cache.put_result(q.clone(), Ok(*v));
-            }
-            Ok(Answer::Interval(_)) => self.stats.count_degraded(),
-            Err(e) if exhaustion_of(e).is_some() => self.stats.count_exhausted(),
-            _ => {}
-        }
-    }
-
-    /// [`QueryEngine::run_governed`] with per-query observation. Out of
-    /// line for the same fast-path reason as `run_observed`.
+    /// The optional trace stage around [`QueryEngine::run_stages`]:
+    /// phase spans, provenance tally and histogram observations, plus
+    /// one trace record when `record` is set. Out of line so the traced
+    /// machinery never bloats the untraced path.
     #[cold]
     #[inline(never)]
-    fn run_governed_observed(&self, q: &Query, spec: &BudgetSpec) -> Result<Answer> {
+    fn run_traced(&self, q: &Query, spec: Option<&BudgetSpec>, record: bool) -> Result<Answer> {
         let started = Instant::now();
-        if self.preflight.load(Ordering::Relaxed) {
-            let report = preflight::analyze(self.summary(), q);
-            if report.is_provably_zero() {
-                self.stats.count_query();
-                self.stats.count_preflight_zero();
-                let total = started.elapsed().as_nanos() as u64;
-                self.stats.observe_query_nanos(total);
-                if self.trace_mode.load(Ordering::Relaxed) == TRACE_FULL {
-                    self.push_trace(
-                        q,
-                        &TraceTally::default(),
-                        total,
-                        TraceOutcome::PreflightZero,
-                        0.0,
-                        0.0,
-                        None,
-                    );
-                }
-                return Ok(Answer::Exact(0.0));
-            }
-            let admission = report.predicted_exhaustion(spec);
-            return match report.normalised {
-                Some(nq) => {
-                    self.stats.count_preflight_rewrite();
-                    self.run_governed_observed_inner(&nq, spec, started, admission)
-                }
-                None => self.run_governed_observed_inner(q, spec, started, admission),
-            };
-        }
-        self.run_governed_observed_inner(q, spec, started, None)
-    }
-
-    /// The traced governed path, timed from `started`. `admission` has
-    /// the same cache-miss-only semantics as in
-    /// [`QueryEngine::run_governed_inner`].
-    fn run_governed_observed_inner(
-        &self,
-        q: &Query,
-        spec: &BudgetSpec,
-        started: Instant,
-        admission: Option<Exhausted>,
-    ) -> Result<Answer> {
-        self.stats.count_query();
         let mut tally = TraceTally::default();
-        let r = if let Some(Ok(v)) = self.cache.get_result(q) {
-            self.stats.count_result(true);
-            tally.result_hit = true;
-            Ok(Answer::Exact(v))
-        } else if let Some(ex) = admission {
-            self.stats.count_result(false);
-            self.stats.count_preflight_rejection();
-            self.stats.count_exhausted();
-            Err(QueryError::Core(pxml_core::CoreError::Exhausted(ex)))
-        } else {
-            self.stats.count_result(false);
-            let budget = spec.budget();
-            let (r, cacheable) = self.evaluate_governed(q, spec, &budget, Some(&mut tally));
-            let n0 = Instant::now();
-            self.finish_governed(q, &r, cacheable);
-            tally.normalise_nanos = n0.elapsed().as_nanos() as u64;
-            tally.budget_steps = budget.steps_spent();
-            tally.budget_polls = budget.polls_performed();
-            self.stats.add_budget_spend(tally.budget_steps, tally.budget_polls);
-            self.stats.observe_budget_steps(tally.budget_steps);
-            r
-        };
+        let r = self.run_stages(q, spec, Some(&mut tally));
         let total = started.elapsed().as_nanos() as u64;
         self.stats.observe_query_nanos(total);
-        if self.trace_mode.load(Ordering::Relaxed) == TRACE_FULL {
+        if record {
             let (outcome, lo, hi, error) = match &r {
+                _ if tally.preflight_zero => (TraceOutcome::PreflightZero, 0.0, 0.0, None),
                 Ok(Answer::Exact(v)) => (TraceOutcome::Exact, *v, *v, None),
                 Ok(Answer::Interval(i)) => (TraceOutcome::Degraded, i.lo, i.hi, None),
-                Err(e) => {
-                    let outcome = if exhaustion_of(e).is_some() {
-                        TraceOutcome::Exhausted
-                    } else {
-                        TraceOutcome::Error
-                    };
-                    (outcome, 0.0, 0.0, Some(e.to_string()))
+                Err(e) if exhaustion_of(e).is_some() => {
+                    (TraceOutcome::Exhausted, 0.0, 0.0, Some(e.to_string()))
                 }
+                Err(e) => (TraceOutcome::Error, 0.0, 0.0, Some(e.to_string())),
             };
             self.push_trace(q, &tally, total, outcome, lo, hi, error);
         }
         r
+    }
+
+    /// Count → result probe → optional pre-flight (provable zero;
+    /// canonical rewrite and a second probe; admission control) →
+    /// budgeted evaluation → writeback and counters. The result cache
+    /// is probed before any analysis, so warm serving pays nothing for
+    /// pre-flight and a memoised exact answer always wins over
+    /// admission control; a proved zero is written back like any exact
+    /// result, so each zero is proved once, not per encounter.
+    fn run_stages(
+        &self,
+        q: &Query,
+        spec: Option<&BudgetSpec>,
+        mut t: Option<&mut TraceTally>,
+    ) -> Result<Answer> {
+        self.stats.count_query();
+        if let Some(r) = self.probe(q, spec.is_some(), t.as_deref_mut()) {
+            return r;
+        }
+        let mut admission = None;
+        let mut canonical = None;
+        if self.preflight.load(Ordering::Relaxed) {
+            let report = preflight::analyze(self.summary(), q);
+            if report.is_provably_zero() {
+                self.stats.count_result(false);
+                self.stats.count_preflight_zero();
+                self.cache.put_result(q.clone(), Ok(0.0));
+                if let Some(t) = t {
+                    t.preflight_zero = true;
+                }
+                return Ok(Answer::Exact(0.0));
+            }
+            admission = spec.and_then(|s| report.predicted_exhaustion(s));
+            if let Some(nq) = report.normalised {
+                self.stats.count_preflight_rewrite();
+                // The canonical key may be warm even though the
+                // original's probe above missed.
+                if let Some(r) = self.probe(&nq, spec.is_some(), t.as_deref_mut()) {
+                    return r;
+                }
+                canonical = Some(nq);
+            }
+        }
+        let q = canonical.as_ref().unwrap_or(q);
+        self.stats.count_result(false);
+        if let Some(ex) = admission {
+            self.stats.count_preflight_rejection();
+            self.stats.count_exhausted();
+            return Err(QueryError::Core(CoreError::Exhausted(ex)));
+        }
+        let budget = spec.map_or_else(Budget::unlimited, BudgetSpec::budget);
+        let degrade = spec.map_or(DegradePolicy::Error, |s| s.degrade);
+        let r = self.evaluate(q, &budget, degrade, t.as_deref_mut());
+        self.settle(q, r, spec, &budget, t)
+    }
+
+    /// A memoised answer for `q`, counted as a result hit. Governed
+    /// runs take only exact values from the cache, never a memoised
+    /// ungoverned error (a `NotTreeShaped` there has a DAG answer).
+    fn probe(
+        &self,
+        q: &Query,
+        governed: bool,
+        t: Option<&mut TraceTally>,
+    ) -> Option<Result<Answer>> {
+        let r = match self.cache.get_result(q)? {
+            Ok(v) => Ok(Answer::Exact(v)),
+            Err(e) if !governed => Err(e),
+            Err(_) => return None,
+        };
+        self.stats.count_result(true);
+        if let Some(t) = t {
+            t.result_hit = true;
+        }
+        Some(r)
+    }
+
+    /// Where ungoverned and governed runs part ways after evaluation.
+    /// Ungoverned: a non-tree query errs `NotTreeShaped`, and every
+    /// outcome, errors included, is memoised. Governed: a non-tree
+    /// point/exists query falls back to the DAG engine; only exact,
+    /// non-DAG answers are memoised (the ungoverned path errs where the
+    /// DAG engine answers, and caching `Ok` would break the
+    /// engine/sequential exact-equality contract); degradations,
+    /// exhaustions and budget spend are counted.
+    fn settle(
+        &self,
+        q: &Query,
+        r: Result<Answer>,
+        spec: Option<&BudgetSpec>,
+        budget: &Budget,
+        t: Option<&mut TraceTally>,
+    ) -> Result<Answer> {
+        let Some(spec) = spec else {
+            // Normalise span: result-memo writeback.
+            let n0 = t.is_some().then(Instant::now);
+            self.cache.put_result(q.clone(), r.clone().map(|a| a.lo()));
+            if let (Some(t), Some(n0)) = (t, n0) {
+                t.normalise_nanos = n0.elapsed().as_nanos() as u64;
+            }
+            return r;
+        };
+        let mut t = t;
+        let (r, cacheable) = match r {
+            Err(QueryError::NotTreeShaped(_)) => {
+                (self.dag_fallback(q, budget, spec.degrade, t.as_deref_mut()), false)
+            }
+            r => (r, true),
+        };
+        let n0 = t.is_some().then(Instant::now);
+        match &r {
+            Ok(Answer::Exact(v)) if cacheable => self.cache.put_result(q.clone(), Ok(*v)),
+            Ok(Answer::Interval(_)) => self.stats.count_degraded(),
+            Err(e) if exhaustion_of(e).is_some() => self.stats.count_exhausted(),
+            _ => {}
+        }
+        let (steps, polls) = (budget.steps_spent(), budget.polls_performed());
+        self.stats.add_budget_spend(steps, polls);
+        if let (Some(t), Some(n0)) = (t, n0) {
+            t.normalise_nanos = n0.elapsed().as_nanos() as u64;
+            t.budget_steps = steps;
+            t.budget_polls = polls;
+            self.stats.observe_budget_steps(steps);
+        }
+        r
+    }
+
+    /// The governed answer to a non-tree point/exists query: the DAG
+    /// inclusion–exclusion engine, on the same budget, through the
+    /// degrade policy.
+    fn dag_fallback(
+        &self,
+        q: &Query,
+        budget: &Budget,
+        degrade: DegradePolicy,
+        t: Option<&mut TraceTally>,
+    ) -> Result<Answer> {
+        let start = Instant::now();
+        let r = match q {
+            Query::Point { path, object } => point_query_dag_governed(&self.pi, path, *object, budget),
+            Query::Exists { path } => exists_query_dag_governed(&self.pi, path, budget),
+            Query::Chain { .. } => unreachable!("chain probabilities are exact on any DAG"),
+        };
+        let elapsed = start.elapsed();
+        self.stats.add_marginal(elapsed);
+        if let Some(t) = t {
+            t.marginal_nanos += elapsed.as_nanos() as u64;
+        }
+        match r {
+            Ok(DagOutcome::Exact(v)) => Ok(Answer::Exact(v)),
+            Ok(DagOutcome::Bracket { lo, hi, exhausted }) => match degrade {
+                DegradePolicy::Interval => Ok(bounds_answer(lo, hi)),
+                DegradePolicy::Error => Err(QueryError::Core(CoreError::Exhausted(exhausted))),
+            },
+            // Exhaustion while still enumerating chains: nothing is
+            // known yet, the trivial bracket is the only safe answer.
+            Err(e) if degrade == DegradePolicy::Interval && exhaustion_of(&e).is_some() => {
+                Ok(Answer::Interval(Interval { lo: 0.0, hi: 1.0 }))
+            }
+            Err(e) => Err(e),
+        }
     }
 
     /// Materialises one trace record from a finished query.
@@ -1133,8 +1022,6 @@ impl QueryEngine {
             result_hit: tally.result_hit,
             layers_hits: tally.layers_hits,
             layers_misses: tally.layers_misses,
-            eps_hits: tally.eps_hits,
-            eps_misses: tally.eps_misses,
             link_hits: tally.link_hits,
             link_misses: tally.link_misses,
             opf_entries: tally.opf_entries,
@@ -1179,205 +1066,6 @@ impl QueryEngine {
         }
     }
 
-    /// Governed batch: `results[i]` answers `queries[i]`. Fan-out
-    /// mirrors [`QueryEngine::run_batch`]; every query gets its own
-    /// budget from `spec` (see [`BudgetSpec`]).
-    pub fn run_batch_governed(&self, queries: &[Query], spec: &BudgetSpec) -> Vec<Result<Answer>> {
-        let start = Instant::now();
-        let out = if self.threads == 1 || queries.len() <= 1 {
-            queries.iter().map(|q| self.run_governed(q, spec)).collect()
-        } else {
-            let slots: Vec<Mutex<Option<Result<Answer>>>> =
-                queries.iter().map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            let workers = self.threads.min(queries.len());
-            crossbeam::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|_| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= queries.len() {
-                            break;
-                        }
-                        *slots[i].lock() = Some(self.run_governed(&queries[i], spec));
-                    });
-                }
-            })
-            .expect("batch worker panicked");
-            slots
-                .into_iter()
-                .map(|m| m.into_inner().expect("every index was claimed"))
-                .collect()
-        };
-        self.stats.add_batch(start.elapsed());
-        out
-    }
-
-    /// Governed evaluation. The second component is `true` when the
-    /// answer is safe to write to the shared result cache: exact, and
-    /// identical to what the ungoverned path would return (DAG-fallback
-    /// answers are excluded — the ungoverned path errs `NotTreeShaped`
-    /// there, and caching `Ok` would break the engine/sequential
-    /// exact-equality contract).
-    fn evaluate_governed(
-        &self,
-        q: &Query,
-        spec: &BudgetSpec,
-        budget: &Budget,
-        t: Option<&mut TraceTally>,
-    ) -> (Result<Answer>, bool) {
-        match q {
-            Query::Point { path, object } => {
-                self.eval_point_governed(path, *object, spec, budget, t)
-            }
-            Query::Exists { path } => self.eval_exists_governed(path, spec, budget, t),
-            Query::Chain { objects } => {
-                let start = Instant::now();
-                let r = match spec.degrade {
-                    DegradePolicy::Error => {
-                        chain_probability_budgeted(&self.pi, objects, budget).map(Answer::Exact)
-                    }
-                    DegradePolicy::Interval => chain_probability_interval(&self.pi, objects, budget)
-                        .map(|(lo, hi)| bounds_answer(lo, hi)),
-                };
-                let elapsed = start.elapsed();
-                self.stats.add_marginal(elapsed);
-                if let Some(t) = t {
-                    t.marginal_nanos += elapsed.as_nanos() as u64;
-                }
-                let cacheable = matches!(r, Ok(Answer::Exact(_)));
-                (r, cacheable)
-            }
-        }
-    }
-
-    fn eval_point_governed(
-        &self,
-        path: &PathExpr,
-        object: ObjectId,
-        spec: &BudgetSpec,
-        budget: &Budget,
-        mut t: Option<&mut TraceTally>,
-    ) -> (Result<Answer>, bool) {
-        let layers = self.object_layers(&self.layers_for(path, t.as_deref_mut()));
-        if layers.last().is_none_or(|l| l.binary_search(&object).is_err()) {
-            return (Ok(Answer::Exact(0.0)), true);
-        }
-        let start = Instant::now();
-        let mut hook = LocalHook::default();
-        let tree = self.eps_governed(path, &layers, &[object], spec, budget, &mut hook);
-        self.stats.add_opf_entries(hook.opf_entries);
-        let out = match tree {
-            Err(QueryError::NotTreeShaped(_)) => {
-                let dag = point_query_dag_governed(&self.pi, path, object, budget);
-                (self.dag_answer(dag, spec), false)
-            }
-            other => {
-                let cacheable = matches!(other, Ok(Answer::Exact(_)));
-                (other, cacheable)
-            }
-        };
-        let elapsed = start.elapsed();
-        self.stats.add_marginal(elapsed);
-        if let Some(t) = t {
-            t.marginal_nanos += elapsed.as_nanos() as u64;
-            hook.merge_into(t);
-        }
-        out
-    }
-
-    fn eval_exists_governed(
-        &self,
-        path: &PathExpr,
-        spec: &BudgetSpec,
-        budget: &Budget,
-        mut t: Option<&mut TraceTally>,
-    ) -> (Result<Answer>, bool) {
-        let layers = self.object_layers(&self.layers_for(path, t.as_deref_mut()));
-        let located = layers.last().cloned().unwrap_or_default();
-        if located.is_empty() {
-            return (Ok(Answer::Exact(0.0)), true);
-        }
-        let start = Instant::now();
-        let mut hook = LocalHook::default();
-        let tree = self.eps_governed(path, &layers, &located, spec, budget, &mut hook);
-        self.stats.add_opf_entries(hook.opf_entries);
-        let out = match tree {
-            Err(QueryError::NotTreeShaped(_)) => {
-                let dag = exists_query_dag_governed(&self.pi, path, budget);
-                (self.dag_answer(dag, spec), false)
-            }
-            other => {
-                let cacheable = matches!(other, Ok(Answer::Exact(_)));
-                (other, cacheable)
-            }
-        };
-        let elapsed = start.elapsed();
-        self.stats.add_marginal(elapsed);
-        if let Some(t) = t {
-            t.marginal_nanos += elapsed.as_nanos() as u64;
-            hook.merge_into(t);
-        }
-        out
-    }
-
-    /// The tree-shaped ε evaluation under the chosen degrade policy.
-    /// Under `Interval`, an exhaustion escaping *before* the interval
-    /// recursion can widen it (i.e. while building the kept region)
-    /// degrades to the trivial bracket `[0, 1]`.
-    fn eps_governed(
-        &self,
-        path: &PathExpr,
-        layers: &[Vec<ObjectId>],
-        targets: &[ObjectId],
-        spec: &BudgetSpec,
-        budget: &Budget,
-        hook: &mut LocalHook,
-    ) -> Result<Answer> {
-        match spec.degrade {
-            DegradePolicy::Error => {
-                epsilon_root_with(&self.pi, path, layers, targets, hook, budget).map(Answer::Exact)
-            }
-            DegradePolicy::Interval => {
-                match epsilon_root_interval(&self.pi, path, layers, targets, hook, budget) {
-                    Ok((lo, hi)) => Ok(bounds_answer(lo, hi)),
-                    Err(e) if exhaustion_of(&e).is_some() => {
-                        Ok(Answer::Interval(Interval { lo: 0.0, hi: 1.0 }))
-                    }
-                    Err(e) => Err(e),
-                }
-            }
-        }
-    }
-
-    /// Maps a governed DAG outcome through the degrade policy.
-    fn dag_answer(&self, r: Result<DagOutcome>, spec: &BudgetSpec) -> Result<Answer> {
-        match r {
-            Ok(DagOutcome::Exact(v)) => Ok(Answer::Exact(v)),
-            Ok(DagOutcome::Bracket { lo, hi, exhausted }) => match spec.degrade {
-                DegradePolicy::Interval => Ok(bounds_answer(lo, hi)),
-                DegradePolicy::Error => {
-                    Err(QueryError::Core(pxml_core::CoreError::Exhausted(exhausted)))
-                }
-            },
-            Err(e) => match spec.degrade {
-                // Exhaustion while still enumerating chains: nothing is
-                // known yet, the trivial bracket is the only safe answer.
-                DegradePolicy::Interval if exhaustion_of(&e).is_some() => {
-                    Ok(Answer::Interval(Interval { lo: 0.0, hi: 1.0 }))
-                }
-                _ => Err(e),
-            },
-        }
-    }
-
-    fn evaluate(&self, q: &Query, t: Option<&mut TraceTally>) -> Result<f64> {
-        match q {
-            Query::Point { path, object } => self.eval_point(path, *object, t),
-            Query::Exists { path } => self.eval_exists(path, t),
-            Query::Chain { objects } => self.eval_chain(objects, t),
-        }
-    }
-
     /// The located layers of `path` as sorted arena indices, memoised
     /// per `(path root, label sequence)`. Like `layers_weak`, a path not
     /// anchored at the instance root locates nothing.
@@ -1414,89 +1102,93 @@ impl QueryEngine {
         layers
     }
 
-    /// Arena-index layers as sorted [`ObjectId`] layers, the form the
-    /// governed legacy recursion takes.
-    fn object_layers(&self, layers: &[Vec<u32>]) -> Vec<Vec<ObjectId>> {
-        layers
-            .iter()
-            .map(|l| {
-                let mut objects: Vec<ObjectId> =
-                    l.iter().map(|&x| self.arena.object_at(x)).collect();
-                objects.sort_unstable();
-                objects
-            })
-            .collect()
-    }
-
-    fn eval_point(
+    /// Budgeted evaluation of one query over the arena: the located
+    /// layers, then the flat §6.1 sweep for point/exists queries or the
+    /// link walk for chains.
+    fn evaluate(
         &self,
-        path: &PathExpr,
-        object: ObjectId,
+        q: &Query,
+        budget: &Budget,
+        degrade: DegradePolicy,
         mut t: Option<&mut TraceTally>,
-    ) -> Result<f64> {
-        let layers = self.layers_for(path, t.as_deref_mut());
-        // Mirrors `point_query`: absent from the located layer ⇒ 0.
-        match (self.arena.index_of(object), layers.last()) {
-            (Some(x), Some(located)) if located.binary_search(&x).is_ok() => {
-                self.sweep(&path.labels, &layers, &[x], t)
+    ) -> Result<Answer> {
+        match q {
+            Query::Point { path, object } => {
+                let layers = self.layers_for(path, t.as_deref_mut());
+                // Mirrors `point_query`: absent from the located layer ⇒ 0.
+                match (self.arena.index_of(*object), layers.last()) {
+                    (Some(x), Some(located)) if located.binary_search(&x).is_ok() => {
+                        self.sweep(&path.labels, &layers, &[x], budget, degrade, t)
+                    }
+                    _ => Ok(Answer::Exact(0.0)),
+                }
             }
-            _ => Ok(0.0),
+            Query::Exists { path } => {
+                let layers = self.layers_for(path, t.as_deref_mut());
+                // Mirrors `exists_query`: nothing located ⇒ 0.
+                match layers.last() {
+                    Some(located) if !located.is_empty() => {
+                        self.sweep(&path.labels, &layers, located, budget, degrade, t)
+                    }
+                    _ => Ok(Answer::Exact(0.0)),
+                }
+            }
+            Query::Chain { objects } => {
+                let start = Instant::now();
+                let r = self.eval_chain(objects, budget, degrade, t.as_deref_mut());
+                let elapsed = start.elapsed();
+                self.stats.add_marginal(elapsed);
+                if let Some(t) = t {
+                    t.marginal_nanos += elapsed.as_nanos() as u64;
+                }
+                r
+            }
         }
     }
 
-    fn eval_exists(&self, path: &PathExpr, mut t: Option<&mut TraceTally>) -> Result<f64> {
-        let layers = self.layers_for(path, t.as_deref_mut());
-        // Mirrors `exists_query`: nothing located ⇒ 0.
-        match layers.last() {
-            Some(located) if !located.is_empty() => self.sweep(&path.labels, &layers, located, t),
-            _ => Ok(0.0),
-        }
-    }
-
-    /// The ungoverned point/exists evaluation: the kept region for
-    /// `targets` (`kept_flat`), then one bottom-up ε sweep over it
-    /// (`eps_flat`). OPF entries count as Σ `stored_len` over the swept
-    /// nodes, as the recursion counted them.
+    /// The point/exists evaluation: the kept region for `targets`
+    /// (`kept_flat`), then the budgeted bottom-up ε sweep over it
+    /// (`eps_flat`), which also counts the OPF entries it visits.
     fn sweep(
         &self,
         labels: &[Label],
         layers: &[Vec<u32>],
         targets: &[u32],
+        budget: &Budget,
+        degrade: DegradePolicy,
         t: Option<&mut TraceTally>,
-    ) -> Result<f64> {
+    ) -> Result<Answer> {
         let start = Instant::now();
-        let swept = self.arena.kept_flat(labels, layers, targets).and_then(|kept| {
-            let v = self.arena.eps_flat(labels, &kept)?;
-            let entries: u64 =
-                kept[..labels.len()].iter().flatten().map(|&x| self.arena.stored_len(x)).sum();
-            Ok((v, entries))
-        });
+        let swept = self
+            .arena
+            .kept_flat(labels, layers, targets)
+            .and_then(|kept| self.arena.eps_flat(labels, &kept, budget, degrade));
         let elapsed = start.elapsed();
         self.stats.add_marginal(elapsed);
-        let entries = swept.as_ref().map_or(0, |&(_, e)| e);
+        let entries = swept.as_ref().map_or(0, |b| b.opf_entries);
         self.stats.add_opf_entries(entries);
         if let Some(t) = t {
             t.marginal_nanos += elapsed.as_nanos() as u64;
             t.opf_entries += entries;
         }
-        swept.map(|(v, _)| v).map_err(flat_error)
+        swept.map(|b| answer(b.lo, b.hi, degrade)).map_err(flat_error)
     }
 
-    /// `chain_probability` with the per-link marginal memoised. The memo
-    /// is only written after a successful OPF lookup, so the error
-    /// behaviour (node → position → OPF, in that order) is unchanged.
-    fn eval_chain(&self, chain: &[ObjectId], mut t: Option<&mut TraceTally>) -> Result<f64> {
-        let start = Instant::now();
-        let r = self.eval_chain_inner(chain, t.as_deref_mut());
-        let elapsed = start.elapsed();
-        self.stats.add_marginal(elapsed);
-        if let Some(t) = t {
-            t.marginal_nanos += elapsed.as_nanos() as u64;
-        }
-        r
-    }
-
-    fn eval_chain_inner(&self, chain: &[ObjectId], mut t: Option<&mut TraceTally>) -> Result<f64> {
+    /// `chain_probability` over the arena with the per-link marginal
+    /// memoised. One budget step is charged at the top of each link,
+    /// before any lookup, so a memo hit pays its step too and the spend
+    /// does not depend on cache state. On exhaustion after `j` links the
+    /// bracket is `[0, Π_{i≤j} mᵢ]`: appending links only multiplies by
+    /// marginals `≤ 1`. The memo is only written after a successful OPF
+    /// lookup, so the error behaviour (node → position → OPF, in that
+    /// order) is the sequential function's.
+    fn eval_chain(
+        &self,
+        chain: &[ObjectId],
+        budget: &Budget,
+        degrade: DegradePolicy,
+        mut t: Option<&mut TraceTally>,
+    ) -> Result<Answer> {
         let Some((&first, rest)) = chain.split_first() else {
             return Err(QueryError::EmptyChain);
         };
@@ -1506,6 +1198,12 @@ impl QueryEngine {
         let mut p = 1.0;
         let mut parent = first;
         for &child in rest {
+            if let Err(ex) = budget.charge(1) {
+                return match degrade {
+                    DegradePolicy::Error => Err(QueryError::Core(CoreError::Exhausted(ex))),
+                    DegradePolicy::Interval => Ok(bounds_answer(0.0, p)),
+                };
+            }
             let node = self
                 .pi
                 .weak()
@@ -1547,11 +1245,11 @@ impl QueryEngine {
             };
             p *= m;
             if p == 0.0 {
-                return Ok(0.0);
+                return Ok(Answer::Exact(0.0));
             }
             parent = child;
         }
-        Ok(p)
+        Ok(answer(p, p, degrade))
     }
 }
 
@@ -1573,6 +1271,17 @@ fn exhaustion_of(e: &QueryError) -> Option<pxml_core::Exhausted> {
     }
 }
 
+/// The answer for evaluated bounds: under [`DegradePolicy::Error`] no
+/// charge was refused, so `lo == hi` is the exact value as computed;
+/// under [`DegradePolicy::Interval`] the bounds go through
+/// [`bounds_answer`].
+fn answer(lo: f64, hi: f64, degrade: DegradePolicy) -> Answer {
+    match degrade {
+        DegradePolicy::Error => Answer::Exact(lo),
+        DegradePolicy::Interval => bounds_answer(lo, hi),
+    }
+}
+
 /// Collapses a bracket to [`Answer::Exact`] when it is degenerate;
 /// bounds are clamped into `[0, 1]` and ordered defensively.
 fn bounds_answer(lo: f64, hi: f64) -> Answer {
@@ -1585,50 +1294,6 @@ fn bounds_answer(lo: f64, hi: f64) -> Answer {
     }
 }
 
-/// Query-private ε memo for governed runs. Keyed by `(object, depth)`,
-/// which is sound within one query (single path, fixed target set);
-/// being private, the steps charged per query do not depend on what
-/// other queries or threads have cached.
-///
-/// The hit/miss tallies here describe the *private* memo — they feed
-/// the per-query trace only; the engine-wide `eps_hits`/`eps_misses`
-/// counters stay at zero, as no shared ε memo exists.
-#[derive(Default)]
-struct LocalHook {
-    memo: HashMap<(ObjectId, usize), f64>,
-    opf_entries: u64,
-    eps_hits: u64,
-    eps_misses: u64,
-}
-
-impl LocalHook {
-    /// Folds this query's private-memo provenance into its trace tally.
-    fn merge_into(&self, t: &mut TraceTally) {
-        t.opf_entries += self.opf_entries;
-        t.eps_hits += self.eps_hits;
-        t.eps_misses += self.eps_misses;
-    }
-}
-
-impl EpsHook for LocalHook {
-    fn get(&mut self, x: ObjectId, depth: usize) -> Option<f64> {
-        let hit = self.memo.get(&(x, depth)).copied();
-        if hit.is_some() {
-            self.eps_hits += 1;
-        } else {
-            self.eps_misses += 1;
-        }
-        hit
-    }
-
-    fn put(&mut self, x: ObjectId, depth: usize, value: f64) {
-        self.memo.insert((x, depth), value);
-    }
-
-    fn visited_opf_entries(&mut self, entries: u64) {
-        self.opf_entries += entries;
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -1763,6 +1428,45 @@ mod tests {
         // The DAG answer must NOT have been written to the result cache:
         // a later ungoverned run still errs.
         assert!(engine.run(&q).is_err());
+    }
+
+    /// The pre-flight counters are a property of the batch, not of the
+    /// trace mode: a traced run probes the result cache before the
+    /// analysis, as an untraced one does, so a repeated provable zero is
+    /// a result hit rather than a second proof.
+    #[test]
+    fn preflight_counters_do_not_depend_on_the_trace_mode() {
+        let counters = |mode: TraceMode| {
+            let pi = chain_fixture(3, 0.5);
+            let (o1, o2, o3) = (pi.oid("o1").unwrap(), pi.oid("o2").unwrap(), pi.oid("o3").unwrap());
+            let batch = vec![
+                Query::point(parse(&pi, "r.next"), o2), // provably zero
+                Query::point(parse(&pi, "r.next.next.next"), o3), // rewritten to EXISTS
+                Query::chain([pi.root(), o1]),
+            ];
+            let engine = QueryEngine::with_threads(pi, 1);
+            engine.set_preflight(true);
+            engine.set_trace_mode(mode);
+            engine.run_batch(&batch);
+            engine.run_batch(&batch);
+            StatsSnapshot {
+                locate_nanos: 0,
+                marginal_nanos: 0,
+                batch_nanos: 0,
+                mutation_nanos: 0,
+                query_nanos_hist: Default::default(),
+                budget_steps_hist: Default::default(),
+                ..engine.stats()
+            }
+        };
+        let untraced = counters(TraceMode::Off);
+        assert_eq!(
+            (untraced.preflight_zeros, untraced.preflight_rewrites),
+            (1, 2),
+            "each zero is proved once; the original key of a rewrite is never cached"
+        );
+        assert_eq!((untraced.result_hits, untraced.result_misses), (3, 3));
+        assert_eq!(counters(TraceMode::Full), untraced);
     }
 
     #[test]
@@ -2103,3 +1807,4 @@ mod tests {
         assert_eq!(pi.object_count(), 3);
     }
 }
+

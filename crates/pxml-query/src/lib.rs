@@ -18,7 +18,9 @@
 //!   instrumentation. Engine answers are exactly equal (`==`) to the
 //!   sequential functions' answers: the engine's flat §6.1 sweep
 //!   ([`pxml_core::ArenaInstance::eps_flat`]) replicates the sequential
-//!   recursion's arithmetic operation for operation.
+//!   recursion's arithmetic operation for operation. The recursion in
+//!   [`point`] is the sequential reference only; no engine path runs
+//!   it.
 //!
 //! ## Resource governance
 //!
@@ -34,7 +36,12 @@
 //! graceful degradation: under [`engine::DegradePolicy::Interval`] an
 //! exhausted query returns a guaranteed-bracketing
 //! [`engine::Answer::Interval`] built from the partially-marginalised
-//! state instead of an error. The shared cache can be byte-capped via
+//! state instead of an error. Governed and ungoverned queries share one
+//! evaluator: the engine's flat sweep charges the budget one step per
+//! kept node in the sequential recursion's depth-first order, so on a
+//! tree-shaped point/exists query or a chain a governed engine run
+//! spends exactly the steps the `*_budgeted` sequential function
+//! spends. The shared cache can be byte-capped via
 //! [`engine::QueryEngine::set_max_cache_bytes`].
 //!
 //! ## Observability

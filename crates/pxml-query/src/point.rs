@@ -9,6 +9,12 @@
 //! "the root of the result of the ancestor projection on a compatible
 //! instance will have a child if and only if `o` in that compatible
 //! instance satisfies the path expression".
+//!
+//! The `ObjectId` recursion here is the sequential reference
+//! implementation. [`crate::QueryEngine`] answers the same queries, and
+//! charges the same budget steps, through the flat sweep of
+//! [`pxml_core::ArenaInstance::eps_flat`]; the equivalence suites
+//! compare the two.
 
 use std::collections::HashMap;
 
@@ -59,37 +65,10 @@ pub fn exists_query_budgeted(pi: &ProbInstance, p: &PathExpr, budget: &Budget) -
     epsilon_root(pi, p, &layers, &located, budget)
 }
 
-/// Observer/memo hook threaded through the ε computation: the governed
-/// engine path (`crate::engine`) memoises per `(object, depth)` within
-/// one query and counts OPF entries through it. The sequential entry
-/// points use [`NoHook`]; a hook must only ever return values
-/// previously computed for the same `(object, depth-suffix, target)`
-/// triple — the recursion below an object never looks above it, so such
-/// values are bit-identical to what would be recomputed.
-pub(crate) trait EpsHook {
-    /// A previously memoised ε for `x` at `depth`, if any.
-    fn get(&mut self, x: ObjectId, depth: usize) -> Option<f64>;
-    /// Memoises a freshly computed ε for `x` at `depth`.
-    fn put(&mut self, x: ObjectId, depth: usize, value: f64);
-    /// Reports OPF entries visited by one survival evaluation.
-    fn visited_opf_entries(&mut self, entries: u64);
-}
-
-/// The do-nothing hook used by the sequential query functions.
-pub(crate) struct NoHook;
-
-impl EpsHook for NoHook {
-    fn get(&mut self, _x: ObjectId, _depth: usize) -> Option<f64> {
-        None
-    }
-    fn put(&mut self, _x: ObjectId, _depth: usize, _value: f64) {}
-    fn visited_opf_entries(&mut self, _entries: u64) {}
-}
-
 /// Builds the kept region for `targets` and verifies it is tree-shaped
 /// (each kept object has one kept role and one kept parent), the
 /// standing assumption of Section 6.
-pub(crate) fn kept_region(
+fn kept_region(
     pi: &ProbInstance,
     p: &PathExpr,
     layers: &[Vec<ObjectId>],
@@ -141,139 +120,41 @@ pub(crate) fn kept_region(
 
 /// Top-down ε evaluation over a verified tree-shaped kept region:
 /// `ε_x = ℘(x)-survival over kept children`, `ε = 1` at depth `n`.
-/// `hook` may supply memoised subtree values, skipping their recursion.
-pub(crate) fn eps_at(
+fn eps_at(
     pi: &ProbInstance,
     labels: &[Label],
     kept: &[Vec<ObjectId>],
     x: ObjectId,
     depth: usize,
-    hook: &mut dyn EpsHook,
     budget: &Budget,
 ) -> Result<f64> {
     if depth == labels.len() {
         return Ok(1.0);
     }
-    if let Some(v) = hook.get(x, depth) {
-        return Ok(v);
-    }
-    // One work step per survival evaluation — memo hits above are free,
-    // which keeps `Exhausted.spent` a function of (instance, query,
-    // memo) alone, independent of wall clock or thread count.
+    // One work step per survival evaluation, which keeps
+    // `Exhausted.spent` a function of (instance, query) alone,
+    // independent of wall clock or thread count.
     budget.charge(1).map_err(pxml_core::CoreError::from)?;
     let node = pi.weak().node(x).expect("kept object exists");
     let opf = pi.opf(x).ok_or(QueryError::UnknownObject(x))?;
     // Universe positions of x's kept children, in universe order — the
     // recursion order is deterministic, so ε values are bit-stable
-    // across evaluations (and thus safe to share between queries).
+    // across evaluations.
     let mut kept_children: Vec<(u32, f64)> = Vec::new();
     for (pos, c, l) in node.universe().iter() {
         if l == labels[depth] && kept[depth + 1].binary_search(&c).is_ok() {
-            kept_children.push((pos, eps_at(pi, labels, kept, c, depth + 1, hook, budget)?));
+            kept_children.push((pos, eps_at(pi, labels, kept, c, depth + 1, budget)?));
         }
     }
     // Compact OPFs are evaluated in closed form (§3.2), explicit
     // tables by iteration — see `Opf::survival_probability`.
-    hook.visited_opf_entries(opf.stored_len() as u64);
     let v = opf.survival_probability(&kept_children);
-    // An unchecked instance with NaN/∞ OPF mass would otherwise poison the
-    // memo and every ancestor that reuses the value.
+    // An unchecked instance with NaN/∞ OPF mass would otherwise poison
+    // every ancestor.
     if !v.is_finite() {
         return Err(QueryError::Core(pxml_core::CoreError::DegenerateMass { total: v }));
     }
-    hook.put(x, depth, v);
     Ok(v)
-}
-
-/// Interval-mode ε evaluation: identical recursion, but a failed budget
-/// charge yields the trivially bracketing `[0, 1]` for that subtree
-/// instead of an error. Because `Opf::survival_probability` is monotone
-/// non-decreasing in every child's ε (each factor `1 − ε` shrinks as ε
-/// grows, in all three OPF representations), evaluating once with all
-/// child lower bounds and once with all child upper bounds yields a
-/// guaranteed bracket of the exact ε at every node — this is the
-/// "partially-marginalised state" degradation: subtrees finished before
-/// exhaustion contribute exact point intervals, unfinished ones `[0, 1]`.
-fn eps_interval_at(
-    pi: &ProbInstance,
-    labels: &[Label],
-    kept: &[Vec<ObjectId>],
-    x: ObjectId,
-    depth: usize,
-    hook: &mut dyn EpsHook,
-    budget: &Budget,
-) -> Result<(f64, f64)> {
-    if depth == labels.len() {
-        return Ok((1.0, 1.0));
-    }
-    if let Some(v) = hook.get(x, depth) {
-        return Ok((v, v));
-    }
-    if budget.charge(1).is_err() {
-        return Ok((0.0, 1.0));
-    }
-    let node = pi.weak().node(x).expect("kept object exists");
-    let opf = pi.opf(x).ok_or(QueryError::UnknownObject(x))?;
-    let mut lo_children: Vec<(u32, f64)> = Vec::new();
-    let mut hi_children: Vec<(u32, f64)> = Vec::new();
-    let mut all_exact = true;
-    for (pos, c, l) in node.universe().iter() {
-        if l == labels[depth] && kept[depth + 1].binary_search(&c).is_ok() {
-            let (clo, chi) = eps_interval_at(pi, labels, kept, c, depth + 1, hook, budget)?;
-            all_exact &= clo == chi;
-            lo_children.push((pos, clo));
-            hi_children.push((pos, chi));
-        }
-    }
-    hook.visited_opf_entries(opf.stored_len() as u64);
-    let lo = opf.survival_probability(&lo_children);
-    let hi = if all_exact { lo } else { opf.survival_probability(&hi_children) };
-    if !lo.is_finite() || !hi.is_finite() {
-        return Err(QueryError::Core(pxml_core::CoreError::DegenerateMass { total: lo }));
-    }
-    if lo == hi {
-        // Only exact values enter the memo — the hook contract promises
-        // bit-identical recomputation, which holds for points only.
-        hook.put(x, depth, lo);
-    }
-    Ok((lo.min(hi), hi.max(lo)))
-}
-
-/// The ε computation over the kept region determined by `targets`, with
-/// a memo hook (see [`EpsHook`]).
-pub(crate) fn epsilon_root_with(
-    pi: &ProbInstance,
-    p: &PathExpr,
-    layers: &[Vec<ObjectId>],
-    targets: &[ObjectId],
-    hook: &mut dyn EpsHook,
-    budget: &Budget,
-) -> Result<f64> {
-    let kept = kept_region(pi, p, layers, targets)?;
-    if kept[0].binary_search(&pi.root()).is_err() {
-        return Ok(0.0);
-    }
-    eps_at(pi, &p.labels, &kept, pi.root(), 0, hook, budget)
-}
-
-/// Interval-mode counterpart of [`epsilon_root_with`]: returns a
-/// guaranteed bracket `[lo, hi]` of the exact root ε. Exhaustion inside
-/// the recursion widens the answer instead of erring; an exhaustion
-/// *before* the recursion starts (building the kept region) still
-/// propagates, and the caller answers `[0, 1]`.
-pub(crate) fn epsilon_root_interval(
-    pi: &ProbInstance,
-    p: &PathExpr,
-    layers: &[Vec<ObjectId>],
-    targets: &[ObjectId],
-    hook: &mut dyn EpsHook,
-    budget: &Budget,
-) -> Result<(f64, f64)> {
-    let kept = kept_region(pi, p, layers, targets)?;
-    if kept[0].binary_search(&pi.root()).is_err() {
-        return Ok((0.0, 0.0));
-    }
-    eps_interval_at(pi, &p.labels, &kept, pi.root(), 0, hook, budget)
 }
 
 /// The ε computation over the kept region determined by `targets`.
@@ -284,7 +165,11 @@ fn epsilon_root(
     targets: &[ObjectId],
     budget: &Budget,
 ) -> Result<f64> {
-    epsilon_root_with(pi, p, layers, targets, &mut NoHook, budget)
+    let kept = kept_region(pi, p, layers, targets)?;
+    if kept[0].binary_search(&pi.root()).is_err() {
+        return Ok(0.0);
+    }
+    eps_at(pi, &p.labels, &kept, pi.root(), 0, budget)
 }
 
 #[cfg(test)]

@@ -128,10 +128,10 @@ impl TraceOutcome {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct TraceTally {
     pub result_hit: bool,
+    /// The pre-flight proved the answer zero; nothing was evaluated.
+    pub preflight_zero: bool,
     pub layers_hits: u64,
     pub layers_misses: u64,
-    pub eps_hits: u64,
-    pub eps_misses: u64,
     pub link_hits: u64,
     pub link_misses: u64,
     pub opf_entries: u64,
@@ -174,11 +174,6 @@ pub struct QueryTrace {
     pub layers_hits: u64,
     /// Locate-layer memo misses (forward traversals run).
     pub layers_misses: u64,
-    /// ε-marginal memo hits (shared table, or the governed run's
-    /// query-private memo).
-    pub eps_hits: u64,
-    /// ε-marginal memo misses (survival evaluations run).
-    pub eps_misses: u64,
     /// Chain-link marginal memo hits.
     pub link_hits: u64,
     /// Chain-link marginal memo misses.
@@ -221,8 +216,6 @@ impl QueryTrace {
             ("normalise_nanos", self.normalise_nanos),
             ("layers_hits", self.layers_hits),
             ("layers_misses", self.layers_misses),
-            ("eps_hits", self.eps_hits),
-            ("eps_misses", self.eps_misses),
             ("link_hits", self.link_hits),
             ("link_misses", self.link_misses),
             ("opf_entries", self.opf_entries),
@@ -300,8 +293,6 @@ impl QueryTrace {
             result_hit,
             layers_hits: num("layers_hits")?,
             layers_misses: num("layers_misses")?,
-            eps_hits: num("eps_hits")?,
-            eps_misses: num("eps_misses")?,
             link_hits: num("link_hits")?,
             link_misses: num("link_misses")?,
             opf_entries: num("opf_entries")?,
@@ -617,8 +608,6 @@ mod tests {
             result_hit: false,
             layers_hits: 1,
             layers_misses: 0,
-            eps_hits: 2,
-            eps_misses: 3,
             link_hits: 0,
             link_misses: 0,
             opf_entries: 12,

@@ -47,10 +47,13 @@ cargo test -q --offline --test mutation_differential
 # Arena/CSR flat-pipeline benchmark: every answer must be bit-equal to
 # the legacy recursion, and the cold marginalisation pool at the
 # 10^5-object scale >= 2x faster on the arena (asserted inside the
-# binary). Writes BENCH_arena.json; debug-assert layout invariants are
+# binary). The report goes to a temporary file, so a CI run leaves the
+# committed BENCH_arena.json alone; debug-assert layout invariants are
 # additionally exercised by the fuzz harness above.
 echo "==> arena flat-pipeline benchmark (bit-equal answers, >=2x cold)"
-target/release/bench_arena --out BENCH_arena.json --reps 3
+arena_out="$(mktemp)"
+target/release/bench_arena --out "$arena_out" --reps 3
+rm -f "$arena_out"
 
 # Resource-governance contracts: any budget is exact-or-bracketing,
 # exhaustion accounting is thread-count independent, and the dense

@@ -10,14 +10,17 @@
 //! 2. **Determinism**: `Exhausted.spent` (and every answer) is a pure
 //!    function of the query and the instance, independent of how many
 //!    worker threads the batch fans out over — budgets are per-query and
-//!    governed evaluation uses private memo tables, so thread scheduling
-//!    cannot leak into accounting.
+//!    governed evaluation charges the same steps whatever the shared
+//!    cache holds, so thread scheduling cannot leak into accounting.
+//!
+//! A third test pins every governed outcome over a fixed grid of
+//! instances, budgets and policies to one hash.
 
 use proptest::prelude::*;
 
-use pxml::algebra::PathExpr;
+use pxml::algebra::{layers_weak, PathExpr};
 use pxml::core::CoreError;
-use pxml::gen::random_dag;
+use pxml::gen::{random_dag, random_dag_with, DagConfig};
 use pxml::query::{
     exists_query_dag, Answer, BudgetSpec, DegradePolicy, Query, QueryEngine, QueryError,
 };
@@ -146,4 +149,121 @@ proptest! {
             }
         }
     }
+}
+
+/// FNV-1a, 64-bit: a hash whose output is fixed by its definition, so
+/// a pinned constant stays meaningful across toolchains.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+}
+
+/// Point, exists and chain queries over one generated instance: exists
+/// on every root-anchored path of 0 to `max_len` labels, a point query
+/// for every object each path locates (and for the root, which only
+/// the empty path does), every root-anchored chain of up to three links, and the
+/// one-link chain to every object (most are not children, so it errs).
+fn pinned_queries(pi: &pxml::core::ProbInstance, max_len: usize) -> Vec<Query> {
+    let labels: Vec<_> =
+        ["x", "y"].iter().filter_map(|l| pi.catalog().find_label(l)).collect();
+    let mut paths: Vec<Vec<_>> = vec![Vec::new()];
+    let mut queries = Vec::new();
+    for len in 0..=max_len {
+        if len > 0 {
+            paths = paths
+                .iter()
+                .flat_map(|p| labels.iter().map(move |&l| [p.as_slice(), &[l]].concat()))
+                .collect();
+        }
+        for p in &paths {
+            let path = PathExpr::new(pi.root(), p.clone());
+            let located = layers_weak(pi.weak(), &path).pop().unwrap_or_default();
+            queries.push(Query::point(path.clone(), pi.root()));
+            queries.extend(located.into_iter().map(|o| Query::point(path.clone(), o)));
+            queries.push(Query::exists(path));
+        }
+    }
+    let mut chains = vec![vec![pi.root()]];
+    let mut frontier = chains.clone();
+    for _ in 0..3 {
+        let mut next = Vec::new();
+        for chain in &frontier {
+            let last = *chain.last().expect("chains are non-empty");
+            if let Some(node) = pi.weak().node(last) {
+                for (_, c, _) in node.universe().iter() {
+                    next.push([chain.as_slice(), &[c]].concat());
+                }
+            }
+        }
+        chains.extend(next.iter().cloned());
+        frontier = next;
+    }
+    chains.extend(pi.objects().map(|o| vec![pi.root(), o]));
+    queries.extend(chains.into_iter().map(Query::chain));
+    queries
+}
+
+/// Every governed outcome over the generator's instances (seeds 0..64,
+/// plus seeds 0..16 at a larger size with three-label paths, so kept
+/// regions are deep enough for exhaustion to land mid-sweep), step
+/// budgets 1..200 and both degrade policies, hashed bit for bit: an
+/// answer as the `to_bits` of its bounds, an exhaustion as `(resource,
+/// spent, limit)`, any other error as its message. Each run starts from
+/// an empty cache, so the outcome is a function of the query, the
+/// instance and the budget alone. The constant pins the evaluator's
+/// charge order, bracket arithmetic and error precedence; deadlines are
+/// left out because they depend on timing.
+#[test]
+fn governed_outcomes_are_pinned_bit_for_bit() {
+    let larger = DagConfig { min_objects: 12, max_objects: 24, ..DagConfig::default() };
+    let instances = (0u64..64)
+        .map(|seed| (random_dag(seed), 2))
+        .chain((0u64..16).map(|seed| (random_dag_with(seed, &larger), 3)));
+    let mut h = Fnv::new();
+    for (pi, max_len) in instances {
+        let queries = pinned_queries(&pi, max_len);
+        let engine = QueryEngine::with_threads(pi, 1);
+        for degrade in [DegradePolicy::Error, DegradePolicy::Interval] {
+            for budget in 1u64..200 {
+                let spec = BudgetSpec { max_steps: Some(budget), degrade, ..BudgetSpec::default() };
+                for q in &queries {
+                    engine.clear_cache();
+                    match engine.run_governed(q, &spec) {
+                        Ok(a) => {
+                            h.u64(u64::from(a.is_degraded()));
+                            h.u64(a.lo().to_bits());
+                            h.u64(a.hi().to_bits());
+                        }
+                        Err(QueryError::Core(CoreError::Exhausted(ex))) => {
+                            h.u64(2);
+                            h.bytes(ex.resource.to_string().as_bytes());
+                            h.u64(ex.spent);
+                            h.u64(ex.limit);
+                        }
+                        Err(e) => {
+                            h.u64(3);
+                            h.bytes(e.to_string().as_bytes());
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // Taken when the engine's governed path still ran the sequential
+    // ObjectId recursion with a per-query memo.
+    assert_eq!(h.0, 8_781_390_023_580_254_822, "governed outcomes changed");
 }

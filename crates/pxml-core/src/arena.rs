@@ -1,11 +1,12 @@
-//! Flat-memory arena/CSR lowering of a [`ProbInstance`] (ROADMAP item 3).
+//! Flat-memory arena/CSR lowering of a [`ProbInstance`].
 //!
 //! A [`ArenaInstance`] stores one instance in contiguous arrays:
 //!
-//! * an **object arena** — dense `u32` indices assigned in the
-//!   deterministic topological order of the weak instance graph
-//!   ([`crate::weak::WeakInstance::topo_order`]), so parents precede
-//!   children and a bottom-up pass is a reverse index sweep;
+//! * an **object arena** — row `x` describes `ObjectId::from_raw(x)`,
+//!   so the arena needs no index space of its own: cached layers and
+//!   link keys stay valid across re-lowerings that keep the objects
+//!   they name. A row without a weak node (a dangling reference, or an
+//!   object a mutation removed) has an empty CSR row and no OPF;
 //! * **CSR adjacency** for `lch` — `child_offsets[x]..child_offsets[x+1]`
 //!   delimits object `x`'s packed child/label rows, copied verbatim from
 //!   its [`crate::childset::ChildUniverse`] so CSR row offsets *are*
@@ -24,7 +25,7 @@
 //! bit-identical, and absent from the paper's workloads.
 //!
 //! Entry-level mutations (those that change OPF entries but not the
-//! weak skeleton) leave the index order and both CSRs valid, so
+//! weak skeleton) leave both CSRs valid, so
 //! [`ArenaInstance::patch_opfs`] re-lowers just the dirty objects' slots:
 //! in place when the new OPF has the old slot's shape, otherwise into a
 //! fresh slab range, compacting once dead ranges outgrow the live ones.
@@ -41,7 +42,7 @@ use crate::prob_instance::ProbInstance;
 /// How one object's OPF is stored in the arena slabs.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum OpfSlot {
-    /// The object has no OPF (leaves, or phantom references).
+    /// The object has no OPF (leaves, and rows without a weak node).
     Missing,
     /// [`crate::opf::IndependentOpf`]: per-position presence
     /// probabilities in `indep[start..start + len]`.
@@ -130,44 +131,38 @@ pub enum OpfView<'a> {
 
 /// A [`ProbInstance`] lowered to flat arrays (see the module docs).
 ///
-/// Arena indices are dense `u32`s in `0..len()`. Indices below
-/// [`ArenaInstance::member_count`] are the instance's members in
-/// deterministic topological order; any remaining indices are
-/// *phantoms* — objects referenced from some child universe (or the
-/// root, on degenerate unchecked instances) without being members
-/// themselves. Phantoms have empty CSR rows and no OPF, which makes
-/// every index lookup total even on hostile inputs.
+/// Rows are the raw object ids `0..len()`, where `len()` is one past
+/// the largest id the instance mentions (members, the root, universe
+/// children). Row `x` is `ObjectId::from_raw(x)`'s; a row whose object
+/// has no weak node — a dangling reference on a hostile input, or an
+/// object a mutation deleted — has an empty CSR row, no parents and no
+/// OPF, which makes every row lookup total.
 #[derive(Clone, Debug)]
 pub struct ArenaInstance {
-    /// Arena index → object id (the index assignment order).
-    order: Vec<ObjectId>,
-    /// Object id → arena index (total over `order`).
-    index: HashMap<ObjectId, u32>,
-    /// Number of real members; `order[members..]` are phantoms.
-    members: u32,
-    /// Arena index of the instance root.
+    /// Row of the instance root (its raw id).
     root: u32,
-    /// CSR row offsets, length `order.len() + 1`, monotone.
+    /// CSR row offsets, length `len() + 1`, monotone.
     child_offsets: Vec<u32>,
-    /// Packed child arena indices (row `x` = universe of `order[x]`).
+    /// Packed raw child ids (row `x` = universe of object `x`).
     children: Vec<u32>,
     /// Packed edge labels, parallel to `children`.
     child_labels: Vec<Label>,
     /// Whether the entry is an edge of the weak instance graph
     /// (`card(o, l).max ≥ 1`), parallel to `children`.
     child_weak: Vec<bool>,
-    /// Reverse CSR over the weak edges, length `order.len() + 1`:
+    /// Reverse CSR over the weak edges, length `len() + 1`:
     /// `parents[parent_offsets[x]..parent_offsets[x + 1]]` are the
     /// distinct members with a weak edge into member `x`, ascending.
-    /// Phantom rows are empty, as in [`crate::weak::WeakInstance::parents`].
+    /// Rows of non-members are empty, as in
+    /// [`crate::weak::WeakInstance::parents`].
     parent_offsets: Vec<u32>,
-    /// Packed parent arena indices.
+    /// Packed raw parent ids.
     parents: Vec<u32>,
     /// True when no object appears as a child more than once and the
     /// root is nobody's child — the flat pipeline then skips dedup and
     /// the (unfireable) §6 tree-shape checks.
     forest: bool,
-    /// Per-object OPF slot, length `order.len()`.
+    /// Per-object OPF slot, length `len()`.
     slots: Vec<OpfSlot>,
     /// Slab of independent-OPF presence probabilities.
     indep: Vec<f64>,
@@ -186,12 +181,12 @@ impl ArenaInstance {
     /// Lowers `pi`, rejecting universes with duplicate or ambiguous
     /// `(child, label)` rows with a typed error — the checks an
     /// unchecked instance may have skipped and that the CSR layout
-    /// relies on for unambiguous position arithmetic.
+    /// relies on for unambiguous position arithmetic. Members are
+    /// checked in id order: of several malformed universes, the one
+    /// with the smallest id is reported.
     pub fn lower(pi: &ProbInstance) -> Result<ArenaInstance> {
         let a = Self::lower_unchecked(pi);
-        for idx in 0..a.members as usize {
-            let o = a.order[idx];
-            let Some(node) = pi.weak().node(o) else { continue };
+        for (o, node) in pi.weak().nodes().iter() {
             let mut seen: HashMap<ObjectId, Label> = HashMap::new();
             for (_, c, l) in node.universe().iter() {
                 match seen.get(&c) {
@@ -215,48 +210,20 @@ impl ArenaInstance {
         Ok(a)
     }
 
-    /// Lowers `pi` without validation. Never fails: members missed by
-    /// the topological sort (cyclic or unreachable unchecked instances)
-    /// are appended in ascending id order, and dangling references
-    /// become phantom indices.
+    /// Lowers `pi` without validation. Never fails: cyclic or
+    /// unreachable unchecked instances lower row for row like any
+    /// other, and dangling references get rows without a weak node.
     pub fn lower_unchecked(pi: &ProbInstance) -> ArenaInstance {
         let weak = pi.weak();
-        let mut order = weak.topo_order().unwrap_or_default();
-        let mut index: HashMap<ObjectId, u32> = HashMap::with_capacity(order.len() * 2 + 8);
-        for (i, &o) in order.iter().enumerate() {
-            index.insert(o, i as u32);
-        }
-        let mut rest: Vec<ObjectId> = weak.objects().filter(|o| !index.contains_key(o)).collect();
-        rest.sort_unstable();
-        for o in rest {
-            index.insert(o, order.len() as u32);
-            order.push(o);
-        }
-        let members = order.len() as u32;
-
-        // Phantoms: universe children (and, defensively, the root) that
-        // are not members, in ascending id order.
-        let mut phantoms: Vec<ObjectId> = Vec::new();
-        for &o in &order {
-            if let Some(node) = weak.node(o) {
-                for (_, c, _) in node.universe().iter() {
-                    if !index.contains_key(&c) {
-                        phantoms.push(c);
-                    }
-                }
+        let root = pi.root().raw();
+        let mut total = root as usize + 1;
+        for (o, node) in weak.nodes().iter() {
+            total = total.max(o.index() + 1);
+            for (_, c, _) in node.universe().iter() {
+                total = total.max(c.index() + 1);
             }
         }
-        if !index.contains_key(&pi.root()) {
-            phantoms.push(pi.root());
-        }
-        phantoms.sort_unstable();
-        phantoms.dedup();
-        for o in phantoms {
-            index.insert(o, order.len() as u32);
-            order.push(o);
-        }
-
-        let total = order.len();
+        let mut member = vec![false; total];
         let mut child_offsets = Vec::with_capacity(total + 1);
         let mut children = Vec::new();
         let mut child_labels = Vec::new();
@@ -267,17 +234,18 @@ impl ArenaInstance {
         let mut table_probs = Vec::new();
         let mut fallback = Vec::new();
 
-        for (i, &o) in order.iter().enumerate() {
+        for (x, is_member) in member.iter_mut().enumerate() {
             child_offsets.push(children.len() as u32);
-            let node = if i < members as usize { weak.node(o) } else { None };
-            let Some(node) = node else {
+            let o = ObjectId::from_raw(x as u32);
+            let Some(node) = weak.node(o) else {
                 slots.push(OpfSlot::Missing);
                 continue;
             };
+            *is_member = true;
             // Per-label weak participation, cached per node.
             let mut weak_by_label: Vec<(Label, bool)> = Vec::new();
             for (_, c, l) in node.universe().iter() {
-                children.push(index[&c]);
+                children.push(c.raw());
                 child_labels.push(l);
                 let w = match weak_by_label.iter().find(|&&(wl, _)| wl == l) {
                     Some(&(_, w)) => w,
@@ -299,9 +267,8 @@ impl ArenaInstance {
             ));
         }
         child_offsets.push(children.len() as u32);
-        let root = index[&pi.root()];
         let (parent_offsets, parents) =
-            reverse_weak_csr(&child_offsets, &children, &child_weak, members);
+            reverse_weak_csr(&child_offsets, &children, &child_weak, &member);
 
         // Forest detection: when no object appears as a child more than
         // once (and the root is nobody's child), the flat query pipeline
@@ -320,9 +287,6 @@ impl ArenaInstance {
         };
 
         let a = ArenaInstance {
-            order,
-            index,
-            members,
             root,
             child_offsets,
             children,
@@ -344,8 +308,8 @@ impl ArenaInstance {
 
     /// Re-lowers the OPFs of `dirty` after an entry-level mutation of
     /// `pi` — one that changed OPF or VPF entries but not the weak
-    /// skeleton this arena was lowered from, so the index order and both
-    /// CSRs stay valid and only those slots can differ. A new OPF with
+    /// skeleton this arena was lowered from, so both CSRs stay valid
+    /// and only those slots can differ. A new OPF with
     /// its old slot's shape (kind and length) overwrites the slot's slab
     /// range in place; any other goes to a fresh range and the old one
     /// becomes garbage. Once garbage exceeds the live slab entries the
@@ -354,11 +318,8 @@ impl ArenaInstance {
     /// cost nothing.
     pub fn patch_opfs(&mut self, pi: &ProbInstance, dirty: &[ObjectId]) {
         for &o in dirty {
-            let Some(x) = self.index_of(o) else { continue };
-            if x >= self.members {
-                continue; // phantoms carry no OPF
-            }
             let Some(node) = pi.weak().node(o) else { continue };
+            let x = o.raw();
             let (s, e) = self.child_range(x);
             debug_assert_eq!(node.universe().len(), (e - s) as usize, "skeleton changed");
             self.patch_slot(x, pi.opf(o), node.universe().fits_mask());
@@ -410,7 +371,7 @@ impl ArenaInstance {
         );
     }
 
-    /// Rewrites the slabs with only the live ranges, in index order —
+    /// Rewrites the slabs with only the live ranges, in row order —
     /// the layout a fresh lowering of the same instance produces.
     fn compact_slabs(&mut self) {
         let (mut n_indep, mut n_table) = (0, 0);
@@ -454,44 +415,24 @@ impl ArenaInstance {
         self.garbage = 0;
     }
 
-    /// Total number of arena indices (members plus phantoms).
+    /// Number of rows: one past the largest raw id the instance mentions.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.slots.len()
     }
 
-    /// True when the arena holds no objects at all.
+    /// True when the arena has no rows (never, once lowered: the root
+    /// has one).
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.slots.is_empty()
     }
 
-    /// Number of real members (phantom indices start here).
-    pub fn member_count(&self) -> u32 {
-        self.members
-    }
-
-    /// The arena index of the instance root.
+    /// The row of the instance root (its raw id).
     pub fn root_index(&self) -> u32 {
         self.root
     }
 
-    /// Arena index → object id. Panics on an out-of-range index.
-    pub fn object_at(&self, x: u32) -> ObjectId {
-        self.order[x as usize]
-    }
-
-    /// Object id → arena index, if the object appears anywhere in the
-    /// instance (as member or phantom reference).
-    pub fn index_of(&self, o: ObjectId) -> Option<u32> {
-        self.index.get(&o).copied()
-    }
-
-    /// The index assignment order (members first, in topological order).
-    pub fn order(&self) -> &[ObjectId] {
-        &self.order
-    }
-
     /// The distinct members with a weak edge into `x`, ascending (empty
-    /// for phantoms) — the weak parent map as a reverse CSR row.
+    /// for non-members) — the weak parent map as a reverse CSR row.
     pub fn parents_of(&self, x: u32) -> &[u32] {
         let (s, e) = (self.parent_offsets[x as usize], self.parent_offsets[x as usize + 1]);
         &self.parents[s as usize..e as usize]
@@ -529,7 +470,7 @@ impl ArenaInstance {
         (self.child_offsets[x as usize], self.child_offsets[x as usize + 1])
     }
 
-    /// The child arena index of packed entry `i`.
+    /// The raw child id of packed entry `i`.
     pub fn child(&self, i: u32) -> u32 {
         self.children[i as usize]
     }
@@ -625,25 +566,24 @@ impl ArenaInstance {
     }
 
     /// The per-depth reach sets of a root-anchored label path over the
-    /// weak edges, as sorted arena indices (the flat counterpart of
+    /// weak edges, as sorted raw ids (the flat counterpart of
     /// `layers_weak`; membership per depth is identical).
     pub fn layers_flat(&self, labels: &[Label]) -> Vec<Vec<u32>> {
         self.layers_flat_from(self.root, labels)
     }
 
-    /// The per-depth reach sets of `labels` from arena index `start`
-    /// over the weak edges, as sorted arena indices; layer 0 is
-    /// `[start]`. [`ArenaInstance::layers_flat`] is the root case.
+    /// The per-depth reach sets of `labels` from row `start` over the
+    /// weak edges, as sorted raw ids; layer 0 is `[start]`.
+    /// [`ArenaInstance::layers_flat`] is the root case.
     pub fn layers_flat_from(&self, start: u32, labels: &[Label]) -> Vec<Vec<u32>> {
         // On forests no child can be reached twice, so dedup is free;
         // otherwise a stamp per object replaces per-layer sort+dedup
-        // hashing (an index is pushed at most once per depth). Either
-        // way the sort is skipped when the push order is already
-        // ascending — the common case, because parents are visited in
-        // ascending order and CSR rows follow the topological index
-        // order on trees.
-        let mut stamp =
-            if self.forest { Vec::new() } else { vec![u32::MAX; self.order.len()] };
+        // hashing (an id is pushed at most once per depth). Either way
+        // the sort is skipped when the push order is already ascending —
+        // the common case, because parents are visited in ascending
+        // order and breadth-first id assignment gives each parent's
+        // children one ascending block of ids.
+        let mut stamp = if self.forest { Vec::new() } else { vec![u32::MAX; self.len()] };
         let mut layers = Vec::with_capacity(labels.len() + 1);
         layers.push(vec![start]);
         for (d, &label) in labels.iter().enumerate() {
@@ -674,7 +614,7 @@ impl ArenaInstance {
 
     /// The kept region for `targets` with the Section 6 tree-shape
     /// checks (unique role, unique kept parent), mirroring the legacy
-    /// kept-region construction over arena indices. Layers must come
+    /// kept-region construction over raw ids. Layers must come
     /// from [`ArenaInstance::layers_flat_from`] for the same labels. A
     /// violation reports the object the legacy check reports (see
     /// [`ArenaInstance::tree_shape_error`]).
@@ -713,7 +653,7 @@ impl ArenaInstance {
             }
             return Ok(kept);
         }
-        let total = self.order.len();
+        let total = self.len();
         // General (DAG) path: one dense depth mark per object replaces
         // both the per-layer membership binary searches and the role
         // hash map — an object's mark is the kept depth it was admitted
@@ -774,7 +714,7 @@ impl ArenaInstance {
     /// That check builds every kept layer independently, then tests
     /// unique roles and unique kept parents in ascending [`ObjectId`]
     /// order, so the object it names can differ from the first
-    /// violation the index-ordered sweep of [`ArenaInstance::kept_flat`]
+    /// violation the bottom-up sweep of [`ArenaInstance::kept_flat`]
     /// meets. Error path only: the caller has already found a
     /// violation, and the legacy check finds one exactly when it does.
     #[cold]
@@ -802,22 +742,18 @@ impl ArenaInstance {
                 .collect();
             kept[d] = layer;
         }
-        let by_id = |layer: &[u32]| {
-            let mut v = layer.to_vec();
-            v.sort_unstable_by_key(|&x| self.order[x as usize]);
-            v
-        };
-        let mut seen = vec![false; self.order.len()];
+        // Every layer is sorted by id, the legacy check's order.
+        let mut seen = vec![false; self.len()];
         for layer in &kept {
-            for x in by_id(layer) {
+            for &x in layer {
                 if std::mem::replace(&mut seen[x as usize], true) {
-                    return CoreError::NotTreeShaped(self.order[x as usize]);
+                    return CoreError::NotTreeShaped(ObjectId::from_raw(x));
                 }
             }
         }
         for d in 0..n {
             let mut parent_of: HashMap<u32, u32> = HashMap::new();
-            for x in by_id(&kept[d]) {
+            for &x in &kept[d] {
                 let (s, e) = self.child_range(x);
                 for i in s..e {
                     let c = self.children[i as usize];
@@ -825,7 +761,7 @@ impl ArenaInstance {
                         && kept[d + 1].binary_search(&c).is_ok()
                         && parent_of.insert(c, x).is_some_and(|prev| prev != x)
                     {
-                        return CoreError::NotTreeShaped(self.order[c as usize]);
+                        return CoreError::NotTreeShaped(ObjectId::from_raw(c));
                     }
                 }
             }
@@ -915,7 +851,7 @@ impl ArenaInstance {
             let x = kept[d][k];
             if !self.has_opf(x) {
                 state[d][k] = Grant::Stopped;
-                let missing = CoreError::UnknownObject(self.order[x as usize]);
+                let missing = CoreError::UnknownObject(ObjectId::from_raw(x));
                 return Grants { state, stop: Some(missing) };
             }
             state[d][k] = Grant::Granted;
@@ -1013,7 +949,7 @@ impl ArenaInstance {
                     })
                 };
                 let v = match (self.survival_probability(x, &lo_children), child_error) {
-                    (None, _) => Err(CoreError::UnknownObject(self.order[x as usize])),
+                    (None, _) => Err(CoreError::UnknownObject(ObjectId::from_raw(x))),
                     (Some(_), Some(e)) => Err(e),
                     (Some(lo), None) => {
                         opf_entries += self.stored_len(x);
@@ -1068,7 +1004,7 @@ impl ArenaInstance {
     /// `P(target ∈ p)` for a root-anchored label path, entirely over
     /// the flat layout.
     pub fn point_flat(&self, labels: &[Label], target: ObjectId) -> Result<f64> {
-        let Some(t) = self.index_of(target) else { return Ok(0.0) };
+        let t = target.raw();
         let layers = self.layers_flat(labels);
         let located = layers.last().cloned().unwrap_or_default();
         if located.binary_search(&t).is_err() {
@@ -1080,10 +1016,10 @@ impl ArenaInstance {
 
     /// Layout-invariant check (debug-asserted after every lowering and
     /// exercised by the fuzz harness): CSR offsets monotone and closed,
-    /// child arrays in-bounds and mutually parallel, OPF slot ranges
-    /// in-bounds, and the id↔index maps mutually inverse.
+    /// child arrays in-bounds and mutually parallel, every reverse-CSR
+    /// parent a weak parent of its row, and OPF slot ranges in-bounds.
     pub fn debug_validate(&self) -> std::result::Result<(), String> {
-        let total = self.order.len();
+        let total = self.len();
         if self.child_offsets.len() != total + 1 {
             return Err(format!(
                 "offsets length {} != objects + 1 ({})",
@@ -1091,10 +1027,7 @@ impl ArenaInstance {
                 total + 1
             ));
         }
-        if self.members as usize > total {
-            return Err(format!("member count {} exceeds arena size {total}", self.members));
-        }
-        if self.root as usize >= total && total > 0 {
+        if self.root as usize >= total {
             return Err(format!("root index {} out of bounds", self.root));
         }
         for w in self.child_offsets.windows(2) {
@@ -1120,11 +1053,20 @@ impl ArenaInstance {
         {
             return Err("parent CSR offsets malformed".into());
         }
-        if self.parents.iter().any(|&p| p >= self.members) {
-            return Err("parent index is not a member".into());
-        }
-        if self.slots.len() != total {
-            return Err("one OPF slot per object required".into());
+        for x in 0..total as u32 {
+            let ps = self.parents_of(x);
+            if ps.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!("parents of {x} not strictly ascending"));
+            }
+            for &p in ps {
+                let weak_edge = (p as usize) < total && {
+                    let (s, e) = self.child_range(p);
+                    (s..e).any(|i| self.children[i as usize] == x && self.child_weak[i as usize])
+                };
+                if !weak_edge {
+                    return Err(format!("parent {p} of {x} has no weak edge into it"));
+                }
+            }
         }
         if self.table_masks.len() != self.table_probs.len() {
             return Err("table slabs are not parallel".into());
@@ -1153,14 +1095,6 @@ impl ArenaInstance {
         if live + self.garbage != self.indep.len() + self.table_masks.len() + self.fallback.len() {
             return Err("slab garbage count disagrees with the live slots".into());
         }
-        if self.index.len() != total {
-            return Err("id→index map size mismatch".into());
-        }
-        for (i, &o) in self.order.iter().enumerate() {
-            if self.index.get(&o).copied() != Some(i as u32) {
-                return Err(format!("index map disagrees with order at {i}"));
-            }
-        }
         Ok(())
     }
 }
@@ -1180,13 +1114,13 @@ fn slab_expressible(opf: &Opf, fits_mask: bool) -> bool {
 }
 
 /// The weak parent map as a reverse CSR `(offsets, parents)`: each
-/// member's distinct weak parents, ascending. Phantom children get no
-/// parents, matching [`crate::weak::WeakInstance::parents`].
+/// member's distinct weak parents, ascending. Children without a weak
+/// node get no parents, matching [`crate::weak::WeakInstance::parents`].
 fn reverse_weak_csr(
     child_offsets: &[u32],
     children: &[u32],
     child_weak: &[bool],
-    members: u32,
+    member: &[bool],
 ) -> (Vec<u32>, Vec<u32>) {
     let total = child_offsets.len() - 1;
     // `last[c]` is the last parent recorded for `c`; rows are visited in
@@ -1195,11 +1129,11 @@ fn reverse_weak_csr(
     let mut offsets = vec![0u32; total + 1];
     let mut each_edge = |f: &mut dyn FnMut(u32, u32)| {
         last.fill(u32::MAX);
-        for x in 0..members {
+        for x in 0..total as u32 {
             let (s, e) = (child_offsets[x as usize], child_offsets[x as usize + 1]);
             for i in s as usize..e as usize {
                 let c = children[i];
-                if child_weak[i] && c < members && last[c as usize] != x {
+                if child_weak[i] && member[c as usize] && last[c as usize] != x {
                     last[c as usize] = x;
                     f(x, c);
                 }
@@ -1259,18 +1193,19 @@ mod tests {
     use crate::fixtures::{chain, fig2_instance};
 
     #[test]
-    fn lowering_assigns_topological_indices() {
-        let pi = chain(3, 0.5);
+    fn row_x_is_object_x() {
+        let pi = fig2_instance();
         let a = ArenaInstance::lower(&pi).expect("valid instance lowers");
-        assert_eq!(a.len(), 4);
-        assert_eq!(a.member_count(), 4);
-        assert_eq!(a.object_at(a.root_index()), pi.root());
-        // Parents precede children in the index order.
-        for x in 0..a.len() as u32 {
-            let (s, e) = a.child_range(x);
-            for i in s..e {
-                assert!(a.child(i) > x, "topological order violated");
-            }
+        assert_eq!(a.len(), pi.weak().catalog().object_count());
+        assert_eq!(a.root_index(), pi.root().raw());
+        for o in pi.weak().objects() {
+            let (s, e) = a.child_range(o.raw());
+            let row: Vec<(ObjectId, Label)> =
+                (s..e).map(|i| (ObjectId::from_raw(a.child(i)), a.child_label(i))).collect();
+            let universe: Vec<(ObjectId, Label)> =
+                pi.weak().node(o).unwrap().universe().iter().map(|(_, c, l)| (c, l)).collect();
+            assert_eq!(row, universe, "row of {o:?}");
+            assert_eq!(a.has_opf(o.raw()), pi.opf(o).is_some(), "OPF of {o:?}");
         }
         assert_eq!(a.debug_validate(), Ok(()));
     }
@@ -1367,7 +1302,7 @@ mod tests {
 
     /// Slot-for-slot equality of the lowered OPFs, `to_bits`-exact.
     fn assert_same_opfs(a: &ArenaInstance, b: &ArenaInstance) {
-        assert_eq!(a.order(), b.order());
+        assert_eq!(a.len(), b.len());
         let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for x in 0..a.len() as u32 {
             match (a.opf_view(x), b.opf_view(x)) {
@@ -1449,12 +1384,18 @@ mod tests {
         let a = ArenaInstance::lower(&pi).unwrap();
         let parents = pi.weak().parents();
         for o in pi.weak().objects() {
-            let x = a.index_of(o).unwrap();
-            let mut want: Vec<u32> =
-                parents.get(o).unwrap().iter().map(|&p| a.index_of(p).unwrap()).collect();
+            let mut want: Vec<u32> = parents.get(o).unwrap().iter().map(|p| p.raw()).collect();
             want.sort_unstable();
-            assert_eq!(a.parents_of(x), &want[..], "parents of {o:?}");
+            assert_eq!(a.parents_of(o.raw()), &want[..], "parents of {o:?}");
         }
+    }
+
+    /// Row `x` has an empty CSR row, no OPF and no parents.
+    fn assert_empty_row(a: &ArenaInstance, x: u32) {
+        let (s, e) = a.child_range(x);
+        assert_eq!(s, e, "row {x} has children");
+        assert!(!a.has_opf(x), "row {x} has an OPF");
+        assert!(a.parents_of(x).is_empty(), "row {x} has parents");
     }
 
     #[test]
@@ -1463,8 +1404,25 @@ mod tests {
         let (pi, ids) = hostile(&[("ghost", "x")], false);
         let a = ArenaInstance::lower_unchecked(&pi);
         assert_eq!(a.len(), 2);
-        assert_eq!(a.member_count(), 1);
-        assert!(a.index_of(ids[1]).is_some());
+        let (ghost, x) = (ids[1], pi.lid("x").unwrap());
+        assert_empty_row(&a, ghost.raw());
+        // Nothing is reachable through the dangling child.
+        assert_eq!(a.point_flat(&[x, x], ghost).unwrap(), 0.0);
+        assert_eq!(a.debug_validate(), Ok(()));
+
+        // A deleted object keeps its row, empty, after re-lowering.
+        use crate::mutate::Mutation;
+        let mut pi = fig2_instance();
+        let i1 = pi.oid("I1").unwrap();
+        let len = ArenaInstance::lower(&pi).unwrap().len();
+        pi.apply(&Mutation::DeleteObject { object: i1 }).unwrap();
+        let a = ArenaInstance::lower(&pi).unwrap();
+        assert!(i1.index() < len - 1, "I1 is not the largest id");
+        assert_eq!(a.len(), len);
+        assert_empty_row(&a, i1.raw());
+        let labels: Vec<Label> =
+            ["book", "author", "institution"].iter().map(|l| pi.lid(l).unwrap()).collect();
+        assert_eq!(a.point_flat(&labels, i1).unwrap(), 0.0);
         assert_eq!(a.debug_validate(), Ok(()));
     }
 }

@@ -10,9 +10,8 @@
 //! holds is exactly what evaluation would recompute against the current
 //! instance:
 //!
-//! * **layers** — translate the cached arena indices back to
-//!   [`ObjectId`]s and compare with the legacy forward locate pass
-//!   (`layers_weak`).
+//! * **layers** — read the cached raw ids as [`ObjectId`]s and compare
+//!   with the legacy forward locate pass (`layers_weak`).
 //! * **links** — compare against `℘(parent)`'s marginal at the cached
 //!   universe position.
 //! * **results** — rerun each cached query on a fresh single-threaded
@@ -56,34 +55,16 @@ impl QueryEngine {
 
     fn audit_layers(&self, findings: &mut Vec<String>) {
         let pi = self.instance();
-        let arena = self.arena();
         for ((root, labels), cached) in self.cache().layer_entries() {
-            // Layers hold arena indices under the current lowering.
-            let translated: Option<Vec<Vec<ObjectId>>> = cached
-                .iter()
-                .map(|l| {
-                    let mut objects = l
-                        .iter()
-                        .map(|&x| ((x as usize) < arena.len()).then(|| arena.object_at(x)))
-                        .collect::<Option<Vec<ObjectId>>>()?;
-                    objects.sort_unstable();
-                    Some(objects)
-                })
-                .collect();
-            let Some(translated) = translated else {
-                findings.push(format!(
-                    "layers[{root:?}, {:?}]: index outside the current lowering",
-                    labels.labels()
-                ));
-                continue;
-            };
+            let cached: Vec<Vec<ObjectId>> =
+                cached.iter().map(|l| l.iter().map(|&x| ObjectId::from_raw(x)).collect()).collect();
             let p = PathExpr::new(root, labels.labels().to_vec());
             let fresh = layers_weak(pi.weak(), &p);
-            if translated != fresh {
+            if cached != fresh {
                 findings.push(format!(
                     "layers[{root:?}, {:?}]: cached {:?} != fresh {:?}",
                     labels.labels(),
-                    translated,
+                    cached,
                     fresh
                 ));
             }
@@ -92,16 +73,8 @@ impl QueryEngine {
 
     fn audit_links(&self, findings: &mut Vec<String>) {
         let pi = self.instance();
-        let arena = self.arena();
         for ((pidx, pos), cached) in self.cache().link_entries() {
-            // Link keys are arena indices under the current lowering;
-            // translate back to the ObjectId the legacy oracle speaks.
-            let Some(parent) = ((pidx as usize) < arena.len()).then(|| arena.object_at(pidx))
-            else {
-                findings
-                    .push(format!("links[{pidx}, {pos}]: index outside the current lowering"));
-                continue;
-            };
+            let parent = ObjectId::from_raw(pidx);
             let fresh = match pi.opf(parent) {
                 Some(opf) if (pos as usize) < pi.weak().node(parent).map_or(0, |n| n.universe().len()) => {
                     opf.marginal_present(pos)

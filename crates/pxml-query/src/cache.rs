@@ -7,11 +7,11 @@
 //!   queries in a batch (common in generated workloads, where distinct
 //!   path expressions are few) cost one lookup.
 //! * **layers** — the forward locate pass, keyed by `(root, full label
-//!   path)` and holding sorted **arena indices** of the engine's current
-//!   [`pxml_core::ArenaInstance`]. Every query over the same path
-//!   expression shares one traversal, and the entry doubles as the
+//!   path)` and holding sorted raw object ids, the row numbers of the
+//!   engine's [`pxml_core::ArenaInstance`]. Every query over the same
+//!   path expression shares one traversal, and the entry doubles as the
 //!   witness that dirty-set invalidation tests results against.
-//! * **links** — per-OPF child marginals `(parent arena index, universe
+//! * **links** — per-OPF child marginals `(parent raw id, universe
 //!   position) → P(child present)` used by chain queries.
 //!
 //! There is no ε memo: a point/exists miss re-runs the flat §6.1 sweep
@@ -19,12 +19,6 @@
 //! shared `(object, path suffix, target)` ε table hit 15–24 times in
 //! ~470k lookups, and its inserts forced whole-table evictions under
 //! the byte ceiling.
-//!
-//! Arena indices are only stable while the index order is. Entry-level
-//! mutations keep it; when a structural mutation re-lowers the instance
-//! into a different order, [`MarginalCache::invalidate_rekeyed`]
-//! translates the surviving layers entries into the new indices and
-//! wipes the link table.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -63,7 +57,7 @@ impl<K, V> Default for Shard<K, V> {
     }
 }
 
-/// Per-depth located layers as sorted arena indices, shared between
+/// Per-depth located layers as sorted raw object ids, shared between
 /// queries over the same path.
 pub(crate) type Layers = Arc<Vec<Vec<u32>>>;
 
@@ -233,8 +227,8 @@ impl MarginalCache {
         self.admit(&self.results, q, r, RESULT_ENTRY_BYTES + extra);
     }
 
-    /// Located-layers lookup for `(root, path labels)`: sorted arena
-    /// indices of the engine's current lowering.
+    /// Located-layers lookup for `(root, path labels)`: sorted raw
+    /// object ids.
     pub fn get_layers(&self, root: ObjectId, path: &LabelPath) -> Option<Layers> {
         self.layers.read().map.get(&(root, path.clone())).map(|e| Arc::clone(&e.value))
     }
@@ -249,12 +243,12 @@ impl MarginalCache {
     }
 
     /// Chain-link marginal lookup: `P(child at universe position ∈
-    /// children(parent))`. `parent` is an arena index.
+    /// children(parent))`. `parent` is a raw object id.
     pub fn get_link(&self, parent: u32, pos: u32) -> Option<f64> {
         self.links.read().map.get(&(parent, pos)).map(|e| e.value)
     }
 
-    /// Chain-link marginal insert. `parent` is an arena index.
+    /// Chain-link marginal insert. `parent` is a raw object id.
     pub fn put_link(&self, parent: u32, pos: u32, value: f64) {
         self.admit(&self.links, (parent, pos), value, LINK_ENTRY_BYTES);
     }
@@ -287,9 +281,8 @@ impl MarginalCache {
     /// entries whose keys can be affected, leaving the rest warm.
     ///
     /// `direct` is the set `D` of directly changed objects (mutated
-    /// parents, removed objects, the inserted object) and `direct_idx`
-    /// its arena indices under the lowering the cached entries were
-    /// keyed under. Per table:
+    /// parents, removed objects, the inserted object) as raw ids — the
+    /// arena rows the layers and link tables are keyed by. Per table:
     ///
     /// * **links** — `(parent, pos)` memoises one OPF marginal: evict
     ///   `parent ∈ D`.
@@ -307,105 +300,14 @@ impl MarginalCache {
     ///   evict on overlap with `D`, or conservatively when the layers
     ///   entry is gone.
     ///
-    /// Only call this while the index order still holds (always after
-    /// an entry-level mutation, which patches the arena in place); after
-    /// a structural re-lowering that changed it, use
-    /// [`MarginalCache::invalidate_rekeyed`].
-    pub fn invalidate_dirty(
-        &self,
-        direct: &HashSet<ObjectId>,
-        direct_idx: &HashSet<u32>,
-        structural: bool,
-    ) -> InvalidationCounts {
+    /// A layers entry touches `D` when some member of `D` is found by
+    /// binary search in one of its sorted layers; each distinct `(root,
+    /// labels)` verdict is computed once per call and shared by every
+    /// result over that path. Freed bytes are the entries' *admitted*
+    /// costs, so the accounting stays exactly in step with `admit`.
+    pub fn invalidate_dirty(&self, direct: &HashSet<u32>, structural: bool) -> InvalidationCounts {
         let mut counts = InvalidationCounts::default();
-        self.invalidate_results_and_layers(direct, direct_idx, structural, &mut counts);
-
-        let mut s = self.links.write();
-        let mut freed = 0u64;
-        s.map.retain(|(parent, _), e| {
-            let stale = direct_idx.contains(parent);
-            if stale {
-                freed += e.cost;
-                counts.links += 1;
-            }
-            !stale
-        });
-        s.bytes = s.bytes.saturating_sub(freed);
-        self.total_bytes.fetch_sub(freed, Ordering::Relaxed);
-        counts
-    }
-
-    /// Dirty-set invalidation when the mutation changed the arena's
-    /// index order (an object appeared, disappeared, or the topological
-    /// order shifted). `old_direct_idx` holds the *old* lowering's
-    /// indices of `D` — removed objects still have one there — so the
-    /// results and layers tables are filtered exactly as in
-    /// [`MarginalCache::invalidate_dirty`]. Each surviving layers entry
-    /// is then re-keyed through `rekey` (old index → new index, `None`
-    /// for an object the new lowering lacks) and re-sorted; an entry
-    /// holding a removed object is stale and evicted. The link table is
-    /// wiped wholesale. Freed bytes are accounted exactly.
-    pub fn invalidate_rekeyed(
-        &self,
-        direct: &HashSet<ObjectId>,
-        old_direct_idx: &HashSet<u32>,
-        structural: bool,
-        rekey: impl Fn(u32) -> Option<u32>,
-    ) -> InvalidationCounts {
-        let mut counts = InvalidationCounts::default();
-        self.invalidate_results_and_layers(direct, old_direct_idx, structural, &mut counts);
-
-        {
-            let mut s = self.layers.write();
-            let mut freed = 0u64;
-            s.map.retain(|_, e| {
-                let moved: Option<Vec<Vec<u32>>> = e
-                    .value
-                    .iter()
-                    .map(|layer| {
-                        let mut l = layer.iter().map(|&x| rekey(x)).collect::<Option<Vec<u32>>>()?;
-                        l.sort_unstable();
-                        Some(l)
-                    })
-                    .collect();
-                match moved {
-                    // Same layer lengths, so the admitted cost still holds.
-                    Some(layers) => {
-                        e.value = Arc::new(layers);
-                        true
-                    }
-                    None => {
-                        freed += e.cost;
-                        counts.layers += 1;
-                        false
-                    }
-                }
-            });
-            s.bytes = s.bytes.saturating_sub(freed);
-            self.total_bytes.fetch_sub(freed, Ordering::Relaxed);
-        }
-        let mut s = self.links.write();
-        counts.links += s.map.len() as u64;
-        self.total_bytes.fetch_sub(s.bytes, Ordering::Relaxed);
-        s.map.clear();
-        s.bytes = 0;
-        counts
-    }
-
-    /// The results-and-layers half of dirty invalidation, shared by
-    /// [`MarginalCache::invalidate_dirty`] and
-    /// [`MarginalCache::invalidate_rekeyed`]. A layers entry touches `D`
-    /// when some member of `direct_idx` is found by binary search in one
-    /// of its sorted layers; each distinct `(root, labels)` verdict is
-    /// computed once per call and shared by every result over that path.
-    fn invalidate_results_and_layers(
-        &self,
-        direct: &HashSet<ObjectId>,
-        direct_idx: &HashSet<u32>,
-        structural: bool,
-        counts: &mut InvalidationCounts,
-    ) {
-        let mut dirty: Vec<u32> = direct_idx.iter().copied().collect();
+        let mut dirty: Vec<u32> = direct.iter().copied().collect();
         dirty.sort_unstable();
         let touches_direct = |layers: &[Vec<u32>]| {
             layers.iter().any(|l| dirty.iter().any(|x| l.binary_search(x).is_ok()))
@@ -415,16 +317,14 @@ impl MarginalCache {
         let mut verdicts: HashMap<ObjectId, HashMap<Vec<Label>, bool>> = HashMap::new();
 
         // Results first: the Point/Exists test reads the layers table,
-        // which must still hold the pre-mutation entries. Freed bytes
-        // are the entries' *admitted* costs, so the accounting stays
-        // exactly in step with what `admit` added.
+        // which must still hold the pre-mutation entries.
         {
             let layers = self.layers.read();
             let mut s = self.results.write();
             let mut freed = 0u64;
             s.map.retain(|q, e| {
                 let stale = match q {
-                    Query::Chain { objects } => objects.iter().any(|o| direct.contains(o)),
+                    Query::Chain { objects } => objects.iter().any(|o| direct.contains(&o.raw())),
                     Query::Point { path, .. } | Query::Exists { path } => {
                         let memo = verdicts.entry(path.root).or_default();
                         match memo.get(&path.labels[..]) {
@@ -466,6 +366,20 @@ impl MarginalCache {
             s.bytes = s.bytes.saturating_sub(freed);
             self.total_bytes.fetch_sub(freed, Ordering::Relaxed);
         }
+
+        let mut s = self.links.write();
+        let mut freed = 0u64;
+        s.map.retain(|(parent, _), e| {
+            let stale = direct.contains(parent);
+            if stale {
+                freed += e.cost;
+                counts.links += 1;
+            }
+            !stale
+        });
+        s.bytes = s.bytes.saturating_sub(freed);
+        self.total_bytes.fetch_sub(freed, Ordering::Relaxed);
+        counts
     }
 
     /// Snapshot of the whole-query memo (audit support).
@@ -479,7 +393,7 @@ impl MarginalCache {
     }
 
     /// Snapshot of the link-marginal memo (audit support). Keys are
-    /// `(parent arena index, universe position)`.
+    /// `(parent raw id, universe position)`.
     pub(crate) fn link_entries(&self) -> Vec<((u32, u32), f64)> {
         self.links.read().map.iter().map(|(k, e)| (*k, e.value)).collect()
     }
@@ -629,26 +543,26 @@ mod tests {
     }
 
     impl MarginalCache {
-        /// The linear-scan invalidation the binary-search one replaced,
-        /// kept as its oracle: scans every object of every layer, once
-        /// per cached result.
+        /// The linear-scan invalidation of the results and layers
+        /// tables the binary-search one replaced, kept as its oracle:
+        /// scans every object of every layer, once per cached result.
         fn invalidate_results_and_layers_linear(
             &self,
-            direct: &HashSet<ObjectId>,
-            direct_idx: &HashSet<u32>,
+            direct: &HashSet<u32>,
             structural: bool,
             counts: &mut InvalidationCounts,
         ) {
-            let touches_direct = |layers: &[Vec<u32>]| {
-                layers.iter().any(|l| l.iter().any(|x| direct_idx.contains(x)))
-            };
+            let touches_direct =
+                |layers: &[Vec<u32>]| layers.iter().any(|l| l.iter().any(|x| direct.contains(x)));
             {
                 let layers = self.layers.read();
                 let mut s = self.results.write();
                 let mut freed = 0u64;
                 s.map.retain(|q, e| {
                     let stale = match q {
-                        Query::Chain { objects } => objects.iter().any(|o| direct.contains(o)),
+                        Query::Chain { objects } => {
+                            objects.iter().any(|o| direct.contains(&o.raw()))
+                        }
                         Query::Point { path, .. } | Query::Exists { path } => {
                             match layers.map.get(&(path.root, LabelPath::from(&path.labels[..]))) {
                                 Some(l) => touches_direct(&l.value),
@@ -729,11 +643,8 @@ mod tests {
                 };
                 result_puts.push(q);
             }
-            let direct: HashSet<ObjectId> =
-                (0..rng.gen_range(0..5)).map(|_| o(rng.gen_range(0..objects))).collect();
-            // Arena index = raw id here; the indices drive layers, the
-            // ids chain results.
-            let direct_idx: HashSet<u32> = direct.iter().map(|o| o.raw()).collect();
+            let direct: HashSet<u32> =
+                (0..rng.gen_range(0..5)).map(|_| rng.gen_range(0..objects)).collect();
             let structural = rng.gen_bool(0.5);
 
             let fill = || {
@@ -747,9 +658,9 @@ mod tests {
                 cache
             };
             let (fast, slow) = (fill(), fill());
-            let (mut got, mut want) = (InvalidationCounts::default(), InvalidationCounts::default());
-            fast.invalidate_results_and_layers(&direct, &direct_idx, structural, &mut got);
-            slow.invalidate_results_and_layers_linear(&direct, &direct_idx, structural, &mut want);
+            let got = fast.invalidate_dirty(&direct, structural);
+            let mut want = InvalidationCounts::default();
+            slow.invalidate_results_and_layers_linear(&direct, structural, &mut want);
             assert_eq!(got, want, "round {round}: eviction counts");
             assert_eq!(fast.approx_bytes(), slow.approx_bytes(), "round {round}: freed bytes");
             assert_eq!(fast.approx_bytes(), fast.recomputed_bytes());

@@ -202,14 +202,12 @@ pub struct MutationOutcome {
     pub nanos: u64,
 }
 
-/// A mutation's dirty set, in the forms the cache invalidation takes,
-/// and the size of its ancestor closure.
+/// A mutation's dirty set as the cache invalidation takes it, and the
+/// size of its ancestor closure.
 struct DirtyClosure {
-    /// `D`, the directly changed objects.
-    direct: HashSet<ObjectId>,
-    /// The arena indices of `D` (objects no longer in the arena drop out).
-    direct_idx: HashSet<u32>,
-    /// `|D ∪ ancestors(D)|`, dropped-out objects of `D` included.
+    /// `D`, the directly changed objects, as raw ids.
+    direct: HashSet<u32>,
+    /// `|D ∪ ancestors(D)|`.
     affected: usize,
 }
 
@@ -217,8 +215,8 @@ struct DirtyClosure {
 #[derive(Debug)]
 pub struct QueryEngine {
     pi: ProbInstance,
-    /// Flat lowering of `pi` (arena + CSR + OPF slabs). The ungoverned
-    /// point/exists sweep and the chain kernel run over this. An
+    /// Flat lowering of `pi` (arena + CSR + OPF slabs). The point/exists
+    /// sweep and the chain kernel run over this. An
     /// entry-level mutation patches the dirty objects' OPF slots in
     /// place; a structural one re-lowers it wholesale.
     arena: ArenaInstance,
@@ -360,12 +358,6 @@ impl QueryEngine {
         &self.cache
     }
 
-    /// The current flat lowering (audit support: translating the
-    /// cache's arena indices back to [`ObjectId`]s).
-    pub(crate) fn arena(&self) -> &ArenaInstance {
-        &self.arena
-    }
-
     /// The configured cache-invalidation strategy for mutations.
     pub fn invalidation_policy(&self) -> InvalidationPolicy {
         self.invalidation
@@ -407,18 +399,14 @@ impl QueryEngine {
         // Any mutation can stale the structural summary (presence
         // ceilings read OPF marginals), so rebuild lazily on next use.
         self.summary = OnceLock::new();
-        // Entry-level ops keep the weak skeleton, hence the index order
-        // and both CSRs: patch the dirty OPF slots in place. Structural
-        // ops re-lower wholesale; if the index assignment changed (an
-        // object appeared/disappeared or the topological order shifted),
-        // the old lowering is kept to translate the cache's indices.
-        let rekeyed = if effect.structural {
-            let old = std::mem::replace(&mut self.arena, ArenaInstance::lower_unchecked(&self.pi));
-            (old.order() != self.arena.order()).then_some(old)
+        // Entry-level ops keep the weak skeleton, hence both CSRs: patch
+        // the dirty OPF slots in place. Structural ops re-lower
+        // wholesale; rows are object ids, so the cache's keys stay valid.
+        if effect.structural {
+            self.arena = ArenaInstance::lower_unchecked(&self.pi);
         } else {
             self.arena.patch_opfs(&self.pi, &effect.dirty);
-            None
-        };
+        }
         if self.invalidation == InvalidationPolicy::FlushAll {
             self.cache.clear();
             return Ok(self.finish_mutation(m, effect, 0, InvalidationCounts::default(), started));
@@ -434,19 +422,7 @@ impl QueryEngine {
                 return Err(e);
             }
         };
-        let invalidated = match rekeyed {
-            // The cached entries hold the old lowering's indices, which
-            // removed objects still have.
-            Some(old) => {
-                let old_idx = d.direct.iter().filter_map(|&o| old.index_of(o)).collect();
-                self.cache.invalidate_rekeyed(&d.direct, &old_idx, effect.structural, |x| {
-                    self.arena.index_of(old.object_at(x))
-                })
-            }
-            // Index order unchanged, so the current lowering's indices
-            // are the ones the cached entries were minted under.
-            None => self.cache.invalidate_dirty(&d.direct, &d.direct_idx, effect.structural),
-        };
+        let invalidated = self.cache.invalidate_dirty(&d.direct, effect.structural);
         Ok(self.finish_mutation(m, effect, d.affected, invalidated, started))
     }
 
@@ -473,38 +449,22 @@ impl QueryEngine {
     /// object visited (each member of `D`, then each newly reached
     /// ancestor) bounds the walk on adversarial instances.
     fn propagate_dirty(&self, dirty: &[ObjectId], budget: &Budget) -> Result<DirtyClosure> {
-        let charge = || budget.charge(1).map_err(pxml_core::CoreError::from);
-        let mut direct_idx = HashSet::new();
-        let mut unindexed = 0usize;
-        let mut queue: Vec<u32> = Vec::with_capacity(dirty.len());
-        for &o in dirty {
-            match self.arena.index_of(o) {
-                Some(x) => {
-                    if direct_idx.insert(x) {
-                        queue.push(x);
+        let direct: HashSet<u32> = dirty.iter().map(|o| o.raw()).collect();
+        let mut queue: Vec<u32> = direct.iter().copied().collect();
+        let mut affected = direct.clone();
+        while let Some(x) = queue.pop() {
+            budget.charge(1).map_err(pxml_core::CoreError::from)?;
+            // A removed object has no parents: its row is empty, or past
+            // the end when it had the largest id.
+            if (x as usize) < self.arena.len() {
+                for &p in self.arena.parents_of(x) {
+                    if affected.insert(p) {
+                        queue.push(p);
                     }
                 }
-                None => {
-                    // Removed objects have no index and no parents.
-                    charge()?;
-                    unindexed += 1;
-                }
             }
         }
-        let mut affected_idx = direct_idx.clone();
-        while let Some(x) = queue.pop() {
-            charge()?;
-            for &p in self.arena.parents_of(x) {
-                if affected_idx.insert(p) {
-                    queue.push(p);
-                }
-            }
-        }
-        Ok(DirtyClosure {
-            direct: dirty.iter().copied().collect(),
-            affected: affected_idx.len() + unindexed,
-            direct_idx,
-        })
+        Ok(DirtyClosure { affected: affected.len(), direct })
     }
 
     /// Materialises one trace record for an applied mutation.
@@ -1066,7 +1026,7 @@ impl QueryEngine {
         }
     }
 
-    /// The located layers of `path` as sorted arena indices, memoised
+    /// The located layers of `path` as sorted raw ids, memoised
     /// per `(path root, label sequence)`. Like `layers_weak`, a path not
     /// anchored at the instance root locates nothing.
     fn layers_for(&self, path: &PathExpr, t: Option<&mut TraceTally>) -> Layers {
@@ -1080,7 +1040,7 @@ impl QueryEngine {
             None => {
                 self.stats.count_layers(false);
                 let l = if path.root == self.pi.root() {
-                    self.arena.layers_flat_from(self.arena.root_index(), &path.labels)
+                    self.arena.layers_flat(&path.labels)
                 } else {
                     vec![Vec::new(); path.labels.len() + 1]
                 };
@@ -1116,8 +1076,9 @@ impl QueryEngine {
             Query::Point { path, object } => {
                 let layers = self.layers_for(path, t.as_deref_mut());
                 // Mirrors `point_query`: absent from the located layer ⇒ 0.
-                match (self.arena.index_of(*object), layers.last()) {
-                    (Some(x), Some(located)) if located.binary_search(&x).is_ok() => {
+                let x = object.raw();
+                match layers.last() {
+                    Some(located) if located.binary_search(&x).is_ok() => {
                         self.sweep(&path.labels, &layers, &[x], budget, degrade, t)
                     }
                     _ => Ok(Answer::Exact(0.0)),
@@ -1213,9 +1174,8 @@ impl QueryEngine {
                 .universe()
                 .position(child)
                 .ok_or(QueryError::NotAChild { parent, child })?;
-            // The link memo is keyed by arena index; `parent` has a
-            // node, so it always has an index in the current lowering.
-            let pidx = self.arena.index_of(parent).ok_or(QueryError::UnknownObject(parent))?;
+            // The link memo is keyed by the parent's row, its raw id.
+            let pidx = parent.raw();
             let m = match self.cache.get_link(pidx, pos) {
                 Some(m) => {
                     self.stats.count_link(true);
@@ -1625,13 +1585,13 @@ mod tests {
         assert!(!engine.apply_mutation(&m).unwrap().effect.dirty.is_empty());
         engine.run_batch(&queries);
         let summary = Arc::clone(engine.summary());
-        let (cache, slabs) = (engine.cache_len(), engine.arena().slab_lens());
+        let (cache, slabs) = (engine.cache_len(), engine.arena.slab_lens());
         assert_ne!(cache, (0, 0, 0));
         let again = engine.apply_mutation(&m).unwrap();
         assert!(again.effect.dirty.is_empty());
         assert_eq!((again.affected, again.invalidated.total()), (0, 0));
         assert_eq!(engine.cache_len(), cache);
-        assert_eq!(engine.arena().slab_lens(), slabs);
+        assert_eq!(engine.arena.slab_lens(), slabs);
         assert!(Arc::ptr_eq(engine.summary(), &summary), "a no-op must keep the summary");
     }
 
@@ -1642,48 +1602,56 @@ mod tests {
         let queries = fig2_queries(&pi);
         let mut engine = QueryEngine::with_threads(pi, 1);
         engine.run_batch(&queries);
-        let (order, slabs) = (engine.arena().order().to_vec(), engine.arena().slab_lens());
+        let (len, slabs) = (engine.arena.len(), engine.arena.slab_lens());
         let out = engine.apply_mutation(&m).unwrap();
         assert!(!out.effect.structural);
         assert!(out.affected >= 1);
-        // Neither re-lowered nor re-appended: same order, same slabs.
-        assert_eq!(engine.arena().order(), &order[..]);
-        assert_eq!(engine.arena().slab_lens(), slabs);
-        assert_eq!(engine.arena().garbage(), 0);
+        // Neither re-lowered nor re-appended: same rows, same slabs.
+        assert_eq!(engine.arena.len(), len);
+        assert_eq!(engine.arena.slab_lens(), slabs);
+        assert_eq!(engine.arena.garbage(), 0);
         assert_fresh_answers(&engine, &queries);
     }
 
-    /// A structural op that re-lowers into a new index order in a
-    /// disjoint subtree keeps the title path's result and its layers
-    /// witness: the layers entry is re-keyed, not wiped.
+    /// A structural op in a disjoint subtree keeps the title path's
+    /// result, its layers witness and the link memos of the chain
+    /// `R → B1 → T1` warm: rows are object ids, so their keys stay valid.
     #[test]
-    fn rekeying_structural_op_keeps_disjoint_results_warm() {
+    fn structural_op_keeps_disjoint_entries_warm() {
         let pi = fig2_instance();
         let (a3, institution) = (pi.oid("A3").unwrap(), pi.lid("institution").unwrap());
         let title = parse(&pi, "R.book.title");
-        let (t1, t2) = (pi.oid("T1").unwrap(), pi.oid("T2").unwrap());
+        let (b1, t1, t2) = (pi.oid("B1").unwrap(), pi.oid("T1").unwrap(), pi.oid("T2").unwrap());
         let warm = Query::point(title.clone(), t2);
+        let chain = [pi.root(), b1, t1];
         let mut engine = QueryEngine::with_threads(pi, 1);
         engine.run(&warm).unwrap();
-        let order = engine.arena().order().to_vec();
+        engine.run(&Query::chain(chain)).unwrap();
         // card(A3, institution) = [1,1] is saturated, so the new child
-        // gets 0; A3 is on no title path.
+        // gets 0; A3 is on no title path and not on the chain.
         let m =
             Mutation::InsertObject { name: "I9".into(), parent: a3, label: institution, prob: 0.0 };
         let out = engine.apply_mutation(&m).unwrap();
-        assert_ne!(engine.arena().order(), &order[..], "the insert must re-key the arena");
         assert_eq!((out.invalidated.results, out.invalidated.layers), (0, 0));
+        assert_eq!(out.invalidated.links, 0, "no link memo's parent is dirty");
         let before = engine.stats();
         let again = engine.run(&warm).unwrap();
-        // A new query over the same path must find the re-keyed layers.
+        // A new query over the same path must find the surviving layers.
         let other = engine.run(&Query::point(title.clone(), t1)).unwrap();
         let after = engine.stats();
         assert_eq!(after.result_hits - before.result_hits, 1, "the warm result still hits");
         assert_eq!(after.layers_hits - before.layers_hits, 1, "the layers entry survived");
         assert_eq!(after.layers_misses, before.layers_misses);
+        // Re-run the chain below the result memo: both links hit.
+        let chain = Query::chain(chain);
+        let linked = engine.evaluate(&chain, &Budget::unlimited(), DegradePolicy::Error, None);
+        let relinked = engine.stats();
+        assert_eq!(relinked.link_hits - after.link_hits, 2, "both link memos survived");
+        assert_eq!(relinked.link_misses, after.link_misses);
         let fresh = QueryEngine::with_threads(engine.instance().clone(), 1);
         assert_eq!(again.to_bits(), fresh.run(&warm).unwrap().to_bits());
         assert_eq!(other.to_bits(), fresh.run(&Query::point(title, t1)).unwrap().to_bits());
+        assert_eq!(linked.unwrap().lo().to_bits(), fresh.run(&chain).unwrap().to_bits());
         assert!(engine.audit_cache().is_empty(), "{:?}", engine.audit_cache());
     }
 
@@ -1719,8 +1687,9 @@ mod tests {
         b.build(r).expect("test instance is valid")
     }
 
-    /// Where arena index order and `ObjectId` order disagree, the flat
-    /// sweep still names the object the sequential recursion names.
+    /// Where the flat sweep meets a violation in a different order than
+    /// the sequential recursion, it still names the object the
+    /// recursion names.
     #[test]
     fn flat_errors_name_the_objects_the_recursion_names() {
         let same_error = |pi: &ProbInstance, path: &str| {
@@ -1730,10 +1699,9 @@ mod tests {
             assert_eq!(engine.run(&Query::exists(p)).unwrap_err(), want, "{path}");
             want
         };
-        // X and Y each have two kept parents. Ids ascend A, B, D, E, but
-        // the q-edges put the index order at E, D, B, A: the legacy
-        // check meets D's claim on X first, an index-ordered one B's
-        // claim on Y.
+        // X and Y each have two kept parents. Ids ascend A, B, D, E, so
+        // the legacy check meets D's claim on X before E's claim on Y.
+        // The q-edges are off the path.
         let pi = all_or_none_instance(&[
             ("R", "p", &["A", "B", "D", "E"]),
             ("A", "c", &["X"]),
@@ -1746,8 +1714,9 @@ mod tests {
         ]);
         let x = pi.oid("X").unwrap();
         assert_eq!(same_error(&pi, "R.p.c"), QueryError::NotTreeShaped(x));
-        // B and C are kept at depths 1 and 2; the q-edge puts C before B
-        // in index order, while B has the smaller id.
+        // B and C are kept at depths 1 and 2: the bottom-up sweep finds
+        // a repeated role at depth 1, the legacy check names the first
+        // repeat in depth-then-id order, B.
         let pi = all_or_none_instance(&[
             ("R", "p", &["A", "B", "C"]),
             ("A", "p", &["B", "C"]),
@@ -1781,11 +1750,11 @@ mod tests {
         let queries = fig2_queries(&pi);
         let mut engine = QueryEngine::with_threads(pi, 1);
         engine.run_batch(&queries);
-        let len = engine.arena().len();
+        let len = engine.arena.len();
         // card(B1, author) = [1,2] is saturated, so the new child gets 0.
         let m = Mutation::InsertObject { name: "A9".into(), parent: b1, label: author, prob: 0.0 };
         assert!(engine.apply_mutation(&m).unwrap().effect.structural);
-        assert_eq!(engine.arena().len(), len + 1, "the new object is lowered");
+        assert_eq!(engine.arena.len(), len + 1, "the new object is lowered");
         assert_fresh_answers(&engine, &queries);
     }
 

@@ -306,10 +306,15 @@ done
 }
 printf 'SETEDGE R B1 PROB 0.25\n' > "$smoke_dir/crash-op1.txt"
 printf 'SETVAL T1 STR VQDB PROB 0.9\n' > "$smoke_dir/crash-op2.txt"
+# Two structural ops in one MUTATE: replay must re-lower through an
+# inserted object and a deleted one (I1 keeps an empty arena row).
+printf 'INSERT B9 UNDER R LABEL book PROB 0.0\nDELETE I1\n' > "$smoke_dir/crash-op3.txt"
 out="$(target/release/pxml request --socket "$crash_sock" mutate crash --ops "$smoke_dir/crash-op1.txt")"
 echo "$out" | grep -q 'applied 1 ops' || { echo "error: wal mutation 1 not acknowledged: $out"; exit 1; }
 out="$(target/release/pxml request --socket "$crash_sock" mutate crash --ops "$smoke_dir/crash-op2.txt")"
 echo "$out" | grep -q 'applied 1 ops' || { echo "error: wal mutation 2 not acknowledged: $out"; exit 1; }
+out="$(target/release/pxml request --socket "$crash_sock" mutate crash --ops "$smoke_dir/crash-op3.txt")"
+echo "$out" | grep -q 'applied 2 ops' || { echo "error: wal mutation 3 not acknowledged: $out"; exit 1; }
 kill -9 "$crash_pid"
 set +e
 wait "$crash_pid" 2>/dev/null
@@ -331,20 +336,24 @@ done
   echo "error: wal daemon never came back"; cat "$smoke_dir/crash-serve.log"; exit 1;
 }
 target/release/pxml request --socket "$crash_sock" metrics > "$smoke_dir/crash.prom"
-grep -q '^pxml_wal_replayed_total{instance="crash"} 2$' "$smoke_dir/crash.prom" || {
-  echo "error: reboot did not replay exactly the 2 acknowledged ops"; exit 1;
+grep -q '^pxml_wal_replayed_total{instance="crash"} 4$' "$smoke_dir/crash.prom" || {
+  echo "error: reboot did not replay exactly the 4 acknowledged ops"; exit 1;
 }
 # Oracle: the same ops applied offline to a copy of the same snapshot.
 cp data/fig2.pxml "$smoke_dir/crash-oracle.pxml"
-cat "$smoke_dir/crash-op1.txt" "$smoke_dir/crash-op2.txt" > "$smoke_dir/crash-ops.txt"
+cat "$smoke_dir/crash-op1.txt" "$smoke_dir/crash-op2.txt" "$smoke_dir/crash-op3.txt" \
+  > "$smoke_dir/crash-ops.txt"
 target/release/pxml mutate "$smoke_dir/crash-oracle.pxml" "$smoke_dir/crash-ops.txt" >/dev/null
-printf 'POINT T2 IN R.book.title\nEXISTS R.book\n' > "$smoke_dir/crash-queries.txt"
+crash_queries=('POINT T2 IN R.book.title' 'EXISTS R.book' 'EXISTS R.book.title' 'POINT B9 IN R.book')
+printf '%s\n' "${crash_queries[@]}" > "$smoke_dir/crash-queries.txt"
 expected="$(target/release/pxml batch "$smoke_dir/crash-oracle.pxml" "$smoke_dir/crash-queries.txt")"
-got_1="$(target/release/pxml request --socket "$crash_sock" query crash 'POINT T2 IN R.book.title')"
-got_2="$(target/release/pxml request --socket "$crash_sock" query crash 'EXISTS R.book')"
-[ "$(printf '%s\n%s' "$got_1" "$got_2")" = "$expected" ] || {
+got=()
+for q in "${crash_queries[@]}"; do
+  got+=("$(target/release/pxml request --socket "$crash_sock" query crash "$q")")
+done
+[ "$(printf '%s\n' "${got[@]}")" = "$expected" ] || {
   echo "error: replayed daemon diverges from the offline oracle:";
-  echo "daemon: $got_1 / $got_2"; echo "oracle: $expected"; exit 1;
+  echo "daemon: ${got[*]}"; echo "oracle: $expected"; exit 1;
 }
 # CHECKPOINT folds the journal into the snapshot; the file must now be
 # a valid instance and the journal rotated.

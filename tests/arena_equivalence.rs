@@ -6,8 +6,9 @@
 //! Four contracts, property-tested over random trees and DAGs:
 //!
 //! 1. **Lowering round-trip** — `lower_unchecked` produces a layout
-//!    that passes `debug_validate`, with `index_of`/`object_at` mutual
-//!    inverses, every member indexed, and the root seated at its index.
+//!    that passes `debug_validate`, in which row `x` is object `x`: a
+//!    member's CSR row is its universe and its slot holds its OPF, every
+//!    other row is empty, and the root sits at its own id.
 //! 2. **Flat pipeline ≡ sequential** — `point_flat`/`exists_flat` agree
 //!    bit-for-bit with `point_query`/`exists_query` (errors pair with
 //!    errors: both paths reject non-tree kept regions).
@@ -23,7 +24,7 @@
 //!    (`SETEDGE`, `SETVAL`, and `ReplaceOpf`s that change an OPF's kind
 //!    or table length), `patch_opfs` leaves the arena slot-for-slot
 //!    equal to a fresh `lower_unchecked` of the same instance, with the
-//!    same order and CSRs, the same slab layout once compacted, and
+//!    same rows and CSRs, the same slab layout once compacted, and
 //!    `to_bits`-equal flat answers.
 
 mod common;
@@ -188,8 +189,7 @@ fn reshape_op(pi: &ProbInstance, o: ObjectId, how: u32) -> Option<Mutation> {
 fn assert_matches_fresh_lowering(pi: &ProbInstance, patched: &ArenaInstance, ctx: &str) {
     let fresh = ArenaInstance::lower_unchecked(pi);
     assert_eq!(patched.debug_validate(), Ok(()), "{ctx}");
-    assert_eq!(patched.order(), fresh.order(), "{ctx}: order");
-    assert_eq!(patched.member_count(), fresh.member_count(), "{ctx}");
+    assert_eq!(patched.len(), fresh.len(), "{ctx}: rows");
     assert_eq!(patched.root_index(), fresh.root_index(), "{ctx}");
     let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     for x in 0..fresh.len() as u32 {
@@ -296,6 +296,21 @@ fn patch_ops_cover_every_slot_path() {
     assert!(total.fallback > 0, "no fallback slot");
 }
 
+/// Rows are catalog ids: a decoded generated instance lowers to exactly
+/// one row per catalog object, nothing beyond.
+#[test]
+fn decoded_instance_lowers_to_one_row_per_catalog_object() {
+    use pxml::gen::{generate, Labeling, WorkloadConfig};
+    use pxml::storage::{from_binary, to_binary};
+    for labeling in [Labeling::SameLabel, Labeling::FullyRandom] {
+        let g = generate(&WorkloadConfig::paper(4, 3, labeling, 7));
+        let pi = from_binary(&to_binary(&g.instance).unwrap()).unwrap();
+        let arena = ArenaInstance::lower(&pi).unwrap();
+        assert_eq!(arena.len(), pi.weak().catalog().object_count(), "{labeling:?}");
+        assert_eq!(arena.len(), pi.object_count(), "{labeling:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -309,22 +324,25 @@ proptest! {
     }
 
     /// Contract 1: lowering round-trips — layout invariants hold and
-    /// the index assignment is a bijection over the members.
+    /// row `x` describes object `x`.
     #[test]
     fn lowering_round_trips_and_validates(seed in 0u64..3000) {
         for pi in [random_tree(seed), random_dag(seed)] {
             let arena = ArenaInstance::lower_unchecked(&pi);
             prop_assert_eq!(arena.debug_validate(), Ok(()));
-            // Every member object has an index and the map inverts.
-            for o in pi.weak().objects() {
-                let x = arena.index_of(o).expect("member indexed");
-                prop_assert_eq!(arena.object_at(x), o);
-            }
+            prop_assert_eq!(arena.root_index(), pi.root().raw());
+            prop_assert!(pi.weak().objects().all(|o| o.index() < arena.len()));
             for x in 0..arena.len() as u32 {
-                prop_assert_eq!(arena.index_of(arena.object_at(x)), Some(x));
+                let o = ObjectId::from_raw(x);
+                let (s, e) = arena.child_range(x);
+                let row: Vec<(u32, Label)> =
+                    (s..e).map(|i| (arena.child(i), arena.child_label(i))).collect();
+                let universe: Vec<(u32, Label)> = pi.weak().node(o).map_or_else(Vec::new, |n| {
+                    n.universe().iter().map(|(_, c, l)| (c.raw(), l)).collect()
+                });
+                prop_assert_eq!(row, universe, "row {}", x);
+                prop_assert_eq!(arena.has_opf(x), pi.opf(o).is_some(), "slot {}", x);
             }
-            prop_assert_eq!(arena.object_at(arena.root_index()), pi.root());
-            prop_assert!(arena.member_count() as usize <= arena.len());
         }
     }
 

@@ -32,7 +32,7 @@ fn chain_query(raw: u32, len: u32) -> Query {
     Query::Chain { objects: (raw..raw + 1 + len % 4).map(o).collect() }
 }
 
-/// One layer of `len` consecutive arena indices from `raw`.
+/// One layer of `len` consecutive raw ids from `raw`.
 fn layers(raw: u32, len: u32) -> Arc<Vec<Vec<u32>>> {
     Arc::new(vec![(raw..raw + len).collect()])
 }
@@ -152,55 +152,35 @@ fn oversized_hammer_causes_zero_spurious_evictions() {
     assert_eq!(cache.approx_bytes(), cache.recomputed_bytes());
 }
 
-/// Regression for the arena re-keying: the layers and link tables hold
-/// arena indices, and both entry-level (`invalidate_dirty`, index sets
-/// testing the layers witnesses) and re-keying (`invalidate_rekeyed`,
-/// after a lowering changed the index order) invalidation must free
-/// exactly the admitted costs — `approx == recomputed` must hold after
-/// either path — and re-keying must translate the surviving layers.
+/// Regression for dirty-set invalidation over row-keyed entries: the
+/// layers and link tables hold raw object ids, and `invalidate_dirty`
+/// (one dirty id set testing chain results, the layers witnesses and
+/// the link table) must free exactly the admitted costs —
+/// `approx == recomputed` must hold after it.
 #[test]
 fn invalidation_over_index_keyed_entries_keeps_accounting_exact() {
     use std::collections::HashSet;
     let cache = MarginalCache::new();
     for i in 0..16u32 {
         cache.put_result(chain_query(i, 1), Ok(0.5));
-        // Entry i locates the arena indices 4i..4i+4.
+        // Entry i locates the objects 4i..4i+4.
         cache.put_layers(o(i), lp(i), layers(4 * i, 4));
         cache.put_result(exists_query(i), Ok(0.25));
         cache.put_link(i, i % 3, 0.125);
     }
     assert_eq!(cache.approx_bytes(), cache.recomputed_bytes());
 
-    // Entry-level: ObjectId sets drive chain results, index sets the
-    // layers witnesses and the link table.
-    let direct: HashSet<ObjectId> = (0..4u32).map(o).collect();
-    let direct_idx: HashSet<u32> = (0..8u32).collect();
-    let counts = cache.invalidate_dirty(&direct, &direct_idx, true);
-    assert_eq!(counts.results, 4 + 2, "chains over D, exists over the dirty witnesses");
-    assert_eq!(counts.layers, 2, "layers evicted per direct index set");
-    assert_eq!(counts.links, 8, "links evicted per direct index set");
+    let direct: HashSet<u32> = (0..8u32).collect();
+    let counts = cache.invalidate_dirty(&direct, true);
+    assert_eq!(counts.results, 8 + 2, "chains over D, exists over the dirty witnesses");
+    assert_eq!(counts.layers, 2, "layers evicted per dirty id set");
+    assert_eq!(counts.links, 8, "links evicted per dirty id set");
     assert_eq!(cache.approx_bytes(), cache.recomputed_bytes());
     for i in 0..16u32 {
         assert_eq!(cache.get_result(&exists_query(i)).is_some(), i >= 2, "exists {i}");
         assert_eq!(cache.get_layers(o(i), &lp(i)).is_some(), i >= 2, "layers {i}");
         assert_eq!(cache.get_link(i, i % 3).is_some(), i >= 8, "link {i}");
     }
-
-    // Re-keying: a lowering that reverses the index order and drops the
-    // object at index 60 (held by entry 15). Surviving layers move to
-    // the new indices, re-sorted; the entry holding the dropped object
-    // is stale; every link entry is wiped.
-    let rekey = |x: u32| (x != 60).then(|| 1000 - x);
-    let counts = cache.invalidate_rekeyed(&HashSet::new(), &HashSet::new(), true, rekey);
-    assert_eq!(counts.results, 0, "no result's witness holds a dirty index");
-    assert_eq!(counts.layers, 1, "the entry holding the dropped object");
-    assert_eq!(counts.links, 8, "all surviving link entries wiped");
-    let (results_n, layers_n, links_n) = cache.len();
-    assert_eq!((results_n, layers_n, links_n), (12 + 14, 13, 0));
-    let moved = cache.get_layers(o(5), &lp(5)).expect("entry 5 survives");
-    assert_eq!(*moved, vec![vec![977, 978, 979, 980]], "translated and sorted");
-    assert!(cache.get_layers(o(15), &lp(15)).is_none());
-    assert_eq!(cache.approx_bytes(), cache.recomputed_bytes());
 }
 
 /// One scripted operation for the single-threaded admission proptest.

@@ -13,14 +13,8 @@
 //! paths — what the whole-query and located-layers memos exploit.
 //!
 //! `cargo bench -p pxml-bench --bench ablate_batch_engine`
-//!
-//! Besides the per-benchmark lines on stdout, the run writes a
-//! machine-readable `BENCH_batch.json` (override the path with
-//! `BENCH_BATCH_OUT`) with median-of-5 wall times for the headline
-//! modes, so the numbers quoted in EXPERIMENTS.md are regenerable
-//! without scraping benchmark output.
 
-use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use pxml_algebra::locate_weak;
 use pxml_gen::{generate, query_batch, Labeling, WorkloadConfig};
@@ -137,90 +131,5 @@ fn ablate(c: &mut Criterion) {
     group.finish();
 }
 
-/// Median wall-clock milliseconds over `reps` calls of `f`.
-fn median_ms<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let started = std::time::Instant::now();
-            f();
-            started.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    samples[samples.len() / 2]
-}
-
-/// Re-measures the headline modes with plain `Instant` timings and
-/// writes them as JSON. The criterion stand-in prints human-readable
-/// numbers but exposes nothing programmatically, so the JSON artefact
-/// takes its own (coarser, median-of-5) measurements over the same
-/// workloads.
-fn write_batch_json() {
-    let out =
-        std::env::var("BENCH_BATCH_OUT").unwrap_or_else(|_| "BENCH_batch.json".into());
-    let reps = 5;
-    let mut sections = Vec::new();
-    for labeling in [Labeling::SameLabel, Labeling::FullyRandom] {
-        let g = generate(&WorkloadConfig::paper(5, 4, labeling, 42));
-        let pi = &g.instance;
-        let paths = query_batch(&g, 1000, 7);
-        let queries: Vec<Query> = paths
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                if i % 2 == 0 {
-                    Query::point(p.clone(), locate_weak(pi, p)[0])
-                } else {
-                    Query::exists(p.clone())
-                }
-            })
-            .collect();
-
-        let sequential = median_ms(reps, || {
-            let mut acc = 0.0;
-            for q in &queries {
-                acc += match q {
-                    Query::Point { path, object } => point_query(pi, path, *object).unwrap(),
-                    Query::Exists { path } => exists_query(pi, path).unwrap(),
-                    Query::Chain { .. } => unreachable!("no chains in this workload"),
-                };
-            }
-            black_box(acc);
-        });
-
-        let engine = QueryEngine::with_threads(pi.clone(), 1);
-        let cold = median_ms(reps, || {
-            engine.clear_cache();
-            black_box(engine.run_batch(&queries));
-        });
-        engine.run_batch(&queries); // prime
-        let warm = median_ms(reps, || {
-            black_box(engine.run_batch(&queries));
-        });
-
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let parallel = QueryEngine::with_threads(pi.clone(), threads);
-        let cold_parallel = median_ms(reps, || {
-            parallel.clear_cache();
-            black_box(parallel.run_batch(&queries));
-        });
-
-        sections.push(format!(
-            "  \"{}\": {{\n    \"sequential_ms\": {sequential:.3},\n    \"engine_cold_ms\": {cold:.3},\n    \"engine_warm_ms\": {warm:.3},\n    \"engine_cold_parallel_ms\": {cold_parallel:.3},\n    \"threads\": {threads}\n  }}",
-            labeling.short()
-        ));
-    }
-    let json = format!(
-        "{{\n  \"workload\": {{\n    \"depth\": 5, \"branching\": 4, \"queries\": 1000, \"repeats\": {reps}\n  }},\n{}\n}}\n",
-        sections.join(",\n")
-    );
-    std::fs::write(&out, &json).expect("write BENCH_batch.json");
-    println!("wrote {out}");
-}
-
 criterion_group!(benches, ablate);
-
-fn main() {
-    benches();
-    write_batch_json();
-}
+criterion_main!(benches);

@@ -406,11 +406,12 @@ fn run_batch(args: &[String]) -> Result<(), CliError> {
 /// bound and a probability ceiling.
 ///
 /// `pxml mutate <instance> <ops-file> [--out FILE] [--stats] [--audit]
-/// [--flush] [--metrics FILE]`.
+/// [--metrics FILE]`.
 ///
 /// Applies the ops file (one mutation per line, `#` comments) through a
-/// [`pxml_query::QueryEngine`] with dirty-set cache invalidation
-/// (`--flush` switches to the flush-on-write baseline). The whole file
+/// [`pxml_query::QueryEngine`] with dirty-set cache invalidation.
+/// `--audit` first warms the cache (see [`warm_for_audit`]), then
+/// recomputes every retained entry after each op. The whole file
 /// is **atomic at the file level**: the instance is written back (to
 /// `--out`, or in place) only after every op applied cleanly, so a
 /// failing op leaves the stored instance untouched.
@@ -426,7 +427,6 @@ fn run_mutate(args: &[String]) -> Result<(), CliError> {
     let mut metrics_path: Option<PathBuf> = None;
     let mut show_stats = false;
     let mut audit = false;
-    let mut flush = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -441,7 +441,6 @@ fn run_mutate(args: &[String]) -> Result<(), CliError> {
             }
             "--stats" => show_stats = true,
             "--audit" => audit = true,
-            "--flush" => flush = true,
             arg if instance_path.is_none() => instance_path = Some(PathBuf::from(arg)),
             arg if ops_path.is_none() => ops_path = Some(PathBuf::from(arg)),
             arg => return Err(usage_err(format!("unexpected argument {arg:?}"))),
@@ -456,8 +455,8 @@ fn run_mutate(args: &[String]) -> Result<(), CliError> {
     let ops = pxml_core::parse_ops(&pi, &text).map_err(|e| usage_err(e.to_string()))?;
 
     let mut engine = pxml_query::QueryEngine::with_threads(pi, 1);
-    if flush {
-        engine.set_invalidation_policy(pxml_query::InvalidationPolicy::FlushAll);
+    if audit {
+        warm_for_audit(&engine);
     }
     let mut dirty_total = 0usize;
     let mut invalidated_total = 0u64;
@@ -496,6 +495,27 @@ fn run_mutate(args: &[String]) -> Result<(), CliError> {
         target.display()
     );
     Ok(())
+}
+
+/// Depth and count of the structural-summary label paths that
+/// `mutate --audit` answers before its first op.
+const AUDIT_WARM_DEPTH: usize = 8;
+const AUDIT_WARM_PATHS: usize = 256;
+
+/// Fills the cache that `mutate --audit` checks: EXISTS, plus POINT at
+/// the first located object, over each label path of the structural
+/// summary. Without it the command never runs a query, so every audit
+/// would check an empty cache and every op would evict nothing. A
+/// query that fails here caches nothing and is skipped.
+fn warm_for_audit(engine: &pxml_query::QueryEngine) {
+    let pi = engine.instance();
+    for labels in engine.summary().label_paths(AUDIT_WARM_DEPTH, AUDIT_WARM_PATHS) {
+        let path = pxml_algebra::PathExpr::new(pi.root(), labels);
+        if let Some(&o) = pxml_algebra::locate_weak(pi, &path).first() {
+            let _ = engine.run(&pxml_query::Query::point(path.clone(), o));
+        }
+        let _ = engine.run(&pxml_query::Query::exists(path));
+    }
 }
 
 /// With governance flags the predicted cost is held against the budget:
@@ -1101,7 +1121,7 @@ usage:
   pxml check <instance> [--metrics FILE] [governance]
   pxml analyze <instance> [queries.txt] [governance]
   pxml mutate <instance> <ops.txt> [--out FILE] [--stats] [--audit]
-            [--flush] [--metrics FILE]
+            [--metrics FILE]
   pxml serve <instance>... (--port N | --socket PATH) [--max-cache-bytes N]
             [--wal DIR] [--fsync always|batch:N|os] [--max-conns N]
             [--preflight] [--trace-json FILE] [governance]
@@ -1169,9 +1189,9 @@ mutation ops (one per line; names resolve against the instance catalog):
   UNLINK <parent> <child>
   SETEDGE <parent> <child> PROB <p>
   SETVAL <leaf> STR|INT|FLOAT|BOOL <value> PROB <p>
-  (--audit recomputes every retained cache entry after each op;
-   --flush benchmarks the flush-on-write baseline; the instance file is
-   rewritten only after every op applied cleanly)
+  (--audit warms the cache with EXISTS/POINT over the instance's label
+   paths, then recomputes every retained cache entry after each op; the
+   instance file is rewritten only after every op applied cleanly)
 
 queries:
   PROJECT [ANCESTOR|SINGLE|DESCENDANT] <path>

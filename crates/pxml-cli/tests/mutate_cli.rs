@@ -123,3 +123,29 @@ fn metrics_expose_mutation_counters() {
     assert!(text.contains("pxml_invalidations_total"), "{text}");
     assert!(text.contains("pxml_mutation_nanos_total"), "{text}");
 }
+
+#[test]
+fn audit_checks_a_warm_cache_and_reports_real_evictions() {
+    // The shipped Figure 2 file, written to `--out` so it stays as is.
+    let fig2 = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../data/fig2.pxml");
+    let ops = write_temp("audit.ops", "SETEDGE R B1 PROB 0.25\n");
+    let dest = std::env::temp_dir().join("pxml-mutate-cli").join("audit.mutated.pxml");
+    let out = pxml_bin()
+        .arg("mutate")
+        .arg(&fig2)
+        .arg(&ops)
+        .arg("--audit")
+        .arg("--out")
+        .arg(&dest)
+        .output()
+        .expect("spawn");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let evicted: u64 = stdout
+        .split(", ")
+        .nth(1)
+        .and_then(|s| s.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no eviction count in {stdout:?}"));
+    assert!(evicted > 0, "the audit must run over a warm cache: {stdout}");
+}

@@ -27,9 +27,6 @@ pub use config::{Labeling, WorkloadConfig};
 pub use dag::{random_dag, random_dag_with, DagConfig};
 pub use mutations::random_mutations;
 pub use requests::{serve_workload, ServeRequest};
-pub use queries::{
-    analysis_batch, query_batch, random_dead_path, random_path_query, random_selection_query,
-    selection_batch, AnalysisQuery,
-};
+pub use queries::{query_batch, random_path_query, random_selection_query, selection_batch};
 pub use tree::{generate, GeneratedInstance};
 pub use workload::{Grid, GridCell};

@@ -84,96 +84,6 @@ pub fn selection_batch(
     out
 }
 
-/// One entry of a static-analysis workload: a path query plus an
-/// optional point target (`None` means an existence query on the path),
-/// tagged with whether the query is satisfiable by construction.
-///
-/// Unsatisfiable entries are built two ways — a path that locates no
-/// object in the weak graph, and a point target that the path never
-/// locates — matching the two `ProvablyZero` shapes the static analyser
-/// proves, so an analyser run over a batch has ground truth to compare
-/// against without evaluating anything.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AnalysisQuery {
-    /// The path expression.
-    pub path: PathExpr,
-    /// Point target; `None` for an existence query.
-    pub target: Option<ObjectId>,
-    /// True when the query can hold in some compatible world's weak
-    /// graph (probability may still be anything in `[0, 1]`).
-    pub satisfiable: bool,
-}
-
-/// Generates one provably-dead path: random per-depth labels that locate
-/// nothing. Returns `None` when the labelling is too regular for a dead
-/// combination to exist (e.g. `SameLabel` with one label per depth).
-pub fn random_dead_path(
-    g: &GeneratedInstance,
-    rng: &mut StdRng,
-    max_attempts: usize,
-) -> Option<PathExpr> {
-    for _ in 0..max_attempts {
-        let labels: Vec<_> = g
-            .depth_labels
-            .iter()
-            .map(|ls| ls[rng.gen_range(0..ls.len())])
-            .collect();
-        let p = PathExpr::new(g.instance.root(), labels);
-        if locate_weak(&g.instance, &p).is_empty() {
-            return Some(p);
-        }
-    }
-    None
-}
-
-/// A deterministic mixed workload for exercising static query analysis:
-/// cycles through satisfiable existence queries, satisfiable point
-/// queries on a located object, dead paths, and point queries whose
-/// target (the root) is never located. Shapes that the instance cannot
-/// produce (a dead path under `SameLabel` labelling) are skipped, so the
-/// result may be shorter than `count`.
-pub fn analysis_batch(g: &GeneratedInstance, count: usize, seed: u64) -> Vec<AnalysisQuery> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = Vec::with_capacity(count);
-    for i in 0..count {
-        match i % 4 {
-            0 => {
-                if let Some(p) = random_path_query(g, &mut rng, 1000) {
-                    out.push(AnalysisQuery { path: p, target: None, satisfiable: true });
-                }
-            }
-            1 => {
-                if let Some(p) = random_path_query(g, &mut rng, 1000) {
-                    let located = locate_weak(&g.instance, &p);
-                    let target = located[rng.gen_range(0..located.len())];
-                    out.push(AnalysisQuery {
-                        path: p,
-                        target: Some(target),
-                        satisfiable: true,
-                    });
-                }
-            }
-            2 => {
-                if let Some(p) = random_dead_path(g, &mut rng, 1000) {
-                    out.push(AnalysisQuery { path: p, target: None, satisfiable: false });
-                }
-            }
-            _ => {
-                // The root is never located by a path of positive
-                // length, so pointing at it is provably unsatisfiable.
-                if let Some(p) = random_path_query(g, &mut rng, 1000) {
-                    out.push(AnalysisQuery {
-                        path: p,
-                        target: Some(g.instance.root()),
-                        satisfiable: false,
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,26 +127,5 @@ mod tests {
     fn query_batches_are_deterministic() {
         let g = generate(&WorkloadConfig::paper(3, 2, Labeling::FullyRandom, 8));
         assert_eq!(query_batch(&g, 5, 7), query_batch(&g, 5, 7));
-    }
-
-    #[test]
-    fn analysis_batches_tag_satisfiability_truthfully() {
-        let g = generate(&WorkloadConfig::paper(4, 2, Labeling::FullyRandom, 21));
-        let batch = analysis_batch(&g, 40, 9);
-        assert!(!batch.is_empty());
-        let mut unsat = 0;
-        for q in &batch {
-            let located = locate_weak(&g.instance, &q.path);
-            let holds = match q.target {
-                Some(t) => located.contains(&t),
-                None => !located.is_empty(),
-            };
-            assert_eq!(holds, q.satisfiable, "{q:?}");
-            if !q.satisfiable {
-                unsat += 1;
-            }
-        }
-        assert!(unsat > 0, "mixed batch must contain unsatisfiable entries");
-        assert_eq!(batch, analysis_batch(&g, 40, 9));
     }
 }

@@ -175,19 +175,6 @@ impl Answer {
     }
 }
 
-/// How [`QueryEngine::apply_mutation`] invalidates the shared cache.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum InvalidationPolicy {
-    /// Evict only the entries whose keys can be affected by the
-    /// mutation's dirty set (see [`MarginalCache::invalidate_dirty`]).
-    /// The default.
-    #[default]
-    DirtySet,
-    /// Drop the whole cache on every mutation — the trivially correct
-    /// baseline the dirty-set path is benchmarked against.
-    FlushAll,
-}
-
 /// What one [`QueryEngine::apply_mutation`] call did.
 #[derive(Clone, Debug)]
 pub struct MutationOutcome {
@@ -195,8 +182,9 @@ pub struct MutationOutcome {
     pub effect: pxml_core::MutationEffect,
     /// Size of the affected set `D ∪ ancestors(D)`.
     pub affected: usize,
-    /// Per-table eviction counts (all zero under `FlushAll`, which
-    /// bypasses entry-level accounting).
+    /// Per-table eviction counts of the dirty-set invalidation (see
+    /// [`MarginalCache::invalidate_dirty`]); all zero for a provable
+    /// no-op.
     pub invalidated: InvalidationCounts,
     /// Wall time of apply + propagation + eviction, in nanoseconds.
     pub nanos: u64,
@@ -234,8 +222,6 @@ pub struct QueryEngine {
     /// Opt-in static pre-flight stage; one relaxed load gates it, so
     /// the default-off hot path is unchanged.
     preflight: AtomicBool,
-    /// Cache-invalidation strategy for mutations.
-    invalidation: InvalidationPolicy,
 }
 
 const TRACE_OFF: u8 = 0;
@@ -272,7 +258,6 @@ impl QueryEngine {
             trace_seq: AtomicU64::new(0),
             summary: OnceLock::new(),
             preflight: AtomicBool::new(false),
-            invalidation: InvalidationPolicy::default(),
         }
     }
 
@@ -358,19 +343,9 @@ impl QueryEngine {
         &self.cache
     }
 
-    /// The configured cache-invalidation strategy for mutations.
-    pub fn invalidation_policy(&self) -> InvalidationPolicy {
-        self.invalidation
-    }
-
-    /// Selects how mutations invalidate the cache (default:
-    /// [`InvalidationPolicy::DirtySet`]).
-    pub fn set_invalidation_policy(&mut self, policy: InvalidationPolicy) {
-        self.invalidation = policy;
-    }
-
-    /// Applies one mutation to the owned instance and invalidates the
-    /// cache per the configured [`InvalidationPolicy`]. Atomic: on `Err`
+    /// Applies one mutation to the owned instance and evicts the cache
+    /// entries its dirty set can affect (see
+    /// [`MarginalCache::invalidate_dirty`]). Atomic: on `Err`
     /// the instance, the cache, and the structural summary are all
     /// unchanged.
     pub fn apply_mutation(&mut self, m: &Mutation) -> Result<MutationOutcome> {
@@ -406,10 +381,6 @@ impl QueryEngine {
             self.arena = ArenaInstance::lower_unchecked(&self.pi);
         } else {
             self.arena.patch_opfs(&self.pi, &effect.dirty);
-        }
-        if self.invalidation == InvalidationPolicy::FlushAll {
-            self.cache.clear();
-            return Ok(self.finish_mutation(m, effect, 0, InvalidationCounts::default(), started));
         }
         let d = match self.propagate_dirty(&effect.dirty, budget) {
             Ok(d) => d,

@@ -86,9 +86,7 @@ pub use conditional::{
     conditional_point_query_budgeted, presence_probability, presence_probability_budgeted,
 };
 pub use dag::{exists_query_dag, point_query_dag};
-pub use engine::{
-    Answer, BudgetSpec, DegradePolicy, InvalidationPolicy, MutationOutcome, Query, QueryEngine,
-};
+pub use engine::{Answer, BudgetSpec, DegradePolicy, MutationOutcome, Query, QueryEngine};
 pub use error::{QueryError, Result};
 pub use metrics::MetricsRegistry;
 pub use point::{exists_query, exists_query_budgeted, point_query, point_query_budgeted};

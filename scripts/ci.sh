@@ -6,6 +6,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# A CI run must leave the tracked tree as it found it: the last step
+# fails if `git status` changed (a committed report rewritten in place,
+# a stray output file). Outside a git work tree there is nothing to
+# compare, so the check is skipped.
+in_git=0
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  in_git=1
+  status_before="$(git status --porcelain)"
+fi
+
 echo "==> cargo build --release"
 cargo build --release --offline --workspace
 
@@ -189,9 +199,9 @@ echo "$out" | grep -Eq 'preflight +zeros 1' || {
 
 # Mutation smoke, exercising the documented exit taxonomy on the
 # shipped Figure 2 instance: a valid ops file applies (exit 0, file
-# rewritten, --audit recomputing every retained cache entry), a
-# malformed ops file is a usage error (exit 2) that leaves the
-# instance untouched.
+# rewritten, --audit warming the cache and recomputing every retained
+# entry, so the ops must evict some), a malformed ops file is a usage
+# error (exit 2) that leaves the instance untouched.
 echo "==> cli mutation smoke (pxml mutate)"
 cp data/fig2.pxml "$smoke_dir/mutate.pxml"
 printf 'SETEDGE R B1 PROB 0.25\nSETVAL T1 STR VQDB PROB 0.9\n' > "$smoke_dir/ops.txt"
@@ -200,6 +210,9 @@ out="$(target/release/pxml mutate "$smoke_dir/mutate.pxml" "$smoke_dir/ops.txt" 
 }
 echo "$out" | grep -q 'applied 2 ops' || {
   echo "error: mutate did not report applied ops:"; echo "$out"; exit 1;
+}
+echo "$out" | grep -Eq ' [1-9][0-9]* cache entries evicted' || {
+  echo "error: mutate --audit evicted nothing from its warmed cache:"; echo "$out"; exit 1;
 }
 cmp -s data/fig2.pxml "$smoke_dir/mutate.pxml" && {
   echo "error: mutate did not rewrite the instance file"; exit 1;
@@ -398,5 +411,15 @@ sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)
     echo "error: e2ebench $workload smoke not correct or had failures: $e2e_line"; exit 1;
   }
 done
+
+if [ "$in_git" -eq 1 ]; then
+  echo "==> tracked files untouched"
+  status_after="$(git status --porcelain)"
+  [ "$status_after" = "$status_before" ] || {
+    echo "error: ci.sh changed the work tree:"
+    diff <(printf '%s\n' "$status_before") <(printf '%s\n' "$status_after") || true
+    exit 1
+  }
+fi
 
 echo "==> ci.sh: all green"

@@ -713,15 +713,12 @@ fn handle_conn(inner: &Arc<ServerInner>, mut conn: Conn) {
             }
         };
         let mut timing = RequestTiming::default();
-        let (verb, status, body, detail) = match std::str::from_utf8(&payload) {
-            Err(_) => (
-                "FRAME",
-                Status::BadRequest,
-                "request payload is not UTF-8".to_string(),
-                String::new(),
-            ),
+        let (verb, status, body, req) = match std::str::from_utf8(&payload) {
+            Err(_) => {
+                ("FRAME", Status::BadRequest, "request payload is not UTF-8".to_string(), None)
+            }
             Ok(text) => match crate::protocol::parse_request(text) {
-                Err(e) => ("FRAME", Status::BadRequest, e, String::new()),
+                Err(e) => ("FRAME", Status::BadRequest, e, None),
                 Ok(req) => {
                     // Panic isolation: a dispatch that panics answers
                     // status 1 on this connection and the daemon keeps
@@ -749,12 +746,12 @@ fn handle_conn(inner: &Arc<ServerInner>, mut conn: Conn) {
                             )
                         }
                     };
-                    (verb_name(&req), status, body, request_detail(&req))
+                    (verb_name(&req), status, body, Some(req))
                 }
             },
         };
         inner.count_request(verb, status);
-        inner.trace_request(verb, status, &detail, started.elapsed(), &timing);
+        inner.trace_request(verb, status, req.as_ref(), started.elapsed(), &timing);
         if write_frame(&mut conn, &encode_response(status, &body)).is_err() {
             return;
         }
@@ -809,15 +806,18 @@ impl ServerInner {
         }
     }
 
+    /// Appends one `--trace-json` record; the request's detail string
+    /// is only formatted when tracing is on.
     fn trace_request(
         &self,
         verb: &str,
         status: Status,
-        detail: &str,
+        req: Option<&Request>,
         elapsed: Duration,
         timing: &RequestTiming,
     ) {
         let Some(trace) = &self.trace else { return };
+        let detail = req.map_or_else(String::new, request_detail);
         let mut waits = String::new();
         if let Some(d) = timing.lock_wait {
             waits.push_str(&format!(",\"lock_wait_us\":{}", d.as_micros()));
@@ -830,7 +830,7 @@ impl ServerInner {
             json_escape(verb),
             status.exit_code(),
             elapsed.as_micros(),
-            json_escape(detail),
+            json_escape(&detail),
         );
         let mut f = trace.lock();
         let _ = f.write_all(line.as_bytes());

@@ -78,6 +78,21 @@ pub struct EpsBounds {
     pub opf_entries: u64,
 }
 
+/// Where a point query's kept region comes from
+/// ([`ArenaInstance::kept_point`]).
+#[derive(Clone, Debug, PartialEq)]
+pub enum PointRegion {
+    /// The target is located: its kept region, the target's path
+    /// ancestors, one per depth (layer 0 is the path start).
+    Kept(Vec<Vec<u32>>),
+    /// The target is provably not located: the answer is exact `0.0`.
+    Absent,
+    /// The ancestor walk proves nothing here (the arena is not a
+    /// forest, or the target has no weak node): locate the path's
+    /// layers and filter them with [`ArenaInstance::kept_flat`].
+    Layers,
+}
+
 /// What the pre-order grant pass decided for one kept node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Grant {
@@ -158,9 +173,12 @@ pub struct ArenaInstance {
     parent_offsets: Vec<u32>,
     /// Packed raw parent ids.
     parents: Vec<u32>,
+    /// Whether row `x`'s object has a weak node, length `len()`.
+    member: Vec<bool>,
     /// True when no object appears as a child more than once and the
     /// root is nobody's child — the flat pipeline then skips dedup and
-    /// the (unfireable) §6 tree-shape checks.
+    /// the (unfireable) §6 tree-shape checks, and a point query walks up
+    /// from its target ([`ArenaInstance::kept_point`]).
     forest: bool,
     /// Per-object OPF slot, length `len()`.
     slots: Vec<OpfSlot>,
@@ -294,6 +312,7 @@ impl ArenaInstance {
             child_weak,
             parent_offsets,
             parents,
+            member,
             forest,
             slots,
             indep,
@@ -610,6 +629,74 @@ impl ArenaInstance {
             layers.push(next);
         }
         layers
+    }
+
+    /// The proper ancestors of `x` on a forest, nearest first: its
+    /// weak parent, that parent's parent, and so on, at most `steps` of
+    /// them. A point query over a `steps`-label path reads OPFs of
+    /// these objects only. The chain ends early when an object has no
+    /// weak parent, and then no such path locates `x`; an id at or past
+    /// [`ArenaInstance::len`] has no ancestors. `None` when the walk
+    /// proves nothing: the arena is not a forest, or `x` has no weak
+    /// node (a dangling child is located through its parent's row but
+    /// has no reverse-CSR row).
+    pub fn point_ancestors(&self, x: u32, steps: usize) -> Option<impl Iterator<Item = u32> + '_> {
+        if !self.forest || self.member.get(x as usize) == Some(&false) {
+            return None;
+        }
+        let steps = if (x as usize) < self.len() { steps } else { 0 };
+        let mut cur = x;
+        // On a forest every object is a child entry at most once, so a
+        // member has at most one weak parent.
+        let parent = move || match *self.parents_of(cur) {
+            [p] => {
+                cur = p;
+                Some(p)
+            }
+            _ => None,
+        };
+        Some(std::iter::from_fn(parent).take(steps))
+    }
+
+    /// The kept region of the point query `P(target ∈ start.labels)`,
+    /// by path-ancestor extraction (§6.2): on a forest, walk
+    /// [`ArenaInstance::point_ancestors`] up from the target, checking
+    /// that each edge carries the label at its depth, and require the
+    /// walk to end at `start`. A located target's path is unique on a
+    /// forest, so the region equals what
+    /// [`ArenaInstance::layers_flat_from`] → [`ArenaInstance::kept_flat`]
+    /// builds for it, at O(`labels.len()` × row width) instead of
+    /// O(located layers).
+    pub fn kept_point(&self, start: u32, labels: &[Label], target: u32) -> PointRegion {
+        let n = labels.len();
+        let Some(ancestors) = self.point_ancestors(target, n) else {
+            return PointRegion::Layers;
+        };
+        if target as usize >= self.len() {
+            return PointRegion::Absent;
+        }
+        let mut kept: Vec<Vec<u32>> = vec![Vec::new(); n + 1];
+        kept[n].push(target);
+        let (mut child, mut d) = (target, n);
+        for p in ancestors {
+            d -= 1;
+            let (s, e) = self.child_range(p);
+            let on_path = (s..e).any(|i| {
+                self.children[i as usize] == child
+                    && self.child_weak[i as usize]
+                    && self.child_labels[i as usize] == labels[d]
+            });
+            if !on_path {
+                return PointRegion::Absent;
+            }
+            kept[d].push(p);
+            child = p;
+        }
+        if d == 0 && child == start {
+            PointRegion::Kept(kept)
+        } else {
+            PointRegion::Absent
+        }
     }
 
     /// The kept region for `targets` with the Section 6 tree-shape
@@ -1002,15 +1089,21 @@ impl ArenaInstance {
     }
 
     /// `P(target ∈ p)` for a root-anchored label path, entirely over
-    /// the flat layout.
+    /// the flat layout: the kept region from [`ArenaInstance::kept_point`],
+    /// or from the located layers where the ancestor walk proves nothing.
     pub fn point_flat(&self, labels: &[Label], target: ObjectId) -> Result<f64> {
         let t = target.raw();
-        let layers = self.layers_flat(labels);
-        let located = layers.last().cloned().unwrap_or_default();
-        if located.binary_search(&t).is_err() {
-            return Ok(0.0);
-        }
-        let kept = self.kept_flat(labels, &layers, &[t])?;
+        let kept = match self.kept_point(self.root, labels, t) {
+            PointRegion::Kept(kept) => kept,
+            PointRegion::Absent => return Ok(0.0),
+            PointRegion::Layers => {
+                let layers = self.layers_flat(labels);
+                if layers[labels.len()].binary_search(&t).is_err() {
+                    return Ok(0.0);
+                }
+                self.kept_flat(labels, &layers, &[t])?
+            }
+        };
         Ok(self.eps_flat(labels, &kept, &Budget::unlimited(), DegradePolicy::Error)?.lo)
     }
 
@@ -1067,6 +1160,9 @@ impl ArenaInstance {
                     return Err(format!("parent {p} of {x} has no weak edge into it"));
                 }
             }
+        }
+        if self.member.len() != total {
+            return Err(format!("member flags length {} != objects ({total})", self.member.len()));
         }
         if self.table_masks.len() != self.table_probs.len() {
             return Err("table slabs are not parallel".into());

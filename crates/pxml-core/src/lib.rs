@@ -65,7 +65,7 @@ pub mod vpf;
 pub mod weak;
 pub mod worlds;
 
-pub use arena::{ArenaInstance, EpsBounds, OpfView};
+pub use arena::{ArenaInstance, EpsBounds, OpfView, PointRegion};
 pub use budget::{Budget, CancelToken, DegradePolicy, Exhausted, Resource};
 pub use catalog::Catalog;
 pub use childset::{ChildSet, ChildUniverse};

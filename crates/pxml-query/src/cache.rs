@@ -8,9 +8,12 @@
 //!   path expressions are few) cost one lookup.
 //! * **layers** — the forward locate pass, keyed by `(root, full label
 //!   path)` and holding sorted raw object ids, the row numbers of the
-//!   engine's [`pxml_core::ArenaInstance`]. Every query over the same
-//!   path expression shares one traversal, and the entry doubles as the
-//!   witness that dirty-set invalidation tests results against.
+//!   engine's [`pxml_core::ArenaInstance`]. Exists queries over the same
+//!   path expression share one traversal, and so do point queries on a
+//!   non-forest arena; a point query on a forest walks up from its
+//!   target instead and never reads or writes this table. An entry
+//!   doubles as the witness that dirty-set invalidation tests the
+//!   path's results against.
 //! * **links** — per-OPF child marginals `(parent raw id, universe
 //!   position) → P(child present)` used by chain queries.
 //!
@@ -296,25 +299,39 @@ impl MarginalCache {
     ///   objects: evict on overlap with `D`. `Point`/`Exists` answers
     ///   are determined by the located layers plus the OPFs of objects
     ///   in them, so consult this cache's own layers entry for the
-    ///   query's path (results are therefore evicted *before* layers);
-    ///   evict on overlap with `D`, or conservatively when the layers
-    ///   entry is gone.
+    ///   query's path, the *witness* (results are therefore evicted
+    ///   *before* layers), and evict on overlap with `D`. Without a
+    ///   witness, a `Point` result is tested by `point_stale(target,
+    ///   path length)` when the caller passes it, and every other
+    ///   result is evicted conservatively.
+    ///
+    /// `point_stale` is for writes that keep the weak skeleton on a
+    /// forest, where a point answer reads only the OPFs of its target's
+    /// path ancestors (the engine walks the reverse CSR and reports
+    /// whether any of them is in `D`). A structural write must pass
+    /// `None`: a new edge can route a path through a parent that is not
+    /// yet an ancestor.
     ///
     /// A layers entry touches `D` when some member of `D` is found by
     /// binary search in one of its sorted layers; each distinct `(root,
     /// labels)` verdict is computed once per call and shared by every
     /// result over that path. Freed bytes are the entries' *admitted*
     /// costs, so the accounting stays exactly in step with `admit`.
-    pub fn invalidate_dirty(&self, direct: &HashSet<u32>, structural: bool) -> InvalidationCounts {
+    pub fn invalidate_dirty(
+        &self,
+        direct: &HashSet<u32>,
+        structural: bool,
+        point_stale: Option<&dyn Fn(ObjectId, usize) -> bool>,
+    ) -> InvalidationCounts {
         let mut counts = InvalidationCounts::default();
         let mut dirty: Vec<u32> = direct.iter().copied().collect();
         dirty.sort_unstable();
         let touches_direct = |layers: &[Vec<u32>]| {
             layers.iter().any(|l| dirty.iter().any(|x| l.binary_search(x).is_ok()))
         };
-        // Verdicts by root, then by label sequence (looked up by slice,
-        // so a memo hit allocates nothing).
-        let mut verdicts: HashMap<ObjectId, HashMap<Vec<Label>, bool>> = HashMap::new();
+        // Witness verdicts by root, then by label sequence (looked up by
+        // slice, so a memo hit allocates nothing); `None` = no witness.
+        let mut verdicts: HashMap<ObjectId, HashMap<Vec<Label>, Option<bool>>> = HashMap::new();
 
         // Results first: the Point/Exists test reads the layers table,
         // which must still hold the pre-mutation entries.
@@ -327,17 +344,21 @@ impl MarginalCache {
                     Query::Chain { objects } => objects.iter().any(|o| direct.contains(&o.raw())),
                     Query::Point { path, .. } | Query::Exists { path } => {
                         let memo = verdicts.entry(path.root).or_default();
-                        match memo.get(&path.labels[..]) {
+                        let witness = match memo.get(&path.labels[..]) {
                             Some(&v) => v,
                             None => {
                                 let key = (path.root, LabelPath::from(&path.labels[..]));
-                                let v = match layers.map.get(&key) {
-                                    Some(l) => touches_direct(&l.value),
-                                    None => true, // no witness — evict conservatively
-                                };
+                                let v = layers.map.get(&key).map(|l| touches_direct(&l.value));
                                 memo.insert(path.labels.clone(), v);
                                 v
                             }
+                        };
+                        match (witness, q, point_stale) {
+                            (Some(v), ..) => v,
+                            (None, Query::Point { object, .. }, Some(stale)) => {
+                                stale(*object, path.labels.len())
+                            }
+                            (None, ..) => true, // no witness — evict conservatively
                         }
                     }
                 };
@@ -355,8 +376,9 @@ impl MarginalCache {
             let mut s = self.layers.write();
             let mut freed = 0u64;
             s.map.retain(|(root, labels), e| {
-                let known = verdicts.get(root).and_then(|m| m.get(labels.labels()));
-                let stale = known.copied().unwrap_or_else(|| touches_direct(&e.value));
+                let known =
+                    verdicts.get(root).and_then(|m| m.get(labels.labels())).copied().flatten();
+                let stale = known.unwrap_or_else(|| touches_direct(&e.value));
                 if stale {
                     freed += e.cost;
                     counts.layers += 1;
@@ -658,7 +680,7 @@ mod tests {
                 cache
             };
             let (fast, slow) = (fill(), fill());
-            let got = fast.invalidate_dirty(&direct, structural);
+            let got = fast.invalidate_dirty(&direct, structural, None);
             let mut want = InvalidationCounts::default();
             slow.invalidate_results_and_layers_linear(&direct, structural, &mut want);
             assert_eq!(got, want, "round {round}: eviction counts");

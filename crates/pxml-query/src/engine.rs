@@ -12,9 +12,11 @@
 //! probe → optional pre-flight → budgeted evaluation → writeback and
 //! counters → optional trace record. An ungoverned run is a run on an
 //! unlimited budget. Point/exists queries evaluate through the flat §6.1
-//! sweep of [`pxml_core::ArenaInstance`] (`layers_flat_from` →
-//! `kept_flat` → `eps_flat`), chains through a link walk over the same
-//! arena.
+//! sweep of [`pxml_core::ArenaInstance`] (a kept region, then
+//! `eps_flat`), chains through a link walk over the same arena. On a
+//! forest a point query's region is its target's path ancestors
+//! (`kept_point`); otherwise it is filtered from the path's located
+//! layers (`layers_flat_from` → `kept_flat`).
 //!
 //! Engine answers are **exactly** (`==`, not within-epsilon) the answers
 //! of the sequential functions [`crate::point_query`],
@@ -35,8 +37,8 @@ use pxml_algebra::path::PathExpr;
 use pxml_core::catalog::DisplayObject;
 use pxml_core::summary::StructuralSummary;
 use pxml_core::{
-    render_ops, ArenaInstance, Budget, CancelToken, CoreError, Label, LabelPath,
-    Mutation, ObjectId, ProbInstance,
+    render_ops, ArenaInstance, Budget, CancelToken, CoreError, Label, LabelPath, Mutation,
+    ObjectId, PointRegion, ProbInstance,
 };
 use pxml_interval::Interval;
 use std::sync::Arc;
@@ -393,7 +395,18 @@ impl QueryEngine {
                 return Err(e);
             }
         };
-        let invalidated = self.cache.invalidate_dirty(&d.direct, effect.structural);
+        // An entry-level write keeps the skeleton, so on a forest a point
+        // result without a layers witness can only be stale when one of
+        // its target's path ancestors is in `D`.
+        let (arena, direct) = (&self.arena, &d.direct);
+        let point_stale = |target: ObjectId, steps: usize| {
+            arena
+                .point_ancestors(target.raw(), steps)
+                .is_none_or(|mut up| up.any(|a| direct.contains(&a)))
+        };
+        let point_stale =
+            (!effect.structural).then_some(&point_stale as &dyn Fn(ObjectId, usize) -> bool);
+        let invalidated = self.cache.invalidate_dirty(&d.direct, effect.structural, point_stale);
         Ok(self.finish_mutation(m, effect, d.affected, invalidated, started))
     }
 
@@ -999,8 +1012,12 @@ impl QueryEngine {
 
     /// The located layers of `path` as sorted raw ids, memoised
     /// per `(path root, label sequence)`. Like `layers_weak`, a path not
-    /// anchored at the instance root locates nothing.
-    fn layers_for(&self, path: &PathExpr, t: Option<&mut TraceTally>) -> Layers {
+    /// anchored at the instance root locates nothing. Exists queries
+    /// read them, and so do point queries whose target the ancestor walk
+    /// cannot place (a non-forest arena, or a target with no weak node).
+    /// An entry is also the witness dirty-set invalidation tests the
+    /// path's cached results against.
+    fn layers_for(&self, path: &PathExpr, mut t: Option<&mut TraceTally>) -> Layers {
         let start = Instant::now();
         let labels = LabelPath::from(&path.labels[..]);
         let (layers, hit) = match self.cache.get_layers(path.root, &labels) {
@@ -1020,22 +1037,35 @@ impl QueryEngine {
                 (l, false)
             }
         };
-        let elapsed = start.elapsed();
-        self.stats.add_locate(elapsed);
-        if let Some(t) = t {
+        if let Some(t) = t.as_deref_mut() {
             if hit {
                 t.layers_hits += 1;
             } else {
                 t.layers_misses += 1;
             }
-            t.locate_nanos += elapsed.as_nanos() as u64;
         }
+        self.add_locate(start, t);
         layers
     }
 
-    /// Budgeted evaluation of one query over the arena: the located
-    /// layers, then the flat §6.1 sweep for point/exists queries or the
-    /// link walk for chains.
+    /// Counts the time since `start` as locating.
+    fn add_locate(&self, start: Instant, t: Option<&mut TraceTally>) {
+        let elapsed = start.elapsed();
+        self.stats.add_locate(elapsed);
+        if let Some(t) = t {
+            t.locate_nanos += elapsed.as_nanos() as u64;
+        }
+    }
+
+    /// Budgeted evaluation of one query over the arena: the flat §6.1
+    /// sweep over a kept region for point/exists queries, the link walk
+    /// for chains. A point query's region is its target's path
+    /// ancestors ([`ArenaInstance::kept_point`], timed as locating),
+    /// and a walk that does not reach the path root proves the answer
+    /// 0; neither touches the layers table. Where the walk proves
+    /// nothing (a non-forest arena, a target without a weak node), and
+    /// for exists queries, the region is filtered from the path's
+    /// located layers ([`QueryEngine::layers_for`]).
     fn evaluate(
         &self,
         q: &Query,
@@ -1045,14 +1075,28 @@ impl QueryEngine {
     ) -> Result<Answer> {
         match q {
             Query::Point { path, object } => {
-                let layers = self.layers_for(path, t.as_deref_mut());
-                // Mirrors `point_query`: absent from the located layer ⇒ 0.
                 let x = object.raw();
-                match layers.last() {
-                    Some(located) if located.binary_search(&x).is_ok() => {
-                        self.sweep(&path.labels, &layers, &[x], budget, degrade, t)
+                let start = Instant::now();
+                match self.arena.kept_point(path.root.raw(), &path.labels, x) {
+                    PointRegion::Kept(kept) => {
+                        self.add_locate(start, t.as_deref_mut());
+                        self.sweep(&path.labels, || Ok(kept), budget, degrade, t)
                     }
-                    _ => Ok(Answer::Exact(0.0)),
+                    PointRegion::Absent => {
+                        self.add_locate(start, t);
+                        Ok(Answer::Exact(0.0))
+                    }
+                    PointRegion::Layers => {
+                        let layers = self.layers_for(path, t.as_deref_mut());
+                        // Mirrors `point_query`: absent from the located layer ⇒ 0.
+                        match layers.last() {
+                            Some(located) if located.binary_search(&x).is_ok() => {
+                                let kept = || self.arena.kept_flat(&path.labels, &layers, &[x]);
+                                self.sweep(&path.labels, kept, budget, degrade, t)
+                            }
+                            _ => Ok(Answer::Exact(0.0)),
+                        }
+                    }
                 }
             }
             Query::Exists { path } => {
@@ -1060,7 +1104,8 @@ impl QueryEngine {
                 // Mirrors `exists_query`: nothing located ⇒ 0.
                 match layers.last() {
                     Some(located) if !located.is_empty() => {
-                        self.sweep(&path.labels, &layers, located, budget, degrade, t)
+                        let kept = || self.arena.kept_flat(&path.labels, &layers, located);
+                        self.sweep(&path.labels, kept, budget, degrade, t)
                     }
                     _ => Ok(Answer::Exact(0.0)),
                 }
@@ -1078,23 +1123,19 @@ impl QueryEngine {
         }
     }
 
-    /// The point/exists evaluation: the kept region for `targets`
-    /// (`kept_flat`), then the budgeted bottom-up ε sweep over it
-    /// (`eps_flat`), which also counts the OPF entries it visits.
+    /// The point/exists evaluation: the kept region (`kept`), then the
+    /// budgeted bottom-up ε sweep over it (`eps_flat`), which also
+    /// counts the OPF entries it visits.
     fn sweep(
         &self,
         labels: &[Label],
-        layers: &[Vec<u32>],
-        targets: &[u32],
+        kept: impl FnOnce() -> pxml_core::Result<Vec<Vec<u32>>>,
         budget: &Budget,
         degrade: DegradePolicy,
         t: Option<&mut TraceTally>,
     ) -> Result<Answer> {
         let start = Instant::now();
-        let swept = self
-            .arena
-            .kept_flat(labels, layers, targets)
-            .and_then(|kept| self.arena.eps_flat(labels, &kept, budget, degrade));
+        let swept = kept().and_then(|kept| self.arena.eps_flat(labels, &kept, budget, degrade));
         let elapsed = start.elapsed();
         self.stats.add_marginal(elapsed);
         let entries = swept.as_ref().map_or(0, |b| b.opf_entries);
@@ -1268,20 +1309,25 @@ mod tests {
         assert!(snap.layers_hits >= 1, "title path located once, reused");
     }
 
+    /// On a forest a point query extracts its target's path ancestors
+    /// and never reads or writes the layers table; an exists query over
+    /// the same path still locates (and memoises) the layers.
     #[test]
-    fn layers_are_shared_across_point_and_exists() {
+    fn forest_point_leaves_the_layers_table_to_exists() {
         let pi = chain_fixture(3, 0.5);
         let o3 = pi.oid("o3").unwrap();
         let p = parse(&pi, "r.next.next.next");
         let engine = QueryEngine::with_threads(pi, 1);
         let a = engine.run(&Query::point(p.clone(), o3)).unwrap();
+        let snap = engine.stats();
+        assert_eq!((snap.layers_hits, snap.layers_misses), (0, 0));
+        assert_eq!(engine.cache_len(), (1, 0, 0), "results, layers, links");
         // Same path again as a *different* Query value: exists — the
-        // whole-query memo misses but layers are shared.
+        // whole-query memo misses and the layers are located once.
         let b = engine.run(&Query::exists(p.clone())).unwrap();
         assert_eq!(a, b, "on a chain the sole target is the located set");
         let snap = engine.stats();
-        assert_eq!(snap.layers_misses, 1);
-        assert_eq!(snap.layers_hits, 1);
+        assert_eq!((snap.layers_hits, snap.layers_misses), (0, 1));
         assert_eq!(engine.cache_len(), (2, 1, 0), "results, layers, links");
         assert_eq!((snap.eps_hits, snap.eps_misses), (0, 0), "no ε memo");
     }
@@ -1624,6 +1670,56 @@ mod tests {
         assert_eq!(other.to_bits(), fresh.run(&Query::point(title, t1)).unwrap().to_bits());
         assert_eq!(linked.unwrap().lo().to_bits(), fresh.run(&chain).unwrap().to_bits());
         assert!(engine.audit_cache().is_empty(), "{:?}", engine.audit_cache());
+    }
+
+    /// POINT-only queries leave no layers witness, so an entry-level
+    /// write tests each point result against its target's path
+    /// ancestors: a write below a short path's targets keeps their
+    /// results warm, and only the results whose target sits under the
+    /// written parent are evicted.
+    #[test]
+    fn point_results_without_a_witness_survive_writes_off_their_ancestors() {
+        use pxml_algebra::locate::locate_weak;
+        use pxml_gen::{generate, Labeling, WorkloadConfig};
+        let g = generate(&WorkloadConfig::paper(3, 2, Labeling::SameLabel, 5));
+        let pi = g.instance;
+        let label = |d: usize| g.depth_labels[d][0];
+        let short = PathExpr::new(pi.root(), [label(0)]);
+        let full = PathExpr::new(pi.root(), [label(0), label(1), label(2)]);
+        let points = |p: &PathExpr| -> Vec<Query> {
+            locate_weak(&pi, p).into_iter().map(|o| Query::point(p.clone(), o)).collect()
+        };
+        let (short_q, full_q) = (points(&short), points(&full));
+        assert!(!short_q.is_empty() && !full_q.is_empty());
+        // A depth-2 object: below every target of the short path.
+        let first_child =
+            |o: ObjectId| pi.weak().node(o).unwrap().universe().iter().next().unwrap().1;
+        let parent = first_child(first_child(pi.root()));
+        let child = first_child(parent);
+        let m = Mutation::SetEdgeProb { parent, child, prob: 0.25 };
+        let mut engine = QueryEngine::with_threads(pi.clone(), 1);
+        engine.run_batch(&short_q);
+        engine.run_batch(&full_q);
+        let out = engine.apply_mutation(&m).unwrap();
+        assert!(!out.effect.structural);
+        assert!(engine.audit_cache().is_empty(), "{:?}", engine.audit_cache());
+        let before = engine.stats();
+        assert_fresh_answers(&engine, &short_q);
+        let after = engine.stats();
+        let n = short_q.len() as u64;
+        assert_eq!(after.result_hits - before.result_hits, n, "short-path results stay warm");
+        // The written parent's child is located by the full path: its
+        // result was evicted and recomputes to the fresh answer.
+        let under = Query::point(full.clone(), child);
+        assert!(full_q.contains(&under));
+        let before = engine.stats();
+        assert_fresh_answers(&engine, std::slice::from_ref(&under));
+        assert_eq!(
+            engine.stats().result_hits,
+            before.result_hits,
+            "the child's result was evicted"
+        );
+        assert_fresh_answers(&engine, &full_q);
     }
 
     /// Builds `R` with the given `(parent, label, children)` rows, an

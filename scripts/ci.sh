@@ -54,6 +54,14 @@ cargo test -q --offline --test fuzz_robustness
 echo "==> mutation differential suite"
 cargo test -q --offline --test mutation_differential
 
+# Pinned answer checksums at the benchmark scale: FNV-1a over the
+# to_bits of every cold_reads_1e5 pool answer and of the mixed_rw_1e4
+# warm-up replay (with its writes applied) must equal the pinned values,
+# so no change moves a served answer by one bit. Ignored by default (the
+# pools are slow to build in debug), hence the release run here.
+echo "==> answer checksums (cold_reads_1e5 pool, mixed_rw_1e4 warm-up)"
+cargo test --release --offline -p pxml-cli --test answer_checksums -- --ignored
+
 # Arena/CSR flat-pipeline benchmark: every answer must be bit-equal to
 # the legacy recursion, and the cold marginalisation pool at the
 # 10^5-object scale >= 2x faster on the arena (asserted inside the

@@ -26,6 +26,13 @@
 //!    equal to a fresh `lower_unchecked` of the same instance, with the
 //!    same rows and CSRs, the same slab layout once compacted, and
 //!    `to_bits`-equal flat answers.
+//! 6. **Ancestor walk ≡ layers route** — on §7.1 trees after random
+//!    mutation prefixes, and on a hostile instance with a dangling
+//!    child, a point query's kept region from `kept_point` (the
+//!    target's path ancestors) gives the answer, error and budget spend
+//!    of `layers_flat_from` → `kept_flat` → `eps_flat`, for located and
+//!    unlocated targets, ids past the arena, non-root path starts and
+//!    the empty path.
 
 mod common;
 
@@ -35,8 +42,8 @@ use rand::{Rng, SeedableRng};
 
 use pxml::algebra::{locate_weak, PathExpr};
 use pxml::core::{
-    ArenaInstance, ChildSet, IndependentOpf, Label, LabelProductOpf, Mutation, ObjectId, Opf,
-    OpfView, ProbInstance,
+    ArenaInstance, Budget, ChildSet, CoreError, DegradePolicy, EpsBounds, IndependentOpf, Label,
+    LabelProductOpf, Mutation, ObjectId, Opf, OpfView, PointRegion, ProbInstance,
 };
 use pxml::gen::random_mutations;
 use pxml::query::{chain_probability, exists_query, point_query, QueryError};
@@ -311,8 +318,166 @@ fn decoded_instance_lowers_to_one_row_per_catalog_object() {
     }
 }
 
+/// One point evaluation, comparable across routes: the bounds'
+/// `to_bits` and OPF entries, or the error, plus the steps spent.
+type PointOutcome = (Result<(u64, u64, u64), CoreError>, u64);
+
+fn outcome(r: Result<EpsBounds, CoreError>, budget: &Budget) -> PointOutcome {
+    (r.map(|b| (b.lo.to_bits(), b.hi.to_bits(), b.opf_entries)), budget.steps_spent())
+}
+
+const ZERO: EpsBounds = EpsBounds { lo: 0.0, hi: 0.0, opf_entries: 0 };
+
+/// The layers route for `P(target ∈ start.labels)`: locate every
+/// layer, keep the target's region, sweep.
+fn point_by_layers(
+    a: &ArenaInstance,
+    start: u32,
+    labels: &[Label],
+    target: u32,
+    budget: &Budget,
+    degrade: DegradePolicy,
+) -> Result<EpsBounds, CoreError> {
+    let layers = a.layers_flat_from(start, labels);
+    if layers[labels.len()].binary_search(&target).is_err() {
+        return Ok(ZERO);
+    }
+    let kept = a.kept_flat(labels, &layers, &[target])?;
+    a.eps_flat(labels, &kept, budget, degrade)
+}
+
+/// Checks the ancestor walk against the layers route for one target
+/// under every budget, and checks which region the walk chose: on a
+/// forest it falls back to the layers only for a target in range
+/// without a weak node, and a walked region is `kept_flat`'s.
+fn assert_walk_matches_layers(
+    pi: &ProbInstance,
+    a: &ArenaInstance,
+    start: u32,
+    labels: &[Label],
+    target: u32,
+) {
+    let ctx = format!("start {start} labels {labels:?} target {target}");
+    let region = a.kept_point(start, labels, target);
+    let in_range = (target as usize) < a.len();
+    let member = pi.weak().node(ObjectId::from_raw(target)).is_some();
+    assert_eq!(matches!(region, PointRegion::Layers), in_range && !member, "{ctx}: {region:?}");
+    let layers = a.layers_flat_from(start, labels);
+    let located = layers[labels.len()].binary_search(&target).is_ok();
+    match &region {
+        PointRegion::Kept(kept) => {
+            assert!(located, "{ctx}: walked to an unlocated target");
+            assert_eq!(Ok(kept.clone()), a.kept_flat(labels, &layers, &[target]), "{ctx}");
+        }
+        PointRegion::Absent => assert!(!located, "{ctx}: a located target reported absent"),
+        PointRegion::Layers => {}
+    }
+    let budgets = [None, Some(0), Some(1), Some(2), Some(3), Some(5), Some(8)];
+    for max_steps in budgets {
+        for degrade in [DegradePolicy::Error, DegradePolicy::Interval] {
+            let budget = || {
+                max_steps.map_or_else(Budget::unlimited, |k| Budget::unlimited().with_max_steps(k))
+            };
+            let (walk_budget, layers_budget) = (budget(), budget());
+            let walked = match a.kept_point(start, labels, target) {
+                PointRegion::Kept(kept) => a.eps_flat(labels, &kept, &walk_budget, degrade),
+                PointRegion::Absent => Ok(ZERO),
+                PointRegion::Layers => {
+                    point_by_layers(a, start, labels, target, &walk_budget, degrade)
+                }
+            };
+            let by_layers = point_by_layers(a, start, labels, target, &layers_budget, degrade);
+            assert_eq!(
+                outcome(walked, &walk_budget),
+                outcome(by_layers, &layers_budget),
+                "{ctx}: budget {max_steps:?} {degrade:?}"
+            );
+        }
+    }
+}
+
+/// Random label paths over a §7.1 instance's per-depth alphabets, from
+/// the root and from random objects, and every interesting target of
+/// each: every located one, random unlocated members and ids at or
+/// past the arena's end.
+fn drive_point_walks(pi: &ProbInstance, depth_labels: &[Vec<Label>], rng: &mut StdRng) {
+    let a = ArenaInstance::lower_unchecked(pi);
+    let members: Vec<u32> = pi.weak().objects().map(|o| o.raw()).collect();
+    for _ in 0..12 {
+        let from_root = rng.gen_bool(0.6);
+        let start =
+            if from_root { a.root_index() } else { members[rng.gen_range(0..members.len())] };
+        let len = rng.gen_range(0..=depth_labels.len() + 1);
+        let labels: Vec<Label> = (0..len)
+            .map(|d| {
+                let alphabet = &depth_labels[d.min(depth_labels.len() - 1)];
+                alphabet[rng.gen_range(0..alphabet.len())]
+            })
+            .collect();
+        let mut targets = a.layers_flat_from(start, &labels).pop().unwrap_or_default();
+        targets.extend((0..6).map(|_| members[rng.gen_range(0..members.len())]));
+        targets.extend([a.len() as u32, a.len() as u32 + 7]);
+        for t in targets {
+            assert_walk_matches_layers(pi, &a, start, &labels, t);
+        }
+    }
+}
+
+/// Contract 6 on a hostile unchecked instance: a §7.1 tree without
+/// the weak nodes of one depth-1 object and of one leaf, so the rows of
+/// their parents name dangling children.
+#[test]
+fn point_walk_matches_layers_with_dangling_children() {
+    use pxml::core::WeakInstance;
+    use pxml::gen::{generate, Labeling, WorkloadConfig};
+    use std::sync::Arc;
+    let g = generate(&WorkloadConfig::paper(3, 2, Labeling::FullyRandom, 11));
+    let (weak, opf, vpf) = g.instance.into_parts();
+    let children: Vec<ObjectId> =
+        weak.node(weak.root()).unwrap().universe().iter().map(|(_, c, _)| c).collect();
+    let (kept_branch, cut_branch) = (children[0], children[1]);
+    let leaf = weak
+        .descendants(kept_branch)
+        .into_iter()
+        .find(|&o| weak.node(o).is_some_and(|n| n.is_childless()))
+        .unwrap();
+    let mut nodes = weak.nodes().clone();
+    nodes.remove(cut_branch);
+    nodes.remove(leaf);
+    let weak = WeakInstance::from_parts_unchecked(Arc::clone(weak.catalog()), weak.root(), nodes);
+    let pi = ProbInstance::from_parts_unchecked(weak, opf, vpf);
+    let a = ArenaInstance::lower_unchecked(&pi);
+    for x in [cut_branch, leaf] {
+        assert_eq!(
+            a.kept_point(a.root_index(), &[], x.raw()),
+            PointRegion::Layers,
+            "{x:?} dangles"
+        );
+    }
+    let mut rng = StdRng::seed_from_u64(0xd4);
+    for _ in 0..8 {
+        drive_point_walks(&pi, &g.depth_labels, &mut rng);
+    }
+}
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Contract 6: on §7.1 SL and FR trees of several depths and
+    /// branchings, after a random prefix of entry-level mutations, the
+    /// ancestor walk and the layers route agree on every point query.
+    #[test]
+    fn point_walk_matches_layers_on_generated_trees(seed in 0u64..3000) {
+        use pxml::gen::{generate, Labeling, WorkloadConfig};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let labeling = if rng.gen_bool(0.5) { Labeling::SameLabel } else { Labeling::FullyRandom };
+        let (depth, branching) = (rng.gen_range(1..=4usize), rng.gen_range(1..=4usize));
+        let g = generate(&WorkloadConfig::paper(depth, branching, labeling, seed));
+        let mut pi = g.instance;
+        for op in random_mutations(&pi, rng.gen_range(0..4usize), rng.gen()) {
+            pi.apply(&op).expect("generated ops apply");
+        }
+        drive_point_walks(&pi, &g.depth_labels, &mut rng);
+    }
 
     /// Contract 5: after every entry-level op the patched arena matches
     /// a fresh lowering of the same instance.

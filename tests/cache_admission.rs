@@ -171,7 +171,7 @@ fn invalidation_over_index_keyed_entries_keeps_accounting_exact() {
     assert_eq!(cache.approx_bytes(), cache.recomputed_bytes());
 
     let direct: HashSet<u32> = (0..8u32).collect();
-    let counts = cache.invalidate_dirty(&direct, true);
+    let counts = cache.invalidate_dirty(&direct, true, None);
     assert_eq!(counts.results, 8 + 2, "chains over D, exists over the dirty witnesses");
     assert_eq!(counts.layers, 2, "layers evicted per dirty id set");
     assert_eq!(counts.links, 8, "links evicted per dirty id set");

@@ -172,14 +172,20 @@ fn assert_governed_close(
 /// The shared driver: one mirror instance, a warm 1-thread engine and a
 /// warm 4-thread engine receive the same mutation sequence; after every
 /// step the full workload is answered by all three plus a cold oracle
-/// and compared slot-for-slot.
-fn drive(pi: ProbInstance, seed: u64, structural_every: usize, dag_ops: bool) {
+/// and compared slot-for-slot. With `points_only` the workload keeps
+/// only its point queries.
+fn drive(pi: ProbInstance, seed: u64, structural_every: usize, dag_ops: bool, points_only: bool) {
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
     let mut mirror = pi.clone();
     let mut eng1 = QueryEngine::with_threads(pi.clone(), 1);
     let mut eng4 = QueryEngine::with_threads(pi, 4);
     let mut fresh_names = 0u32;
-    let stale = build_queries(&mirror); // initial-shape queries, kept all run
+    let workload = |pi: &ProbInstance| {
+        let mut queries = build_queries(pi);
+        queries.retain(|q| !points_only || matches!(q, BatchQuery::Point { .. }));
+        queries
+    };
+    let stale = workload(&mirror); // initial-shape queries, kept all run
 
     // Warm both caches before the first mutation so invalidation has
     // something to get wrong.
@@ -212,7 +218,7 @@ fn drive(pi: ProbInstance, seed: u64, structural_every: usize, dag_ops: bool) {
         assert!(findings.is_empty(), "step {step}: {op:?} (4 threads): {findings:?}");
 
         // Current-shape workload + the stale initial-shape workload.
-        let mut queries = build_queries(&mirror);
+        let mut queries = workload(&mirror);
         queries.extend(stale.iter().cloned());
 
         let oracle = QueryEngine::with_threads(mirror.clone(), 1);
@@ -243,7 +249,7 @@ proptest! {
     /// Trees: entry-level ops with a structural op every third step.
     #[test]
     fn incremental_equals_fresh_on_trees(seed in 0u64..2000) {
-        drive(random_tree(seed), seed, 3, false);
+        drive(random_tree(seed), seed, 3, false, false);
     }
 
     /// DAGs: shared children, chain queries that stay exact, point and
@@ -252,14 +258,23 @@ proptest! {
     /// attempts that may create diamonds or be rejected as cycles.
     #[test]
     fn incremental_equals_fresh_on_dags(seed in 0u64..2000) {
-        drive(random_dag(seed), seed, 2, true);
+        drive(random_dag(seed), seed, 2, true, false);
+    }
+
+    /// POINT-only stream on trees: no exists query leaves a layers
+    /// witness, so after an entry-level write each retained point
+    /// result is vouched for only by its target's path ancestors, and
+    /// the audit after every op checks that verdict.
+    #[test]
+    fn incremental_equals_fresh_point_only(seed in 0u64..2000) {
+        drive(random_tree(seed), seed, 3, false, true);
     }
 
     /// Entry-only steady state: every step is a generated `SETEDGE` /
     /// `SETVAL`, the workload the bench measures.
     #[test]
     fn incremental_equals_fresh_entry_only(seed in 0u64..2000) {
-        drive(random_tree(seed), seed, 0, false);
+        drive(random_tree(seed), seed, 0, false, false);
     }
 }
 

@@ -10,7 +10,9 @@
 //!   in pool order, under the workload's 256 KiB cache ceiling;
 //! * `mixed_rw_1e4` — the workload's warm-up at `--seed 1`: every
 //!   distinct query once, then one cycle of each client stream, with
-//!   its 811 writes applied through `QueryEngine::apply_mutation`.
+//!   its 811 writes applied through `QueryEngine::apply_mutation`;
+//!   replayed again with the static pre-flight stage on, which must
+//!   serve the same answers.
 //!
 //! The pools and streams mirror `e2ebench/src/workload.rs` (`sub_seed`,
 //! `distinct_queries`, the `Mixed` pool, shuffle and warm-up order); if
@@ -21,12 +23,13 @@
 //! `cargo test --release --offline -p pxml-cli --test answer_checksums -- --ignored`.
 
 use std::collections::{HashMap, HashSet};
+use std::time::Instant;
 
 use pxml_cli::translate_query;
 use pxml_gen::{
     generate, serve_workload, GeneratedInstance, Labeling, ServeRequest, WorkloadConfig,
 };
-use pxml_query::QueryEngine;
+use pxml_query::{QueryEngine, StatsSnapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -106,9 +109,23 @@ fn cold_reads_1e5_pool_checksum_is_pinned() {
     assert_eq!(format!("{:016x}", sum.0), "393eabcd5f684cb7");
 }
 
-#[test]
-#[ignore = "builds a 10^4-object workload; run in release with --ignored"]
-fn mixed_rw_1e4_warmup_checksum_is_pinned() {
+/// What one replay of the `mixed_rw_1e4` warm-up served.
+struct Replay {
+    /// FNV-1a over every answer's `to_bits`.
+    sum: u64,
+    /// Queries answered.
+    answers: usize,
+    /// MUTATE requests applied.
+    writes: usize,
+    /// Cache entries the writes evicted.
+    evicted: u64,
+    /// The engine's counters after the replay.
+    stats: StatsSnapshot,
+}
+
+/// Replays the `mixed_rw_1e4` warm-up at `--seed 1` through one engine,
+/// with the static pre-flight stage on or off.
+fn replay_mixed_rw_1e4_warmup(preflight: bool) -> Replay {
     // `mixed_rw_1e4`: depth 8, branching 3, same-label, instance seed
     // 0x1e4, two clients with 4 096-request streams at 100‰ MUTATE; run
     // seed 1 picks the stream order.
@@ -138,6 +155,8 @@ fn mixed_rw_1e4_warmup_checksum_is_pinned() {
     warmup.extend(streams.concat());
 
     let mut engine = QueryEngine::with_threads(g.instance, 1);
+    engine.set_preflight(preflight);
+    let started = Instant::now();
     let (mut sum, mut answers, mut writes, mut evicted) = (Fnv::new(), 0, 0, 0);
     for &i in &warmup {
         match &pool[i as usize] {
@@ -156,10 +175,33 @@ fn mixed_rw_1e4_warmup_checksum_is_pinned() {
             }
         }
     }
-    let stats = engine.stats();
-    assert_eq!((answers, writes), (10_544, 811));
-    assert_eq!(format!("{:016x}", sum.0), "92d55c79f8e3cc40");
-    assert_eq!(evicted, 5_843, "cache entries evicted by the writes");
-    assert_eq!(stats.result_hits, 3_745);
-    assert_eq!(stats.opf_entries_visited, 845_912);
+    eprintln!("warm-up replay (preflight {preflight}): {:?}", started.elapsed());
+    Replay { sum: sum.0, answers, writes, evicted, stats: engine.stats() }
+}
+
+#[test]
+#[ignore = "builds a 10^4-object workload; run in release with --ignored"]
+fn mixed_rw_1e4_warmup_checksum_is_pinned() {
+    let r = replay_mixed_rw_1e4_warmup(false);
+    assert_eq!((r.answers, r.writes), (10_544, 811));
+    assert_eq!(format!("{:016x}", r.sum), "92d55c79f8e3cc40");
+    assert_eq!(r.evicted, 5_843, "cache entries evicted by the writes");
+    assert_eq!(r.stats.result_hits, 3_745);
+    assert_eq!(r.stats.opf_entries_visited, 845_912);
+}
+
+#[test]
+#[ignore = "builds a 10^4-object workload; run in release with --ignored"]
+fn mixed_rw_1e4_warmup_is_unchanged_by_preflight() {
+    // The pre-flight short-circuits provable zeros and rewrites
+    // singleton POINTs to EXISTS; neither may move an answer.
+    let r = replay_mixed_rw_1e4_warmup(true);
+    assert_eq!((r.answers, r.writes), (10_544, 811));
+    assert_eq!(format!("{:016x}", r.sum), "92d55c79f8e3cc40");
+    assert_eq!(
+        (r.stats.preflight_zeros, r.stats.preflight_rewrites, r.stats.result_hits),
+        (0, 0, 3_745),
+        "(preflight_zeros, preflight_rewrites, result_hits)"
+    );
+    assert_eq!(r.evicted, 5_843, "cache entries evicted by the writes");
 }

@@ -50,7 +50,7 @@
 //! it slots into shell pipelines and CI.
 //!
 //! `analyze` statically analyses a query workload against the
-//! instance's structural summary without executing anything: per-line
+//! lowered instance without executing anything: per-line
 //! `AQ0xx` diagnostics (unsatisfiable paths, out-of-domain literals,
 //! dead branches, unknown names), work-step and memoisation bounds, and
 //! — with governance flags — pre-flight budget admission (exit 3 when a
@@ -399,8 +399,9 @@ fn run_batch(args: &[String]) -> Result<(), CliError> {
 ///
 /// Static analysis only — nothing is executed. Each input line (file, or
 /// stdin when no file is given; blank lines and `#` comments skipped) is
-/// parsed, name-resolved and checked against the instance's structural
-/// summary, printing one line per finding with its stable `AQ0xx` code.
+/// parsed, name-resolved and checked against the instance, lowered once
+/// to the arena the engine evaluates over, printing one line per
+/// finding with its stable `AQ0xx` code.
 /// For the probability queries (`POINT` / `EXISTS` / `CHAIN`) the
 /// engine pre-flight also reports a work-step bound, a memoisation-byte
 /// bound and a probability ceiling.
@@ -497,19 +498,20 @@ fn run_mutate(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Depth and count of the structural-summary label paths that
-/// `mutate --audit` answers before its first op.
+/// Depth and count of the instance's label paths
+/// ([`pxml_core::ArenaInstance::label_paths`]) that `mutate --audit`
+/// answers before its first op.
 const AUDIT_WARM_DEPTH: usize = 8;
 const AUDIT_WARM_PATHS: usize = 256;
 
 /// Fills the cache that `mutate --audit` checks: EXISTS, plus POINT at
-/// the first located object, over each label path of the structural
-/// summary. Without it the command never runs a query, so every audit
+/// the first located object, over each label path of the instance.
+/// Without it the command never runs a query, so every audit
 /// would check an empty cache and every op would evict nothing. A
 /// query that fails here caches nothing and is skipped.
 fn warm_for_audit(engine: &pxml_query::QueryEngine) {
     let pi = engine.instance();
-    for labels in engine.summary().label_paths(AUDIT_WARM_DEPTH, AUDIT_WARM_PATHS) {
+    for labels in engine.arena().label_paths(AUDIT_WARM_DEPTH, AUDIT_WARM_PATHS) {
         let path = pxml_algebra::PathExpr::new(pi.root(), labels);
         if let Some(&o) = pxml_algebra::locate_weak(pi, &path).first() {
             let _ = engine.run(&pxml_query::Query::point(path.clone(), o));
@@ -570,12 +572,12 @@ fn run_analyze(args: &[String]) -> Result<(), CliError> {
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
         .collect();
 
-    let summary = pxml_core::StructuralSummary::build(&pi);
+    let arena = pxml_core::ArenaInstance::lower_unchecked(&pi);
     let spec = gov.spec();
     let mut clean = 0usize;
     let mut rejected = 0usize;
     for (n, line) in lines.iter().enumerate() {
-        let a = pxml_ql::analyze_text(&pi, &summary, line);
+        let a = pxml_ql::analyze_text(&pi, &arena, line);
         let mut flagged = false;
         for d in &a.diagnostics {
             println!("line {}: {d}", n + 1);

@@ -450,6 +450,24 @@ impl ArenaInstance {
         self.root
     }
 
+    /// True when row `x`'s object has a weak node. False for rows
+    /// without one and for ids at or past [`ArenaInstance::len`].
+    pub fn is_member(&self, x: u32) -> bool {
+        self.member.get(x as usize) == Some(&true)
+    }
+
+    /// The universe position of `child` in member `parent`'s row: its
+    /// first occurrence, as [`crate::childset::ChildUniverse::position`]
+    /// reports it. `None` when `child` is not in the row, or `parent` is
+    /// not a member (an id at or past [`ArenaInstance::len`] included).
+    pub fn child_position(&self, parent: u32, child: u32) -> Option<u32> {
+        if !self.is_member(parent) {
+            return None;
+        }
+        let (s, e) = self.child_range(parent);
+        (s..e).find(|&i| self.children[i as usize] == child).map(|i| i - s)
+    }
+
     /// The distinct members with a weak edge into `x`, ascending (empty
     /// for non-members) — the weak parent map as a reverse CSR row.
     pub fn parents_of(&self, x: u32) -> &[u32] {
@@ -591,6 +609,18 @@ impl ArenaInstance {
         self.layers_flat_from(self.root, labels)
     }
 
+    /// The located layers of the path `root.labels`, as `layers_weak`
+    /// builds them: [`ArenaInstance::layers_flat`] when `root` is the
+    /// instance root, and `labels.len() + 1` empty layers otherwise (a
+    /// path anchored anywhere else locates nothing).
+    pub fn locate(&self, root: ObjectId, labels: &[Label]) -> Vec<Vec<u32>> {
+        if root.raw() == self.root {
+            self.layers_flat(labels)
+        } else {
+            vec![Vec::new(); labels.len() + 1]
+        }
+    }
+
     /// The per-depth reach sets of `labels` from row `start` over the
     /// weak edges, as sorted raw ids; layer 0 is `[start]`.
     /// [`ArenaInstance::layers_flat`] is the root case.
@@ -629,6 +659,53 @@ impl ArenaInstance {
             layers.push(next);
         }
         layers
+    }
+
+    /// The distinct label paths from the root over the weak edges, up to
+    /// `max_depth` labels long, in breadth-first order (the DataGuide
+    /// view of the instance): per frontier, its labels ascending. At most
+    /// `max_paths` paths are returned, so the walk stays bounded on
+    /// adversarial fan-outs.
+    pub fn label_paths(&self, max_depth: usize, max_paths: usize) -> Vec<Vec<Label>> {
+        let mut out: Vec<Vec<Label>> = Vec::new();
+        // Frontier of (objects, path) pairs; objects deduplicated.
+        let mut frontier: Vec<(Vec<u32>, Vec<Label>)> = vec![(vec![self.root], Vec::new())];
+        for _ in 0..max_depth {
+            let mut next_frontier: Vec<(Vec<u32>, Vec<Label>)> = Vec::new();
+            for (objs, path) in &frontier {
+                let weak_entries = || {
+                    objs.iter()
+                        .flat_map(|&x| {
+                            let (s, e) = self.child_range(x);
+                            s as usize..e as usize
+                        })
+                        .filter(|&i| self.child_weak[i])
+                };
+                let mut labels: Vec<Label> = weak_entries().map(|i| self.child_labels[i]).collect();
+                labels.sort_unstable();
+                labels.dedup();
+                for label in labels {
+                    let mut children: Vec<u32> = weak_entries()
+                        .filter(|&i| self.child_labels[i] == label)
+                        .map(|i| self.children[i])
+                        .collect();
+                    children.sort_unstable();
+                    children.dedup();
+                    let mut p = path.clone();
+                    p.push(label);
+                    if out.len() >= max_paths {
+                        return out;
+                    }
+                    out.push(p.clone());
+                    next_frontier.push((children, p));
+                }
+            }
+            if next_frontier.is_empty() {
+                break;
+            }
+            frontier = next_frontier;
+        }
+        out
     }
 
     /// The proper ancestors of `x` on a forest, nearest first: its
@@ -1484,6 +1561,42 @@ mod tests {
             want.sort_unstable();
             assert_eq!(a.parents_of(o.raw()), &want[..], "parents of {o:?}");
         }
+    }
+
+    #[test]
+    fn label_paths_enumerate_the_dataguide() {
+        let pi = fig2_instance();
+        let a = ArenaInstance::lower(&pi).unwrap();
+        let [book, title, author, institution] =
+            ["book", "title", "author", "institution"].map(|l| pi.lid(l).unwrap());
+        assert_eq!(a.label_paths(3, 64), vec![
+            vec![book],
+            vec![book, title],
+            vec![book, author],
+            vec![book, author, institution],
+        ]);
+        assert_eq!(a.label_paths(3, 2), vec![vec![book], vec![book, title]]);
+        assert!(a.label_paths(0, 64).is_empty());
+    }
+
+    #[test]
+    fn child_position_checks_bounds_and_membership() {
+        let mut pi = fig2_instance();
+        let a = ArenaInstance::lower(&pi).unwrap();
+        let (r, b2, a3) = (pi.root().raw(), pi.oid("B2").unwrap(), pi.oid("A3").unwrap());
+        let universe = pi.weak().node(b2).unwrap().universe();
+        assert_eq!(a.child_position(b2.raw(), a3.raw()), universe.position(a3));
+        assert_eq!(a.child_position(r, a3.raw()), None);
+        let len = a.len() as u32;
+        assert!(!a.is_member(len));
+        assert_eq!(a.child_position(len, a3.raw()), None);
+        assert_eq!(a.child_position(r, len + 7), None);
+        // A deleted object keeps an empty, non-member row.
+        let i1 = pi.oid("I1").unwrap();
+        pi.apply(&crate::mutate::Mutation::DeleteObject { object: i1 }).unwrap();
+        let a = ArenaInstance::lower(&pi).unwrap();
+        assert!(i1.raw() < len && !a.is_member(i1.raw()));
+        assert_eq!(a.child_position(i1.raw(), a3.raw()), None);
     }
 
     /// Row `x` has an empty CSR row, no OPF and no parents.

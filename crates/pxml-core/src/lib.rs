@@ -58,7 +58,6 @@ pub mod opf;
 pub mod pathkey;
 pub mod potential;
 pub mod prob_instance;
-pub mod summary;
 pub mod types;
 pub mod value;
 pub mod vpf;
@@ -78,7 +77,6 @@ pub use mutate::{parse_ops, render_ops, Mutation, MutationEffect};
 pub use opf::{IndependentOpf, LabelProductOpf, Opf, OpfTable};
 pub use pathkey::LabelPath;
 pub use prob_instance::{ProbInstance, ProbInstanceBuilder};
-pub use summary::{EdgeSummary, LeafSummary, ObjectSummary, StructuralSummary};
 pub use types::{LeafType, TypeTable};
 pub use value::Value;
 pub use vpf::Vpf;

@@ -1,6 +1,6 @@
 //! Static analysis of textual queries: name resolution, satisfiability
-//! and domain checks over a [`StructuralSummary`], with the engine's
-//! `AQ0xx` diagnostic taxonomy.
+//! and domain checks over the instance and its [`ArenaInstance`]
+//! lowering, with the engine's `AQ0xx` diagnostic taxonomy.
 //!
 //! [`analyze`] never executes anything and never fails: parse errors
 //! and unresolvable names become diagnostics (`AQ004` / `AQ005`), the
@@ -9,10 +9,11 @@
 //! [`Report`] — verdict, cost bound, probability ceiling — is attached
 //! to the result, and the algebra statements get the QL-only checks:
 //! unsatisfiable paths (`AQ001`), out-of-domain literals (`AQ002`) and
-//! dead predicate branches (`AQ003`).
+//! dead predicate branches (`AQ003`). Callers lower the instance once
+//! with [`ArenaInstance::lower_unchecked`], which is total, so hostile
+//! instances get diagnostics too.
 
-use pxml_core::summary::StructuralSummary;
-use pxml_core::{Label, ObjectId, ProbInstance};
+use pxml_core::{ArenaInstance, Label, LeafInfo, ObjectId, ProbInstance, Value};
 use pxml_query::preflight::{self, DiagCode, Diagnostic, Report};
 
 use crate::ast::{PathText, Query};
@@ -45,10 +46,10 @@ impl QueryAnalysis {
 
 /// Parses and statically analyses one textual query. Total: malformed
 /// input yields an `AQ004` diagnostic, never an error or a panic.
-pub fn analyze(pi: &ProbInstance, summary: &StructuralSummary, text: &str) -> QueryAnalysis {
+pub fn analyze(pi: &ProbInstance, arena: &ArenaInstance, text: &str) -> QueryAnalysis {
     let trimmed = text.trim();
     match parser::parse(trimmed) {
-        Ok(q) => analyze_query(pi, summary, &q, trimmed),
+        Ok(q) => analyze_query(pi, arena, &q, trimmed),
         Err(e) => QueryAnalysis {
             text: trimmed.to_string(),
             diagnostics: vec![Diagnostic {
@@ -60,10 +61,10 @@ pub fn analyze(pi: &ProbInstance, summary: &StructuralSummary, text: &str) -> Qu
     }
 }
 
-/// Statically analyses one parsed query.
+/// Statically analyses one parsed query; `arena` is `pi` lowered.
 pub fn analyze_query(
     pi: &ProbInstance,
-    summary: &StructuralSummary,
+    arena: &ArenaInstance,
     q: &Query,
     text: &str,
 ) -> QueryAnalysis {
@@ -73,14 +74,14 @@ pub fn analyze_query(
         Query::Point { object, path } => {
             let target = resolve_object(pi, object, &mut diagnostics);
             if let (Some(x), Some(p)) = (target, resolve_path(pi, path, &mut diagnostics)) {
-                let r = preflight::analyze(summary, &pxml_query::Query::point(p, x));
+                let r = preflight::analyze(arena, &pxml_query::Query::point(p, x));
                 diagnostics.extend(r.diagnostics.iter().cloned());
                 report = Some(r);
             }
         }
         Query::Exists { path } => {
             if let Some(p) = resolve_path(pi, path, &mut diagnostics) {
-                let r = preflight::analyze(summary, &pxml_query::Query::exists(p));
+                let r = preflight::analyze(arena, &pxml_query::Query::exists(p));
                 diagnostics.extend(r.diagnostics.iter().cloned());
                 report = Some(r);
             }
@@ -91,16 +92,16 @@ pub fn analyze_query(
                 .map(|name| resolve_object(pi, name, &mut diagnostics))
                 .collect();
             if let Some(chain) = resolved {
-                let r = preflight::analyze(summary, &pxml_query::Query::chain(chain));
+                let r = preflight::analyze(arena, &pxml_query::Query::chain(chain));
                 diagnostics.extend(r.diagnostics.iter().cloned());
                 report = Some(r);
             }
         }
         Query::Project { path, .. } => {
-            check_satisfiable(pi, summary, path, &mut diagnostics);
+            check_satisfiable(pi, arena, path, &mut diagnostics);
         }
         Query::SelectObject { path, object } => {
-            if let Some(located) = check_satisfiable(pi, summary, path, &mut diagnostics) {
+            if let Some(located) = check_satisfiable(pi, arena, path, &mut diagnostics) {
                 if let Some(x) = resolve_object(pi, object, &mut diagnostics) {
                     if located.binary_search(&x).is_err() {
                         diagnostics.push(Diagnostic {
@@ -115,7 +116,7 @@ pub fn analyze_query(
             }
         }
         Query::SelectValue { path, object, value } => {
-            if let Some(located) = check_satisfiable(pi, summary, path, &mut diagnostics) {
+            if let Some(located) = check_satisfiable(pi, arena, path, &mut diagnostics) {
                 let mut scope = located;
                 if let Some(name) = object {
                     match resolve_object(pi, name, &mut diagnostics) {
@@ -137,11 +138,11 @@ pub fn analyze_query(
                 // value with positive probability. Open domains (no
                 // VPF, no fixed value) conservatively support anything.
                 if !scope.is_empty() {
-                    let supported = scope.iter().any(|o| {
-                        summary
-                            .object(*o)
-                            .and_then(|s| s.leaf.as_ref())
-                            .is_none_or(|leaf| leaf.supports(value))
+                    let supported = scope.iter().any(|&o| {
+                        pi.weak()
+                            .node(o)
+                            .and_then(|n| n.leaf())
+                            .is_none_or(|leaf| supports(pi, o, leaf, value))
                     });
                     if !supported {
                         diagnostics.push(Diagnostic {
@@ -161,6 +162,16 @@ pub fn analyze_query(
         Query::Worlds { .. } | Query::Render => {}
     }
     QueryAnalysis { text: text.to_string(), diagnostics, report }
+}
+
+/// Whether leaf `o` can take `v` with positive probability: `v` is in
+/// its VPF's support, or equals its fixed value when it has no VPF. A
+/// leaf with neither has an open domain, which supports everything.
+fn supports(pi: &ProbInstance, o: ObjectId, leaf: &LeafInfo, v: &Value) -> bool {
+    match pi.vpf(o) {
+        Some(vpf) => vpf.iter().any(|(w, p)| p > 0.0 && w == v),
+        None => leaf.val.as_ref().is_none_or(|w| w == v),
+    }
 }
 
 /// Resolves an object name, recording `AQ005` on failure.
@@ -209,13 +220,14 @@ fn resolve_path(
 /// the path resolves.
 fn check_satisfiable(
     pi: &ProbInstance,
-    summary: &StructuralSummary,
+    arena: &ArenaInstance,
     path: &PathText,
     diagnostics: &mut Vec<Diagnostic>,
 ) -> Option<Vec<ObjectId>> {
     let p = resolve_path(pi, path, diagnostics)?;
-    let layers = summary.layers(p.root, &p.labels);
-    let located = layers.last().cloned().unwrap_or_default();
+    let layers = arena.locate(p.root, &p.labels);
+    let located: Vec<ObjectId> =
+        layers[p.labels.len()].iter().map(|&x| ObjectId::from_raw(x)).collect();
     if located.is_empty() {
         diagnostics.push(Diagnostic {
             code: DiagCode::ProvablyZero,
@@ -229,12 +241,11 @@ fn check_satisfiable(
 mod tests {
     use super::*;
     use pxml_core::fixtures::fig2_instance;
-    use pxml_core::Value;
 
-    fn setup() -> (ProbInstance, StructuralSummary) {
+    fn setup() -> (ProbInstance, ArenaInstance) {
         let pi = fig2_instance();
-        let s = StructuralSummary::build(&pi);
-        (pi, s)
+        let a = ArenaInstance::lower_unchecked(&pi);
+        (pi, a)
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! `eps_flat`), chains through a link walk over the same arena. On a
 //! forest a point query's region is its target's path ancestors
 //! (`kept_point`); otherwise it is filtered from the path's located
-//! layers (`layers_flat_from` → `kept_flat`).
+//! layers (`layers_flat_from` → `kept_flat`). The optional pre-flight
+//! ([`crate::preflight`]) analyses the same arena, so no write leaves
+//! an analysis to rebuild.
 //!
 //! Engine answers are **exactly** (`==`, not within-epsilon) the answers
 //! of the sequential functions [`crate::point_query`],
@@ -29,13 +31,11 @@
 use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use pxml_algebra::path::PathExpr;
 use pxml_core::catalog::DisplayObject;
-use pxml_core::summary::StructuralSummary;
 use pxml_core::{
     render_ops, ArenaInstance, Budget, CancelToken, CoreError, Label, LabelPath, Mutation,
     ObjectId, PointRegion, ProbInstance,
@@ -206,7 +206,7 @@ struct DirtyClosure {
 pub struct QueryEngine {
     pi: ProbInstance,
     /// Flat lowering of `pi` (arena + CSR + OPF slabs). The point/exists
-    /// sweep and the chain kernel run over this. An
+    /// sweep, the chain kernel and the pre-flight run over this. An
     /// entry-level mutation patches the dirty objects' OPF slots in
     /// place; a structural one re-lowers it wholesale.
     arena: ArenaInstance,
@@ -218,9 +218,6 @@ pub struct QueryEngine {
     trace_mode: AtomicU8,
     traces: TraceRing,
     trace_seq: AtomicU64,
-    /// Lazily-built structural summary backing the pre-flight stage
-    /// and the `analyze` surface.
-    summary: OnceLock<Arc<StructuralSummary>>,
     /// Opt-in static pre-flight stage; one relaxed load gates it, so
     /// the default-off hot path is unchanged.
     preflight: AtomicBool,
@@ -258,20 +255,21 @@ impl QueryEngine {
             trace_mode: AtomicU8::new(TRACE_OFF),
             traces: TraceRing::default(),
             trace_seq: AtomicU64::new(0),
-            summary: OnceLock::new(),
             preflight: AtomicBool::new(false),
         }
     }
 
-    /// The structural summary of the instance, built on first use and
-    /// shared by every later pre-flight.
-    pub fn summary(&self) -> &Arc<StructuralSummary> {
-        self.summary.get_or_init(|| Arc::new(StructuralSummary::build(&self.pi)))
+    /// The flat lowering queries run over (and the pre-flight analyses).
+    /// Writes keep it current: entry-level ones patch it in place,
+    /// structural ones re-lower it.
+    pub fn arena(&self) -> &ArenaInstance {
+        &self.arena
     }
 
     /// Switches the static pre-flight stage on or off (off by
     /// default). When on, every query is normalised and checked
-    /// against the structural summary before evaluation: provably-zero
+    /// against the arena before evaluation ([`preflight::analyze`]):
+    /// provably-zero
     /// queries short-circuit to exact `0.0`, canonicalised plans share
     /// result-cache keys, and governed queries whose exact predicted
     /// step count exceeds the budget are rejected without spending it.
@@ -348,8 +346,8 @@ impl QueryEngine {
     /// Applies one mutation to the owned instance and evicts the cache
     /// entries its dirty set can affect (see
     /// [`MarginalCache::invalidate_dirty`]). Atomic: on `Err`
-    /// the instance, the cache, and the structural summary are all
-    /// unchanged.
+    /// the instance, the arena and the cache are all unchanged. The
+    /// pre-flight reads the arena, so it needs nothing rebuilt.
     pub fn apply_mutation(&mut self, m: &Mutation) -> Result<MutationOutcome> {
         self.apply_mutation_governed(m, &Budget::unlimited())
     }
@@ -369,13 +367,10 @@ impl QueryEngine {
         let started = Instant::now();
         let effect = self.pi.apply(m).map_err(QueryError::from)?;
         if effect.dirty.is_empty() && !effect.structural {
-            // A provable no-op changed nothing, so the arena, the
-            // structural summary and the cache all stay valid.
+            // A provable no-op changed nothing, so the arena and the
+            // cache both stay valid.
             return Ok(self.finish_mutation(m, effect, 0, InvalidationCounts::default(), started));
         }
-        // Any mutation can stale the structural summary (presence
-        // ceilings read OPF marginals), so rebuild lazily on next use.
-        self.summary = OnceLock::new();
         // Entry-level ops keep the weak skeleton, hence both CSRs: patch
         // the dirty OPF slots in place. Structural ops re-lower
         // wholesale; rows are object ids, so the cache's keys stay valid.
@@ -792,7 +787,7 @@ impl QueryEngine {
         let mut admission = None;
         let mut canonical = None;
         if self.preflight.load(Ordering::Relaxed) {
-            let report = preflight::analyze(self.summary(), q);
+            let report = preflight::analyze(&self.arena, q);
             if report.is_provably_zero() {
                 self.stats.count_result(false);
                 self.stats.count_preflight_zero();
@@ -1027,12 +1022,7 @@ impl QueryEngine {
             }
             None => {
                 self.stats.count_layers(false);
-                let l = if path.root == self.pi.root() {
-                    self.arena.layers_flat(&path.labels)
-                } else {
-                    vec![Vec::new(); path.labels.len() + 1]
-                };
-                let l = Arc::new(l);
+                let l = Arc::new(self.arena.locate(path.root, &path.labels));
                 self.cache.put_layers(path.root, labels, Arc::clone(&l));
                 (l, false)
             }
@@ -1177,17 +1167,15 @@ impl QueryEngine {
                     DegradePolicy::Interval => Ok(bounds_answer(0.0, p)),
                 };
             }
-            let node = self
-                .pi
-                .weak()
-                .node(parent)
-                .ok_or(QueryError::UnknownObject(parent))?;
-            let pos = node
-                .universe()
-                .position(child)
-                .ok_or(QueryError::NotAChild { parent, child })?;
             // The link memo is keyed by the parent's row, its raw id.
             let pidx = parent.raw();
+            let pos = match self.arena.child_position(pidx, child.raw()) {
+                Some(pos) => pos,
+                None if self.arena.is_member(pidx) => {
+                    return Err(QueryError::NotAChild { parent, child })
+                }
+                None => return Err(QueryError::UnknownObject(parent)),
+            };
             let m = match self.cache.get_link(pidx, pos) {
                 Some(m) => {
                     self.stats.count_link(true);
@@ -1601,7 +1589,6 @@ mod tests {
         let mut engine = QueryEngine::with_threads(pi, 1);
         assert!(!engine.apply_mutation(&m).unwrap().effect.dirty.is_empty());
         engine.run_batch(&queries);
-        let summary = Arc::clone(engine.summary());
         let (cache, slabs) = (engine.cache_len(), engine.arena.slab_lens());
         assert_ne!(cache, (0, 0, 0));
         let again = engine.apply_mutation(&m).unwrap();
@@ -1609,7 +1596,67 @@ mod tests {
         assert_eq!((again.affected, again.invalidated.total()), (0, 0));
         assert_eq!(engine.cache_len(), cache);
         assert_eq!(engine.arena.slab_lens(), slabs);
-        assert!(Arc::ptr_eq(engine.summary(), &summary), "a no-op must keep the summary");
+    }
+
+    #[test]
+    fn chains_through_ids_past_the_arena_fail_typed_in_both_walks() {
+        let pi = fig2_instance();
+        let (r, b1) = (pi.root(), pi.oid("B1").unwrap());
+        let engine = QueryEngine::with_threads(pi, 1);
+        let len = engine.arena().len() as u32;
+        for far in [len, len + 7] {
+            let far = ObjectId::from_raw(far);
+            for (chain, parent) in [(vec![r, far], r), (vec![r, b1, far], b1)] {
+                let q = Query::chain(chain);
+                let report = preflight::analyze(engine.arena(), &q);
+                assert_eq!(report.verdict, preflight::Verdict::WillError, "{q:?}");
+                match engine.run(&q) {
+                    Err(QueryError::NotAChild { parent: p, child }) => {
+                        assert_eq!((p, child), (parent, far));
+                    }
+                    other => panic!("{q:?}: {other:?}"),
+                }
+            }
+            // An id past the arena as a parent: the walk never reaches
+            // it on a valid instance, so it errs as the chain's start.
+            let q = Query::chain(vec![far, r]);
+            let report = preflight::analyze(engine.arena(), &q);
+            assert_eq!(report.verdict, preflight::Verdict::WillError);
+            assert!(matches!(engine.run(&q), Err(QueryError::ChainMustStartAtRoot)));
+        }
+    }
+
+    #[test]
+    fn chains_through_a_dangling_child_name_the_unknown_parent() {
+        use pxml_core::{Catalog, ChildUniverse, IdMap, IndependentOpf, Opf, WeakInstance, WeakNode};
+        // `ghost` is in the root's universe but has no weak node.
+        let mut cat = Catalog::new();
+        let (r, ghost, c) = (cat.object("r"), cat.object("ghost"), cat.object("c"));
+        let x = cat.label("x");
+        let mut universe = ChildUniverse::default();
+        universe.push(ghost, x);
+        universe.push(c, x);
+        let mut nodes = IdMap::new();
+        nodes.insert(r, WeakNode::from_parts(universe, Vec::new(), None));
+        nodes.insert(c, WeakNode::default());
+        let mut opfs = IdMap::new();
+        opfs.insert(r, Opf::Independent(IndependentOpf::new(vec![0.5, 0.5])));
+        let w = WeakInstance::from_parts_unchecked(std::sync::Arc::new(cat), r, nodes);
+        let engine =
+            QueryEngine::with_threads(ProbInstance::from_parts_unchecked(w, opfs, IdMap::new()), 1);
+        let len = engine.arena().len() as u32;
+        for next in [c, ObjectId::from_raw(len), ObjectId::from_raw(len + 7)] {
+            let q = Query::chain(vec![r, ghost, next]);
+            let report = preflight::analyze(engine.arena(), &q);
+            assert_eq!(report.verdict, preflight::Verdict::WillError, "{q:?}");
+            assert_eq!(report.diagnostics[0].message, format!("unknown object {ghost:?}"));
+            assert!(matches!(engine.run(&q), Err(QueryError::UnknownObject(o)) if o == ghost));
+        }
+        let q = Query::chain(vec![r, c, ghost]);
+        let report = preflight::analyze(engine.arena(), &q);
+        assert_eq!(report.verdict, preflight::Verdict::WillError);
+        assert!(matches!(engine.run(&q), Err(QueryError::NotAChild { parent, child })
+            if (parent, child) == (c, ghost)));
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Static query analysis: satisfiability verdicts, cost pre-flight and
-//! plan normalisation over a [`StructuralSummary`].
+//! plan normalisation over the instance's [`ArenaInstance`].
 //!
-//! Everything here runs **before** a query touches an OPF table. The
-//! analyses mirror the engine's evaluation order step for step — the
-//! same `layers_weak` walk, the same backward kept-roles pass, the same
-//! tree-shape check, the same per-link chain scan — so each verdict is
-//! a *proof* about what the engine would do:
+//! Everything here runs **before** a query touches the evaluator, and
+//! it reads the arena the evaluator reads: the same
+//! [`ArenaInstance::locate`] layers, the same [`ArenaInstance::kept_flat`]
+//! kept region and tree-shape verdict, the same OPF marginals, and the
+//! same per-link chain lookup ([`ArenaInstance::child_position`]). So
+//! each verdict is a *proof* about what the engine would do:
 //!
 //! * [`Verdict::ProvablyZero`] means every engine evaluation of the
 //!   query that produces a probability produces **exactly** `0.0`
@@ -16,21 +17,23 @@
 //!   before computing anything (empty chains, chains not anchored at
 //!   the root, unknown objects, non-children).
 //! * [`CostEstimate`] bounds the §6.1 expansion steps and the memo
-//!   bytes the query can charge; for tree-shaped point/exists regions
-//!   and chains the step count is **exact** (the governed evaluator
-//!   charges one step per survival evaluation / link scan, and the
-//!   kept region determines those counts completely), which lets
-//!   [`Report::predicted_exhaustion`] refuse a budget-doomed query
-//!   without spending its budget.
+//!   bytes the query can charge. For tree-shaped point/exists regions
+//!   and chains the step count is **exact**: it is Σ|kept above the
+//!   targets|, what `eps_flat` charges, and one step per chain link,
+//!   which lets [`Report::predicted_exhaustion`] refuse a budget-doomed
+//!   query without spending its budget.
 //! * [`normalise`] canonicalises plans — a point query whose path
 //!   locates exactly its target answers identically to the existential
 //!   query on the same path, so both share one result-cache key.
 //!
+//! The analysis is total: on an unvalidated instance a missing OPF
+//! gives an edge the conservative ceiling 1.0, and an id at or past the
+//! arena's `len()` is an unknown object.
+//!
 //! Diagnostics carry stable `AQ0xx` codes (the query-side counterpart
 //! of the instance linter's taxonomy) suitable for scripting.
 
-use pxml_core::summary::StructuralSummary;
-use pxml_core::{Exhausted, ObjectId, Resource};
+use pxml_core::{ArenaInstance, CoreError, Exhausted, Label, ObjectId, Resource};
 
 use crate::cache::{LAYERS_ENTRY_BYTES, LINK_ENTRY_BYTES, RESULT_ENTRY_BYTES};
 use crate::dag::MAX_CHAINS;
@@ -188,95 +191,82 @@ impl Report {
 /// restricted final layer ⇒ identical kept region ⇒ identical answer
 /// *and* identical failure mode). Returns `None` when `q` is already
 /// canonical.
-pub fn normalise(summary: &StructuralSummary, q: &Query) -> Option<Query> {
+pub fn normalise(arena: &ArenaInstance, q: &Query) -> Option<Query> {
     match q {
-        Query::Point { path, object } => {
-            let layers = summary.layers(path.root, &path.labels);
-            let located = layers.last()?;
-            if located.len() == 1 && located[0] == *object {
-                Some(Query::Exists { path: path.clone() })
-            } else {
-                None
-            }
+        Query::Point { path, .. } => {
+            canonical(q, &arena.locate(path.root, &path.labels)[path.labels.len()])
         }
         _ => None,
     }
 }
 
-/// Statically analyzes one engine query against the summary. See the
+/// [`normalise`] of `q` given its path's located set.
+fn canonical(q: &Query, located: &[u32]) -> Option<Query> {
+    match q {
+        Query::Point { path, object } if located == [object.raw()] => {
+            Some(Query::Exists { path: path.clone() })
+        }
+        _ => None,
+    }
+}
+
+/// Statically analyzes one engine query against the arena. See the
 /// module docs for the soundness contract of each verdict.
-pub fn analyze(summary: &StructuralSummary, q: &Query) -> Report {
+pub fn analyze(arena: &ArenaInstance, q: &Query) -> Report {
     match q {
         Query::Point { path, object } => {
-            analyze_path(summary, path.root, &path.labels, Some(*object), q)
+            analyze_path(arena, path.root, &path.labels, Some(*object), q)
         }
-        Query::Exists { path } => analyze_path(summary, path.root, &path.labels, None, q),
-        Query::Chain { objects } => analyze_chain(summary, objects),
+        Query::Exists { path } => analyze_path(arena, path.root, &path.labels, None, q),
+        Query::Chain { objects } => analyze_chain(arena, objects),
     }
 }
 
 /// Shared analysis for point (`target = Some`) and existential
 /// (`target = None`) queries.
 fn analyze_path(
-    summary: &StructuralSummary,
+    arena: &ArenaInstance,
     root: ObjectId,
-    labels: &[pxml_core::Label],
+    labels: &[Label],
     target: Option<ObjectId>,
     q: &Query,
 ) -> Report {
     let n = labels.len();
     let mut diagnostics = Vec::new();
-    let layers = summary.layers(root, labels);
-    let located = layers.last().cloned().unwrap_or_default();
+    let layers = arena.locate(root, labels);
+    let located = &layers[n];
 
     // Empty located sets and absent targets short-circuit in the
     // engine before any ε work — zero steps, exactly 0.0, both paths.
-    let empty_zero = |message: String, diagnostics: &mut Vec<Diagnostic>| {
+    let zero = |message: String, mut diagnostics: Vec<Diagnostic>| {
         diagnostics.push(Diagnostic { code: DiagCode::ProvablyZero, message });
-    };
-    if located.is_empty() {
-        let message = if root != summary.root() {
-            "path root is not the instance root; the located set is empty".to_string()
-        } else {
-            format!("no object is reachable via the {n}-label path; the located set is empty")
-        };
-        empty_zero(message, &mut diagnostics);
-        return Report {
+        Report {
             verdict: Verdict::ProvablyZero,
             cost: CostEstimate { steps: 0, memo_bytes: base_bytes(q, &layers), exact_steps: true },
             upper_bound: 0.0,
             normalised: None,
             diagnostics,
+        }
+    };
+    if located.is_empty() {
+        let message = if root.raw() != arena.root_index() {
+            "path root is not the instance root; the located set is empty".to_string()
+        } else {
+            format!("no object is reachable via the {n}-label path; the located set is empty")
         };
+        return zero(message, diagnostics);
     }
     if let Some(x) = target {
-        if located.binary_search(&x).is_err() {
-            empty_zero(
-                format!("target {x:?} is not located by the path"),
-                &mut diagnostics,
-            );
-            return Report {
-                verdict: Verdict::ProvablyZero,
-                cost: CostEstimate {
-                    steps: 0,
-                    memo_bytes: base_bytes(q, &layers),
-                    exact_steps: true,
-                },
-                upper_bound: 0.0,
-                normalised: None,
-                diagnostics,
-            };
+        if located.binary_search(&x.raw()).is_err() {
+            return zero(format!("target {x:?} is not located by the path"), diagnostics);
         }
     }
 
-    let targets: Vec<ObjectId> = match target {
-        Some(x) => vec![x],
+    let targets: Vec<u32> = match target {
+        Some(x) => vec![x.raw()],
         None => located.clone(),
     };
-    let kept = summary.kept(&layers, labels, &targets);
-    let tree = summary.tree_violation(&kept, labels);
-
-    let normalised = normalise(summary, q);
+    let normalised = canonical(q, located);
     if normalised.is_some() {
         diagnostics.push(Diagnostic {
             code: DiagCode::NonCanonicalPlan,
@@ -286,23 +276,19 @@ fn analyze_path(
         });
     }
 
-    match tree {
-        None => {
+    let memo_bytes = base_bytes(q, &layers);
+    match arena.kept_flat(labels, &layers, &targets) {
+        Ok(kept) => {
             // Tree-shaped region: the governed evaluator charges one
-            // step per kept node above the target depth, exactly.
+            // step per kept node above the target depth, exactly. The
+            // memo bytes count a layers entry even for a forest POINT,
+            // which adds none, so they stay an upper bound.
             let steps: u64 = kept[..n].iter().map(|l| l.len() as u64).sum();
-            // Only the result and layers entries are memoised.
-            let memo_bytes = base_bytes(q, &layers);
+            let (alive, ceilings) = forward_pass(arena, labels, &kept);
             // Blocked targets: reachable in the weak graph but only
             // through an edge of marginal probability exactly zero.
             // The survival recursion then yields exactly 0.0.
-            let positive = summary.positive_layers(root, labels);
-            let alive = positive.last().cloned().unwrap_or_default();
-            let blocked = match target {
-                Some(x) => alive.binary_search(&x).is_err(),
-                None => targets.iter().all(|t| alive.binary_search(t).is_err()),
-            };
-            if blocked {
+            if !alive.contains(&true) {
                 diagnostics.push(Diagnostic {
                     code: DiagCode::ProvablyZero,
                     message: "every root path to the target set crosses an edge of marginal \
@@ -317,18 +303,9 @@ fn analyze_path(
                     diagnostics,
                 };
             }
-            let ceilings = summary.presence_ceilings(&kept, labels);
-            let upper_bound = match target {
-                Some(x) => ceilings
-                    .last()
-                    .and_then(|m| m.get(&x).copied())
-                    .unwrap_or(1.0)
-                    .clamp(0.0, 1.0),
-                None => ceilings
-                    .last()
-                    .map(|m| m.values().sum::<f64>().clamp(0.0, 1.0))
-                    .unwrap_or(1.0),
-            };
+            // Summed in ascending id order; a point query's final layer
+            // is its target alone.
+            let upper_bound = ceilings.iter().sum::<f64>().clamp(0.0, 1.0);
             Report {
                 verdict: Verdict::Clean,
                 cost: CostEstimate { steps, memo_bytes, exact_steps: true },
@@ -337,7 +314,10 @@ fn analyze_path(
                 diagnostics,
             }
         }
-        Some(x) => {
+        Err(e) => {
+            let CoreError::NotTreeShaped(x) = e else {
+                unreachable!("kept_flat reports only tree-shape violations, got {e}")
+            };
             diagnostics.push(Diagnostic {
                 code: DiagCode::NonTreeRegion,
                 message: format!(
@@ -345,14 +325,10 @@ fn analyze_path(
                      NotTreeShaped, governed evaluation falls back to DAG inclusion–exclusion"
                 ),
             });
-            let (steps, chains) = dag_step_bound(summary, &layers, labels, &targets);
+            let (steps, chains) = dag_step_bound(arena, &layers, labels, &targets);
             Report {
                 verdict: Verdict::Clean,
-                cost: CostEstimate {
-                    steps,
-                    memo_bytes: base_bytes(q, &layers),
-                    exact_steps: false,
-                },
+                cost: CostEstimate { steps, memo_bytes, exact_steps: false },
                 upper_bound: if chains == 0 { 0.0 } else { 1.0 },
                 normalised,
                 diagnostics,
@@ -361,40 +337,88 @@ fn analyze_path(
     }
 }
 
+/// The probability ceiling of the edge at universe position `pos` of
+/// `x`: its exact marginal `Σ_{c ∈ PC(x), pos ∈ c} ℘(c)`, or 1.0 when
+/// `x` has no OPF. A non-finite or negative marginal, which only an
+/// unvalidated instance can have, degrades to 1.0 as well.
+fn ceiling(arena: &ArenaInstance, x: u32, pos: u32) -> f64 {
+    match arena.marginal_present(x, pos) {
+        Some(m) if m.is_finite() && m >= 0.0 => m.min(1.0),
+        _ => 1.0,
+    }
+}
+
+/// One root-down pass over a tree-shaped kept region, returning per
+/// target (aligned with the final kept layer):
+/// * whether a root path of positive-ceiling edges reaches it. Every
+///   root path to a target lies inside the kept region, so this is the
+///   possibility check over the whole weak graph;
+/// * an upper bound on its presence probability, by union bounds:
+///   `ub(root) = 1`, `ub(v) = min(1, Σ_{kept parents p} ub(p) · ceiling(p→v))`,
+///   summed over parents ascending, then entries in universe order.
+fn forward_pass(
+    arena: &ArenaInstance,
+    labels: &[Label],
+    kept: &[Vec<u32>],
+) -> (Vec<bool>, Vec<f64>) {
+    let mut alive = vec![true; kept[0].len()];
+    let mut ub = vec![1.0_f64; kept[0].len()];
+    for (d, &label) in labels.iter().enumerate() {
+        let below = &kept[d + 1];
+        let mut next_alive = vec![false; below.len()];
+        let mut next_ub = vec![0.0_f64; below.len()];
+        for (k, &p) in kept[d].iter().enumerate() {
+            let (s, e) = arena.child_range(p);
+            for i in s..e {
+                if !arena.child_is_weak(i) || arena.child_label(i) != label {
+                    continue;
+                }
+                let Ok(j) = below.binary_search(&arena.child(i)) else { continue };
+                let c = ceiling(arena, p, i - s);
+                next_alive[j] |= alive[k] && c > 0.0;
+                next_ub[j] = (next_ub[j] + ub[k] * c).min(1.0);
+            }
+        }
+        alive = next_alive;
+        ub = next_ub;
+    }
+    (alive, ub)
+}
+
 /// Upper bound on the DAG fallback's step charges: one per chain
 /// extension (counted by a saturating path-multiplicity DP over the
 /// weak layers, mirroring `matching_chains`) plus the `2^k − 1`
 /// inclusion–exclusion terms when the `k` matching chains fit under
 /// [`MAX_CHAINS`]. Returns `(steps, k)`.
 fn dag_step_bound(
-    summary: &StructuralSummary,
-    layers: &[Vec<ObjectId>],
-    labels: &[pxml_core::Label],
-    targets: &[ObjectId],
+    arena: &ArenaInstance,
+    layers: &[Vec<u32>],
+    labels: &[Label],
+    targets: &[u32],
 ) -> (u64, u64) {
-    use std::collections::BTreeMap;
-    let n = labels.len();
-    let mut counts: BTreeMap<ObjectId, u64> = BTreeMap::new();
-    counts.insert(summary.root(), 1);
+    // Path counts aligned with each layer; layer 0 is the root.
+    let mut counts: Vec<u64> = vec![1; layers[0].len()];
     let mut extensions: u64 = 0;
-    for (depth, layer) in layers.iter().enumerate().take(n) {
-        let mut next: BTreeMap<ObjectId, u64> = BTreeMap::new();
-        for &parent in layer {
-            let Some(&c) = counts.get(&parent) else { continue };
-            let Some(s) = summary.object(parent) else { continue };
-            for e in &s.edges {
-                if e.traversable && e.label == labels[depth] {
+    for (d, &label) in labels.iter().enumerate() {
+        let mut next = vec![0u64; layers[d + 1].len()];
+        for (&parent, &c) in layers[d].iter().zip(&counts) {
+            let (s, e) = arena.child_range(parent);
+            for i in s..e {
+                if arena.child_is_weak(i) && arena.child_label(i) == label {
                     extensions = extensions.saturating_add(c);
-                    let slot = next.entry(e.child).or_insert(0);
-                    *slot = slot.saturating_add(c);
+                    if let Ok(j) = layers[d + 1].binary_search(&arena.child(i)) {
+                        next[j] = next[j].saturating_add(c);
+                    }
                 }
             }
         }
         counts = next;
     }
+    let last = &layers[labels.len()];
     let k: u64 = targets
         .iter()
-        .map(|t| counts.get(t).copied().unwrap_or(0))
+        .filter_map(|t| last.binary_search(t).ok())
+        .map(|j| counts[j])
         .fold(0u64, u64::saturating_add);
     let masks = if k >= 1 && k <= MAX_CHAINS as u64 {
         (1u64 << k) - 1
@@ -405,9 +429,9 @@ fn dag_step_bound(
 }
 
 /// Static analysis of a chain query, mirroring the engine's per-link
-/// scan order exactly: charge, parent lookup, universe position, OPF
-/// marginal, zero short-circuit.
-fn analyze_chain(summary: &StructuralSummary, objects: &[ObjectId]) -> Report {
+/// scan order exactly: charge, child position (an unknown parent, then
+/// a non-child, errs), OPF marginal, zero short-circuit.
+fn analyze_chain(arena: &ArenaInstance, objects: &[ObjectId]) -> Report {
     let mut diagnostics = Vec::new();
     let will_error = |message: String, steps: u64, mut diagnostics: Vec<Diagnostic>| {
         diagnostics.push(Diagnostic { code: DiagCode::WillError, message });
@@ -422,7 +446,7 @@ fn analyze_chain(summary: &StructuralSummary, objects: &[ObjectId]) -> Report {
     let Some((&first, rest)) = objects.split_first() else {
         return will_error("empty chain".to_string(), 0, diagnostics);
     };
-    if first != summary.root() {
+    if first.raw() != arena.root_index() {
         return will_error(
             format!("chain starts at {first:?}, not the instance root"),
             0,
@@ -433,17 +457,15 @@ fn analyze_chain(summary: &StructuralSummary, objects: &[ObjectId]) -> Report {
     let mut parent = first;
     for (i, &child) in rest.iter().enumerate() {
         let scanned = (i + 1) as u64;
-        let Some(s) = summary.object(parent) else {
-            return will_error(format!("unknown object {parent:?}"), scanned, diagnostics);
+        let Some(pos) = arena.child_position(parent.raw(), child.raw()) else {
+            let message = if arena.is_member(parent.raw()) {
+                format!("{child:?} is not a potential child of {parent:?}")
+            } else {
+                format!("unknown object {parent:?}")
+            };
+            return will_error(message, scanned, diagnostics);
         };
-        let Some(pos) = s.position(child) else {
-            return will_error(
-                format!("{child:?} is not a potential child of {parent:?}"),
-                scanned,
-                diagnostics,
-            );
-        };
-        let ceiling = s.ceiling_at(pos).unwrap_or(1.0);
+        let ceiling = ceiling(arena, parent.raw(), pos);
         if ceiling == 0.0 {
             diagnostics.push(Diagnostic {
                 code: DiagCode::ProvablyZero,
@@ -482,7 +504,7 @@ fn analyze_chain(summary: &StructuralSummary, objects: &[ObjectId]) -> Report {
 
 /// Shared-cache bytes a path query can add: its result entry plus the
 /// memoised layer vectors.
-fn base_bytes(q: &Query, layers: &[Vec<ObjectId>]) -> u64 {
+fn base_bytes(q: &Query, layers: &[Vec<u32>]) -> u64 {
     let result_extra = match q {
         Query::Point { path, .. } | Query::Exists { path } => path.labels.len() as u64 * 4,
         Query::Chain { objects } => objects.len() as u64 * 4,
@@ -506,7 +528,7 @@ mod tests {
     #[test]
     fn absent_target_is_provably_zero() {
         let pi = fig2_instance();
-        let s = StructuralSummary::build(&pi);
+        let s = ArenaInstance::lower(&pi).unwrap();
         let path = PathExpr::parse(pi.catalog(), "R.book").unwrap();
         let t2 = pi.oid("T2").unwrap(); // a title, not a book
         let r = analyze(&s, &Query::point(path, t2));
@@ -519,7 +541,7 @@ mod tests {
     #[test]
     fn clean_point_has_positive_bound_and_exact_steps() {
         let pi = fig2_instance();
-        let s = StructuralSummary::build(&pi);
+        let s = ArenaInstance::lower(&pi).unwrap();
         let path = PathExpr::parse(pi.catalog(), "R.book.title").unwrap();
         let t2 = pi.oid("T2").unwrap();
         let r = analyze(&s, &Query::point(path, t2));
@@ -533,7 +555,7 @@ mod tests {
     #[test]
     fn empty_chain_will_error() {
         let pi = fig2_instance();
-        let s = StructuralSummary::build(&pi);
+        let s = ArenaInstance::lower(&pi).unwrap();
         let r = analyze(&s, &Query::chain(vec![]));
         assert_eq!(r.verdict, Verdict::WillError);
         assert_eq!(r.diagnostics[0].code, DiagCode::WillError);
@@ -542,7 +564,7 @@ mod tests {
     #[test]
     fn admission_fires_only_on_exact_overruns() {
         let pi = fig2_instance();
-        let s = StructuralSummary::build(&pi);
+        let s = ArenaInstance::lower(&pi).unwrap();
         let path = PathExpr::parse(pi.catalog(), "R.book.title").unwrap();
         let r = analyze(&s, &Query::exists(path));
         let tight = BudgetSpec { max_steps: Some(0), ..BudgetSpec::default() };
@@ -562,19 +584,17 @@ mod tests {
     #[test]
     fn singleton_point_normalises_to_exists() {
         let pi = fig2_instance();
-        let s = StructuralSummary::build(&pi);
+        let s = ArenaInstance::lower(&pi).unwrap();
         let path = PathExpr::parse(pi.catalog(), "R.book").unwrap();
-        let located = {
-            let layers = s.layers(path.root, &path.labels);
-            layers.last().cloned().unwrap_or_default()
-        };
+        let located = s.locate(path.root, &path.labels).pop().unwrap_or_default();
+        let first = ObjectId::from_raw(located[0]);
         if located.len() == 1 {
-            let q = Query::point(path.clone(), located[0]);
+            let q = Query::point(path.clone(), first);
             let n = normalise(&s, &q).expect("singleton rewrites");
             assert_eq!(n, Query::exists(path));
         } else {
             // Multi-object located sets must not rewrite.
-            let q = Query::point(path, located[0]);
+            let q = Query::point(path, first);
             assert!(normalise(&s, &q).is_none());
         }
     }

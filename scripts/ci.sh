@@ -196,6 +196,17 @@ set -e
 [ "$code" -eq 3 ] || {
   echo "error: analyze --max-steps 0 exited $code, want 3 (AQ006 rejection)"; exit 1;
 }
+# On the shipped Figure 2 instance the paper's author query shares A1
+# between two books (AQ008), and a path no edge takes is provably zero
+# (AQ001).
+printf 'EXISTS R.book.author\nEXISTS R.book.book\n' > "$smoke_dir/fig2-analyze.txt"
+out="$(target/release/pxml analyze data/fig2.pxml "$smoke_dir/fig2-analyze.txt")"
+echo "$out" | grep -q '^line 1: AQ008 ' || {
+  echo "error: analyze did not report EXISTS R.book.author as AQ008:"; echo "$out"; exit 1;
+}
+echo "$out" | grep -q '^line 2: AQ001 ' || {
+  echo "error: analyze did not report EXISTS R.book.book as AQ001:"; echo "$out"; exit 1;
+}
 # The batch pre-flight short-circuits a provably-dead query to exact 0
 # and reports it in --stats.
 printf 'EXISTS R.b\n' > "$smoke_dir/preflight-queries.txt"

@@ -95,13 +95,13 @@ fn query_language_never_panics_on_mutated_input() {
 
 #[test]
 fn static_analyzer_never_panics_on_mutated_input() {
-    // Two analyzer surfaces take hostile input: summary construction
-    // over instances decoded leniently from mutated bytes (the `pxml
+    // Two analyzer surfaces take hostile input: unchecked lowering
+    // of instances decoded leniently from mutated bytes (the `pxml
     // analyze <instance>` path), and the textual analysis entry point
     // over mutated query strings. Both promise totality: diagnostics or
     // typed errors, never a panic.
     let pi = fig2_instance();
-    let summary = pxml::core::StructuralSummary::build(&pi);
+    let arena = pxml::core::ArenaInstance::lower_unchecked(&pi);
     let instance_seed = to_binary(&pi).expect("fig2 encodes");
     let query_seeds: [&str; 6] = [
         "POINT T2 IN R.book.title",
@@ -114,23 +114,23 @@ fn static_analyzer_never_panics_on_mutated_input() {
     let mut rng = XorShift64::new(0xB1A2_C3D4_0004);
     for i in 0..MUTATIONS {
         let outcome = if i % 2 == 0 {
-            // Mutated instance bytes → lenient decode → summary build
-            // (+ one analysis over it when the decode survives).
+            // Mutated instance bytes → lenient decode → unchecked
+            // lowering (+ one analysis over it when the decode survives).
             let mutated = mutate_bytes(&mut rng, &instance_seed);
             catch_unwind(AssertUnwindSafe(|| {
                 if let Ok(hostile) = from_binary_unchecked(&mutated) {
-                    let s = pxml::core::StructuralSummary::build(&hostile);
-                    let _ = pxml::ql::analyze_text(&hostile, &s, "EXISTS R.book");
-                    let _ = s.label_paths(4, 64);
+                    let a = pxml::core::ArenaInstance::lower_unchecked(&hostile);
+                    let _ = pxml::ql::analyze_text(&hostile, &a, "EXISTS R.book");
+                    let _ = a.label_paths(4, 64);
                 }
             }))
         } else {
-            // Mutated query text against the pristine summary.
+            // Mutated query text against the pristine arena.
             let seed = query_seeds[i % query_seeds.len()].as_bytes();
             let mutated = mutate_bytes(&mut rng, seed);
             let text = String::from_utf8_lossy(&mutated).into_owned();
             catch_unwind(AssertUnwindSafe(|| {
-                let _ = pxml::ql::analyze_text(&pi, &summary, &text);
+                let _ = pxml::ql::analyze_text(&pi, &arena, &text);
             }))
         };
         assert!(outcome.is_ok(), "static analyzer panicked on mutation #{i}");

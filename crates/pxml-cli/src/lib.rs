@@ -71,13 +71,16 @@ pub fn save(pi: &ProbInstance, path: &Path) -> Result<(), String> {
 /// Only the probability queries the batch engine supports are accepted
 /// (`POINT` / `EXISTS` / `CHAIN`); everything else is rejected with a
 /// pointer at the single-query mode.
+///
+/// Names are resolved straight from the parser's slices of `line`, so
+/// no name is copied on the way.
 pub fn translate_query(pi: &ProbInstance, line: &str) -> Result<pxml_query::Query, String> {
     use pxml_ql::ast::{PathText, Query as Ast};
     let resolve_object = |name: &str| {
         pi.catalog().find_object(name).ok_or_else(|| format!("unknown name {name:?}"))
     };
-    let resolve_path = |path: &PathText| -> Result<pxml_algebra::PathExpr, String> {
-        let root = resolve_object(&path.root)?;
+    let resolve_path = |path: PathText<&str>| -> Result<pxml_algebra::PathExpr, String> {
+        let root = resolve_object(path.root)?;
         let labels = path
             .labels
             .iter()
@@ -85,17 +88,14 @@ pub fn translate_query(pi: &ProbInstance, line: &str) -> Result<pxml_query::Quer
             .collect::<Result<Vec<_>, _>>()?;
         Ok(pxml_algebra::PathExpr::new(root, labels))
     };
-    match pxml_ql::parse(line).map_err(|e| e.to_string())? {
+    match pxml_ql::parse_borrowed(line).map_err(|e| e.to_string())? {
         Ast::Point { object, path } => Ok(pxml_query::Query::Point {
-            path: resolve_path(&path)?,
-            object: resolve_object(&object)?,
+            path: resolve_path(path)?,
+            object: resolve_object(object)?,
         }),
-        Ast::Exists { path } => Ok(pxml_query::Query::Exists { path: resolve_path(&path)? }),
+        Ast::Exists { path } => Ok(pxml_query::Query::Exists { path: resolve_path(path)? }),
         Ast::Chain { objects } => Ok(pxml_query::Query::Chain {
-            objects: objects
-                .iter()
-                .map(|n| resolve_object(n))
-                .collect::<Result<Vec<_>, _>>()?,
+            objects: objects.into_iter().map(resolve_object).collect::<Result<Vec<_>, _>>()?,
         }),
         other => {
             let keyword = match other {

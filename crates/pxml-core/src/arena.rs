@@ -24,6 +24,15 @@
 //! sparse child sets) fall back to a cloned legacy [`Opf`] — trivially
 //! bit-identical, and absent from the paper's workloads.
 //!
+//! On a **forest** (no object is anyone's child twice) a point or exists
+//! query needs no materialised region: [`ArenaInstance::point_pass`]
+//! folds ε up the target's ancestor chain and
+//! [`ArenaInstance::exists_pass`] evaluates it depth-first down the
+//! path, each bit-equal to the region route (located layers → kept
+//! region → [`ArenaInstance::eps_flat`]). Lowering a forest also numbers
+//! its subtrees, so [`ArenaInstance::dirty_scope`] can tell a cache
+//! which point and exists answers a write can have changed.
+//!
 //! Entry-level mutations (those that change OPF entries but not the
 //! weak skeleton) leave both CSRs valid, so
 //! [`ArenaInstance::patch_opfs`] re-lowers just the dirty objects' slots:
@@ -92,6 +101,97 @@ pub enum PointRegion {
     /// layers and filter them with [`ArenaInstance::kept_flat`].
     Layers,
 }
+
+/// What a one-pass forest evaluation found
+/// ([`ArenaInstance::point_pass`], [`ArenaInstance::exists_pass`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum OnePass {
+    /// Nothing to evaluate: the answer is exact `0.0` and the region
+    /// route charges no step (nothing located, or a path anchored off
+    /// the root).
+    Zero,
+    /// The root ε, with what the region route's sweep spends on it:
+    /// one step per kept node above the targets, and Σ `stored_len`
+    /// over those nodes.
+    Eps {
+        /// The answer, bit-equal to [`ArenaInstance::eps_flat`]'s.
+        eps: f64,
+        /// Steps to charge (Σ |kept layer| above the targets).
+        steps: u64,
+        /// OPF entries visited.
+        opf_entries: u64,
+    },
+    /// The pass proves nothing here (the arena is not a forest, or the
+    /// target has no weak node) or met an error: take the region route,
+    /// which also names the error.
+    Region,
+}
+
+/// One open node of [`ArenaInstance::exists_pass`]'s depth-first walk.
+struct Frame {
+    /// The node's row.
+    x: u32,
+    /// Its position in its parent's row.
+    pos: u32,
+    /// First packed entry of its row.
+    row: u32,
+    /// Next packed entry to visit.
+    next: u32,
+    /// One past its row's last packed entry.
+    end: u32,
+    /// Where its kept children start in the walk's child buffer.
+    base: usize,
+}
+
+/// What an entry-level write can have changed on a forest arena
+/// ([`ArenaInstance::dirty_scope`]): the subtree numbers and root label
+/// paths of its dirty objects. An entry-level write keeps the weak
+/// skeleton, so a cached point or exists answer is stale only when a
+/// dirty object is a proper weak ancestor of its target, or is located
+/// by a prefix of its path.
+#[derive(Clone, Debug)]
+pub struct DirtyScope<'a> {
+    /// The arena's subtree numbers.
+    subtree: &'a [(u32, u32)],
+    /// The arena root's row.
+    root: u32,
+    /// Subtree numbers of the dirty objects reached from the root.
+    spans: Vec<(u32, u32)>,
+    /// Their root label paths, concatenated; `path_ends[k]` closes the
+    /// k-th.
+    path_labels: Vec<Label>,
+    /// One past each root label path's last label.
+    path_ends: Vec<usize>,
+}
+
+impl DirtyScope<'_> {
+    /// True when a cached point answer for `target` can have changed:
+    /// some dirty object is a proper weak ancestor of it. A point
+    /// answer reads only the OPFs of its target's path ancestors.
+    pub fn point_stale(&self, target: ObjectId) -> bool {
+        let Some(&(enter, _)) = self.subtree.get(target.index()) else { return false };
+        self.spans.iter().any(|&(s, e)| s < enter && enter < e)
+    }
+
+    /// True when a cached exists answer over `root.labels` can have
+    /// changed: `root` is the arena root and some dirty object's root
+    /// label path is a prefix of `labels` (the object is located by the
+    /// path). A path anchored elsewhere locates nothing.
+    pub fn exists_stale(&self, root: ObjectId, labels: &[Label]) -> bool {
+        if root.raw() != self.root {
+            return false;
+        }
+        let mut start = 0;
+        self.path_ends.iter().any(|&end| {
+            let path = &self.path_labels[start..end];
+            start = end;
+            labels.starts_with(path)
+        })
+    }
+}
+
+/// Subtree numbers of a row no root path reaches.
+const UNREACHED: (u32, u32) = (u32::MAX, u32::MAX);
 
 /// What the pre-order grant pass decided for one kept node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -180,6 +280,11 @@ pub struct ArenaInstance {
     /// the (unfireable) §6 tree-shape checks, and a point query walks up
     /// from its target ([`ArenaInstance::kept_point`]).
     forest: bool,
+    /// On a forest, `(pre-order number, one past its subtree's last)`
+    /// per row over the weak edges from the root, [`UNREACHED`] for
+    /// rows no weak root path reaches; empty otherwise. Entry-level
+    /// writes keep the skeleton, so they keep these numbers too.
+    subtree: Vec<(u32, u32)>,
     /// Per-object OPF slot, length `len()`.
     slots: Vec<OpfSlot>,
     /// Slab of independent-OPF presence probabilities.
@@ -303,6 +408,11 @@ impl ArenaInstance {
             }
             forest
         };
+        let subtree = if forest {
+            subtree_numbers(root, &child_offsets, &children, &child_weak)
+        } else {
+            Vec::new()
+        };
 
         let a = ArenaInstance {
             root,
@@ -314,6 +424,7 @@ impl ArenaInstance {
             parents,
             member,
             forest,
+            subtree,
             slots,
             indep,
             table_masks,
@@ -717,7 +828,7 @@ impl ArenaInstance {
     /// proves nothing: the arena is not a forest, or `x` has no weak
     /// node (a dangling child is located through its parent's row but
     /// has no reverse-CSR row).
-    pub fn point_ancestors(&self, x: u32, steps: usize) -> Option<impl Iterator<Item = u32> + '_> {
+    fn point_ancestors(&self, x: u32, steps: usize) -> Option<impl Iterator<Item = u32> + '_> {
         if !self.forest || self.member.get(x as usize) == Some(&false) {
             return None;
         }
@@ -743,7 +854,9 @@ impl ArenaInstance {
     /// forest, so the region equals what
     /// [`ArenaInstance::layers_flat_from`] → [`ArenaInstance::kept_flat`]
     /// builds for it, at O(`labels.len()` × row width) instead of
-    /// O(located layers).
+    /// O(located layers). Governed runs and the error path of
+    /// [`ArenaInstance::point_pass`] use it; an unlimited budget on a
+    /// forest needs no region at all.
     pub fn kept_point(&self, start: u32, labels: &[Label], target: u32) -> PointRegion {
         let n = labels.len();
         let Some(ancestors) = self.point_ancestors(target, n) else {
@@ -774,6 +887,170 @@ impl ArenaInstance {
         } else {
             PointRegion::Absent
         }
+    }
+
+    /// `P(target ∈ start.labels)` in one upward pass on a forest, for an
+    /// unlimited budget. It walks [`ArenaInstance::point_ancestors`] as
+    /// [`ArenaInstance::kept_point`] does, checking each edge's weakness
+    /// and label, and folds `ε ← survival_probability(p, &[(pos, ε)])`
+    /// on the way up: the call the sweep makes for a one-child kept row,
+    /// so ε is bit-equal to `kept_point` → [`ArenaInstance::eps_flat`],
+    /// and so are the steps (`labels.len()`) and OPF entries. A walk
+    /// that does not end at the root, or a path anchored anywhere else,
+    /// is [`OnePass::Zero`]. A missing OPF or non-finite mass on a walk
+    /// that does end there is [`OnePass::Region`], and the region route
+    /// names the error.
+    pub fn point_pass(&self, start: u32, labels: &[Label], target: u32) -> OnePass {
+        let n = labels.len();
+        let Some(ancestors) = self.point_ancestors(target, n) else {
+            return OnePass::Region;
+        };
+        if start != self.root || target as usize >= self.len() {
+            return OnePass::Zero;
+        }
+        let (mut child, mut d) = (target, n);
+        // `None` once an ancestor failed: the walk still decides
+        // between an exact 0 and an error.
+        let (mut eps, mut opf_entries) = (Some(1.0), 0);
+        for p in ancestors {
+            d -= 1;
+            let (s, e) = self.child_range(p);
+            // On a forest `child` is one entry of one row.
+            let on_path = (s..e).find(|&i| self.children[i as usize] == child).filter(|&i| {
+                self.child_weak[i as usize] && self.child_labels[i as usize] == labels[d]
+            });
+            let Some(i) = on_path else { return OnePass::Zero };
+            if let Some(below) = eps {
+                eps = self.survival_probability(p, &[(i - s, below)]).filter(|v| v.is_finite());
+                opf_entries += self.stored_len(p);
+            }
+            child = p;
+        }
+        match eps {
+            _ if d != 0 || child != start => OnePass::Zero,
+            Some(eps) => OnePass::Eps { eps, steps: n as u64, opf_entries },
+            None => OnePass::Region,
+        }
+    }
+
+    /// `P(∃ o: o ∈ start.labels)` in one depth-first pass on a forest,
+    /// for an unlimited budget. It descends over the weak,
+    /// label-matching entries in universe order, drops the children
+    /// with no located target below, and evaluates each kept node's
+    /// survival over its surviving children as it closes. Those are the
+    /// kept region and the per-node calls of `layers_flat_from` →
+    /// [`ArenaInstance::kept_flat`] → [`ArenaInstance::eps_flat`], so ε
+    /// is bit-equal to theirs, and so are the steps (one per kept node
+    /// above the targets) and OPF entries. Nothing located, or a path
+    /// anchored off the root, is [`OnePass::Zero`]; a missing OPF or
+    /// non-finite mass is [`OnePass::Region`].
+    pub fn exists_pass(&self, start: u32, labels: &[Label]) -> OnePass {
+        if !self.forest {
+            return OnePass::Region;
+        }
+        if start != self.root {
+            return OnePass::Zero;
+        }
+        let n = labels.len();
+        if n == 0 {
+            // The root is the located target.
+            return OnePass::Eps { eps: 1.0, steps: 0, opf_entries: 0 };
+        }
+        let (s, e) = self.child_range(start);
+        let mut stack = vec![Frame { x: start, pos: 0, row: s, next: s, end: e, base: 0 }];
+        // Kept children `(position, ε)` of every open node, each node's
+        // from its frame's `base` on.
+        let mut kids: Vec<(u32, f64)> = Vec::new();
+        let (mut steps, mut opf_entries) = (0, 0);
+        while let Some(&Frame { row, next, end, .. }) = stack.last() {
+            let d = stack.len() - 1;
+            if next < end {
+                stack[d].next += 1;
+                let i = next as usize;
+                if self.child_weak[i] && self.child_labels[i] == labels[d] {
+                    let (c, pos) = (self.children[i], next - row);
+                    if d + 1 == n {
+                        kids.push((pos, 1.0));
+                    } else {
+                        let (cs, ce) = self.child_range(c);
+                        let base = kids.len();
+                        stack.push(Frame { x: c, pos, row: cs, next: cs, end: ce, base });
+                    }
+                }
+                continue;
+            }
+            let Some(f) = stack.pop() else { break };
+            if kids.len() == f.base {
+                continue; // no located target below: not kept
+            }
+            let eps = match self.survival_probability(f.x, &kids[f.base..]) {
+                Some(v) if v.is_finite() => v,
+                _ => return OnePass::Region,
+            };
+            steps += 1;
+            opf_entries += self.stored_len(f.x);
+            kids.truncate(f.base);
+            if stack.is_empty() {
+                return OnePass::Eps { eps, steps, opf_entries };
+            }
+            kids.push((f.pos, eps));
+        }
+        OnePass::Zero
+    }
+
+    /// Row `x`'s subtree numbers on a forest: `(enter, exit)` of a
+    /// pre-order over the weak edges from the root, so row `y` lies in
+    /// `x`'s subtree exactly when `enter(x) ≤ enter(y) < exit(x)`.
+    /// `None` when the arena is not a forest or no weak root path
+    /// reaches `x`.
+    pub fn subtree(&self, x: u32) -> Option<(u32, u32)> {
+        self.subtree.get(x as usize).copied().filter(|&s| s != UNREACHED)
+    }
+
+    /// What an entry-level write that dirtied `dirty` can have changed
+    /// in cached point and exists answers ([`DirtyScope`]): each dirty
+    /// object's subtree numbers and root label path, walked once. `None`
+    /// when the arena is not a forest. Dirty objects no weak root path
+    /// reaches are left out: no root-anchored path locates them or
+    /// anything below them.
+    pub fn dirty_scope(&self, dirty: &[ObjectId]) -> Option<DirtyScope<'_>> {
+        if !self.forest {
+            return None;
+        }
+        let mut scope = DirtyScope {
+            subtree: &self.subtree,
+            root: self.root,
+            spans: Vec::with_capacity(dirty.len()),
+            path_labels: Vec::new(),
+            path_ends: Vec::with_capacity(dirty.len()),
+        };
+        for &o in dirty {
+            let Some(span) = self.subtree(o.raw()) else { continue };
+            scope.spans.push(span);
+            let from = scope.path_labels.len();
+            let mut cur = o.raw();
+            while cur != self.root {
+                let parent = match *self.parents_of(cur) {
+                    [p] => {
+                        let (s, e) = self.child_range(p);
+                        (s..e).find(|&i| self.children[i as usize] == cur).map(|i| (p, i))
+                    }
+                    _ => None,
+                };
+                let Some((p, i)) = parent else {
+                    // A reached row without a reverse-CSR row (a
+                    // dangling child): the empty path, stale for every
+                    // root-anchored path.
+                    scope.path_labels.truncate(from);
+                    break;
+                };
+                scope.path_labels.push(self.child_labels[i as usize]);
+                cur = p;
+            }
+            scope.path_labels[from..].reverse();
+            scope.path_ends.push(scope.path_labels.len());
+        }
+        Some(scope)
     }
 
     /// The kept region for `targets` with the Section 6 tree-shape
@@ -1154,8 +1431,15 @@ impl ArenaInstance {
     }
 
     /// `P(∃ o: o ∈ p)` for a root-anchored label path, entirely over
-    /// the flat layout (the cold-marginalisation fast path).
+    /// the flat layout: [`ArenaInstance::exists_pass`], or the region
+    /// route (located layers → [`ArenaInstance::kept_flat`] →
+    /// [`ArenaInstance::eps_flat`]) where that pass proves nothing.
     pub fn exists_flat(&self, labels: &[Label]) -> Result<f64> {
+        match self.exists_pass(self.root, labels) {
+            OnePass::Zero => return Ok(0.0),
+            OnePass::Eps { eps, .. } => return Ok(eps),
+            OnePass::Region => {}
+        }
         let layers = self.layers_flat(labels);
         let located = layers.last().cloned().unwrap_or_default();
         if located.is_empty() {
@@ -1166,10 +1450,18 @@ impl ArenaInstance {
     }
 
     /// `P(target ∈ p)` for a root-anchored label path, entirely over
-    /// the flat layout: the kept region from [`ArenaInstance::kept_point`],
-    /// or from the located layers where the ancestor walk proves nothing.
+    /// the flat layout: [`ArenaInstance::point_pass`], or where that pass
+    /// proves nothing the region route: the kept region from
+    /// [`ArenaInstance::kept_point`], or from the located layers where
+    /// the ancestor walk proves nothing either, then
+    /// [`ArenaInstance::eps_flat`].
     pub fn point_flat(&self, labels: &[Label], target: ObjectId) -> Result<f64> {
         let t = target.raw();
+        match self.point_pass(self.root, labels, t) {
+            OnePass::Zero => return Ok(0.0),
+            OnePass::Eps { eps, .. } => return Ok(eps),
+            OnePass::Region => {}
+        }
         let kept = match self.kept_point(self.root, labels, t) {
             PointRegion::Kept(kept) => kept,
             PointRegion::Absent => return Ok(0.0),
@@ -1237,6 +1529,9 @@ impl ArenaInstance {
                     return Err(format!("parent {p} of {x} has no weak edge into it"));
                 }
             }
+        }
+        if self.subtree.len() != if self.forest { total } else { 0 } {
+            return Err(format!("subtree numbers length {} on {total} rows", self.subtree.len()));
         }
         if self.member.len() != total {
             return Err(format!("member flags length {} != objects ({total})", self.member.len()));
@@ -1324,6 +1619,40 @@ fn reverse_weak_csr(
         fill[c as usize] += 1;
     });
     (offsets, parents)
+}
+
+/// Pre-order subtree numbers over the weak edges from `root`, in
+/// universe order, on a forest (each row is entered at most once): row
+/// `x` gets `(enter, exit)`, and the rows of its subtree are exactly
+/// those numbered `enter..exit`. Rows no weak root path reaches keep
+/// [`UNREACHED`].
+fn subtree_numbers(
+    root: u32,
+    child_offsets: &[u32],
+    children: &[u32],
+    child_weak: &[bool],
+) -> Vec<(u32, u32)> {
+    let mut numbers = vec![UNREACHED; child_offsets.len() - 1];
+    numbers[root as usize].0 = 0;
+    let mut next = 1;
+    // (row, next packed entry of its row to visit)
+    let mut stack = vec![(root, child_offsets[root as usize])];
+    while let Some(top) = stack.last_mut() {
+        let (x, i) = *top;
+        if i == child_offsets[x as usize + 1] {
+            numbers[x as usize].1 = next;
+            stack.pop();
+            continue;
+        }
+        top.1 += 1;
+        if child_weak[i as usize] {
+            let c = children[i as usize];
+            numbers[c as usize].0 = next;
+            next += 1;
+            stack.push((c, child_offsets[c as usize]));
+        }
+    }
+    numbers
 }
 
 /// Lowers one OPF into the slabs, falling back to a clone when the

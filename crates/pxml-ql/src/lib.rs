@@ -42,4 +42,4 @@ pub use analyze::{analyze as analyze_text, analyze_query, QueryAnalysis};
 pub use ast::{PathText, ProjectKind, Query};
 pub use error::{QlError, Result};
 pub use exec::{execute, run, Engine, Output};
-pub use parser::parse;
+pub use parser::{parse, parse_borrowed};

@@ -4,8 +4,16 @@ use crate::ast::{PathText, ProjectKind, Query};
 use crate::error::{QlError, Result};
 use crate::lexer::{lex, Tok};
 
-/// Parses one query.
+/// Parses one query into an AST over owned names.
 pub fn parse(input: &str) -> Result<Query> {
+    parse_borrowed(input).map(Query::into_owned)
+}
+
+/// Parses one query into an AST whose names are slices of `input`:
+/// nothing is copied, so a caller that only resolves the names (the
+/// batch and serve translation) allocates just the token and path
+/// vectors.
+pub fn parse_borrowed(input: &str) -> Result<Query<&str>> {
     let toks = lex(input)?;
     let mut p = P { toks, pos: 0 };
     let q = p.query()?;
@@ -15,19 +23,19 @@ pub fn parse(input: &str) -> Result<Query> {
     Ok(q)
 }
 
-struct P {
-    toks: Vec<Tok>,
+struct P<'a> {
+    toks: Vec<Tok<'a>>,
     pos: usize,
 }
 
-impl P {
+impl<'a> P<'a> {
     fn err<T>(&self, message: impl Into<String>) -> Result<T> {
         Err(QlError::Parse { position: self.pos, message: message.into() })
     }
 
-    fn peek_word(&self) -> Option<&str> {
+    fn peek_word(&self) -> Option<&'a str> {
         match self.toks.get(self.pos) {
-            Some(Tok::Word(w)) => Some(w.as_str()),
+            Some(&Tok::Word(w)) => Some(w),
             _ => None,
         }
     }
@@ -41,10 +49,9 @@ impl P {
         }
     }
 
-    fn name(&mut self) -> Result<String> {
+    fn name(&mut self) -> Result<&'a str> {
         match self.toks.get(self.pos).and_then(Tok::as_name) {
             Some(n) => {
-                let n = n.to_string();
                 self.pos += 1;
                 Ok(n)
             }
@@ -52,7 +59,7 @@ impl P {
         }
     }
 
-    fn expect(&mut self, want: &Tok, what: &str) -> Result<()> {
+    fn expect(&mut self, want: &Tok<'_>, what: &str) -> Result<()> {
         if self.toks.get(self.pos) == Some(want) {
             self.pos += 1;
             Ok(())
@@ -61,7 +68,7 @@ impl P {
         }
     }
 
-    fn path(&mut self) -> Result<PathText> {
+    fn path(&mut self) -> Result<PathText<&'a str>> {
         let mut segments = vec![self.name()?];
         while self.toks.get(self.pos) == Some(&Tok::Dot) {
             self.pos += 1;
@@ -83,7 +90,7 @@ impl P {
         }
     }
 
-    fn query(&mut self) -> Result<Query> {
+    fn query(&mut self) -> Result<Query<&'a str>> {
         if self.eat_keyword("PROJECT") {
             let kind = if self.eat_keyword("SINGLE") {
                 ProjectKind::Single
@@ -258,5 +265,75 @@ mod tests {
     fn keywords_are_case_insensitive() {
         assert!(parse("exists R.book").is_ok());
         assert!(parse("Worlds top 3").is_ok());
+    }
+
+    /// Malformed and well-formed lines keep the error text, token
+    /// position and AST they had when tokens owned their text.
+    #[test]
+    fn lines_keep_their_errors_and_trees() {
+        let golden: &[(&str, &str)] = &[
+            ("", "parse error at token 0: expected PROJECT/SELECT/POINT/EXISTS/CHAIN/PROB/WORLDS/RENDER"),
+            ("   ", "parse error at token 0: expected PROJECT/SELECT/POINT/EXISTS/CHAIN/PROB/WORLDS/RENDER"),
+            ("POINT", "parse error at token 1: expected a name"),
+            ("POINT A1", "parse error at token 2: expected IN"),
+            ("POINT A1 R.book", "parse error at token 2: expected IN"),
+            ("POINT A1 IN", "parse error at token 3: expected a name"),
+            ("POINT A1 IN R.", "parse error at token 5: expected a name"),
+            ("POINT A1 IN R..book", "parse error at token 5: expected a name"),
+            ("EXISTS", "parse error at token 1: expected a name"),
+            ("EXISTS R.book extra", "parse error at token 4: trailing input after query"),
+            ("EXISTS 'unterminated", "parse error at token 2: unterminated quoted name"),
+            ("EXISTS \"R.book", "parse error at token 2: unterminated quoted name"),
+            ("EXISTS R.book#", "parse error at token 5: unexpected character '#'"),
+            ("EXISTS R.bøøk#", "parse error at token 5: unexpected character '#'"),
+            ("CHAIN R", "parse error at token 2: a chain needs at least two objects"),
+            ("CHAIN R.", "parse error at token 3: expected a name"),
+            ("SELECT R.book", "parse error at token 4: expected '='"),
+            ("SELECT R.book = ", "parse error at token 5: expected a name"),
+            ("SELECT VALUE R.book.title = ", "parse error at token 8: expected a literal value"),
+            ("SELECT VALUE R.book.title @ = 1", "parse error at token 8: expected a name"),
+            ("SELECT VALUE R.book.title = 1.2.3", "parse error at token 12: bad float \"1.2.3\": invalid float literal"),
+            ("WORLDS TOP 0", "parse error at token 2: expected a positive integer after TOP"),
+            ("WORLDS TOP -1", "parse error at token 2: expected a positive integer after TOP"),
+            ("WORLDS TOP x", "parse error at token 2: expected a positive integer after TOP"),
+            ("EXISTS 12e", "parse error at token 2: bad float \"12e\": invalid float literal"),
+            ("EXISTS 99999999999999999999", "parse error at token 2: bad integer \"99999999999999999999\": number too large to fit in target type"),
+            ("EXISTS --", "parse error at token 2: bad integer \"--\": invalid digit found in string"),
+            ("FROBNICATE x", "parse error at token 0: expected PROJECT/SELECT/POINT/EXISTS/CHAIN/PROB/WORLDS/RENDER"),
+            ("RENDER extra", "parse error at token 1: trailing input after query"),
+            ("PROJECT", "parse error at token 1: expected a name"),
+            ("PROJECT SINGLE", "parse error at token 2: expected a name"),
+            ("EXISTS R.book\t=", "parse error at token 4: trailing input after query"),
+            ("POINT \u{3000}A1 IN R$", "parse error at token 8: unexpected character '$'"),
+            ("EXISTS R.bo ok", "parse error at token 4: trailing input after query"),
+            ("EXISTS R.book @", "parse error at token 4: trailing input after query"),
+            ("EXISTS R$", "parse error at token 3: unexpected character '$'"),
+            ("POINT 'A 1' IN R.\"bo.ok\".x", "ok Point { object: \"A 1\", path: PathText { root: \"R\", labels: [\"bo.ok\", \"x\"] } }"),
+            ("SELECT VALUE R.t @ T1 = 'VQDB'", "ok SelectValue { path: PathText { root: \"R\", labels: [\"t\"] }, object: Some(\"T1\"), value: Str(\"VQDB\") }"),
+            ("SELECT VALUE R.t = true", "ok SelectValue { path: PathText { root: \"R\", labels: [\"t\"] }, object: None, value: Bool(true) }"),
+            ("CHAIN R.B1.A1", "ok Chain { objects: [\"R\", \"B1\", \"A1\"] }"),
+            ("WORLDS TOP 3", "ok Worlds { top: Some(3) }"),
+            ("exists R.book.title", "ok Exists { path: PathText { root: \"R\", labels: [\"book\", \"title\"] } }"),
+            ("EXISTS R.0.5", "parse error at token 3: expected a name"),
+            ("EXISTS 2.book", "parse error at token 1: expected a name"),
+            ("SELECT VALUE R.t = -1e-3", "ok SelectValue { path: PathText { root: \"R\", labels: [\"t\"] }, object: None, value: Float(-0.001) }"),
+            ("SELECT VALUE R.t = +7", "ok SelectValue { path: PathText { root: \"R\", labels: [\"t\"] }, object: None, value: Int(7) }"),
+            ("EXISTS R.日本.x", "ok Exists { path: PathText { root: \"R\", labels: [\"日本\", \"x\"] } }"),
+            ("POINT 'ü' IN R.ä", "ok Point { object: \"ü\", path: PathText { root: \"R\", labels: [\"ä\"] } }"),
+            ("EXISTS R.x\u{a0}y", "parse error at token 4: trailing input after query"),
+            ("EXISTS R.x\u{2028}", "ok Exists { path: PathText { root: \"R\", labels: [\"x\"] } }"),
+            ("EXISTS R.①", "ok Exists { path: PathText { root: \"R\", labels: [\"①\"] } }"),
+            ("EXISTS 1٣", "parse error at token 1: expected a name"),
+            ("EXISTS R.a\u{301}b#", "parse error at token 5: unexpected character '\\u{301}'"),
+            ("EXISTS R.x\u{b}", "ok Exists { path: PathText { root: \"R\", labels: [\"x\"] } }"),
+            ("SELECT VALUE R.t = 1.5e+3x", "parse error at token 7: trailing input after query"),
+        ];
+        for &(line, want) in golden {
+            let got = match parse(line) {
+                Ok(q) => format!("ok {q:?}"),
+                Err(e) => e.to_string(),
+            };
+            assert_eq!(got, want, "{line:?}");
+        }
     }
 }

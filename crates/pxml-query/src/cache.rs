@@ -8,12 +8,15 @@
 //!   path expressions are few) cost one lookup.
 //! * **layers** — the forward locate pass, keyed by `(root, full label
 //!   path)` and holding sorted raw object ids, the row numbers of the
-//!   engine's [`pxml_core::ArenaInstance`]. Exists queries over the same
-//!   path expression share one traversal, and so do point queries on a
-//!   non-forest arena; a point query on a forest walks up from its
-//!   target instead and never reads or writes this table. An entry
-//!   doubles as the witness that dirty-set invalidation tests the
-//!   path's results against.
+//!   engine's [`pxml_core::ArenaInstance`]. Point and exists queries
+//!   over the same path share one traversal on a non-forest arena, and
+//!   so do governed runs. On a forest an ungoverned point or exists
+//!   query evaluates in one pass over the arena and never reads or
+//!   writes this table (except to name an error). An entry doubles as
+//!   the witness that dirty-set invalidation tests the path's results
+//!   against, but only after a structural write or on a non-forest
+//!   arena: an entry-level write on a forest tests results against its
+//!   dirty objects' subtree numbers and root label paths instead.
 //! * **links** — per-OPF child marginals `(parent raw id, universe
 //!   position) → P(child present)` used by chain queries.
 //!
@@ -29,7 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use pxml_core::{Label, LabelPath, ObjectId};
+use pxml_core::{DirtyScope, Label, LabelPath, ObjectId};
 
 use crate::engine::Query;
 use crate::error::Result;
@@ -297,33 +300,38 @@ impl MarginalCache {
     ///   edges, so `P ∈ D` already appears in the stale entry's layers.
     /// * **results** — `Chain` answers touch exactly their listed
     ///   objects: evict on overlap with `D`. `Point`/`Exists` answers
-    ///   are determined by the located layers plus the OPFs of objects
-    ///   in them, so consult this cache's own layers entry for the
-    ///   query's path, the *witness* (results are therefore evicted
-    ///   *before* layers), and evict on overlap with `D`. Without a
-    ///   witness, a `Point` result is tested by `point_stale(target,
-    ///   path length)` when the caller passes it, and every other
-    ///   result is evicted conservatively.
+    ///   are tested in one of two ways:
+    ///   - `scope` is passed for an entry-level write on a forest, where
+    ///     it holds `D`'s subtree numbers and root label paths
+    ///     ([`DirtyScope`]). A point result is stale when a member of `D`
+    ///     is a proper weak ancestor of its target, and an exists result
+    ///     when a member of `D` is located by a prefix of its path. Each
+    ///     test is a few integer or label compares per member of `D`,
+    ///     with no hashing and no layers lookup.
+    ///   - Otherwise (a structural write, or a non-forest arena), the
+    ///     answer is determined by the path's located layers plus the
+    ///     OPFs of objects in them, so consult this cache's own layers
+    ///     entry for the path, the *witness* (results are therefore
+    ///     evicted *before* layers), and evict on overlap with `D`. A
+    ///     result without a witness is evicted conservatively. A layers
+    ///     entry touches `D` when some member of `D` is found by binary
+    ///     search in one of its sorted layers; each distinct `(root,
+    ///     labels)` verdict is computed once per call and shared by every
+    ///     result over that path.
     ///
-    /// `point_stale` is for writes that keep the weak skeleton on a
-    /// forest, where a point answer reads only the OPFs of its target's
-    /// path ancestors (the engine walks the reverse CSR and reports
-    /// whether any of them is in `D`). A structural write must pass
-    /// `None`: a new edge can route a path through a parent that is not
-    /// yet an ancestor.
-    ///
-    /// A layers entry touches `D` when some member of `D` is found by
-    /// binary search in one of its sorted layers; each distinct `(root,
-    /// labels)` verdict is computed once per call and shared by every
-    /// result over that path. Freed bytes are the entries' *admitted*
-    /// costs, so the accounting stays exactly in step with `admit`.
+    /// The layers table and its witness role thus serve only non-forest
+    /// arenas and structural writes (plus governed runs, which locate
+    /// through it). Freed bytes are the entries' *admitted* costs, so
+    /// the accounting stays exactly in step with `admit`.
     pub fn invalidate_dirty(
         &self,
         direct: &HashSet<u32>,
         structural: bool,
-        point_stale: Option<&dyn Fn(ObjectId, usize) -> bool>,
+        scope: Option<&DirtyScope<'_>>,
     ) -> InvalidationCounts {
+        debug_assert!(!(structural && scope.is_some()), "a structural write changes the skeleton");
         let mut counts = InvalidationCounts::default();
+        let chain_stale = |objects: &[ObjectId]| objects.iter().any(|o| direct.contains(&o.raw()));
         let mut dirty: Vec<u32> = direct.iter().copied().collect();
         dirty.sort_unstable();
         let touches_direct = |layers: &[Vec<u32>]| {
@@ -333,43 +341,32 @@ impl MarginalCache {
         // slice, so a memo hit allocates nothing); `None` = no witness.
         let mut verdicts: HashMap<ObjectId, HashMap<Vec<Label>, Option<bool>>> = HashMap::new();
 
-        // Results first: the Point/Exists test reads the layers table,
-        // which must still hold the pre-mutation entries.
-        {
-            let layers = self.layers.read();
-            let mut s = self.results.write();
-            let mut freed = 0u64;
-            s.map.retain(|q, e| {
-                let stale = match q {
-                    Query::Chain { objects } => objects.iter().any(|o| direct.contains(&o.raw())),
-                    Query::Point { path, .. } | Query::Exists { path } => {
-                        let memo = verdicts.entry(path.root).or_default();
-                        let witness = match memo.get(&path.labels[..]) {
-                            Some(&v) => v,
-                            None => {
-                                let key = (path.root, LabelPath::from(&path.labels[..]));
-                                let v = layers.map.get(&key).map(|l| touches_direct(&l.value));
-                                memo.insert(path.labels.clone(), v);
-                                v
-                            }
-                        };
-                        match (witness, q, point_stale) {
-                            (Some(v), ..) => v,
-                            (None, Query::Point { object, .. }, Some(stale)) => {
-                                stale(*object, path.labels.len())
-                            }
-                            (None, ..) => true, // no witness — evict conservatively
-                        }
-                    }
-                };
-                if stale {
-                    freed += e.cost;
-                    counts.results += 1;
-                }
-                !stale
+        if let Some(scope) = scope {
+            self.evict_results(&mut counts, |q| match q {
+                Query::Chain { objects } => chain_stale(objects),
+                Query::Point { object, .. } => scope.point_stale(*object),
+                Query::Exists { path } => scope.exists_stale(path.root, &path.labels),
             });
-            s.bytes = s.bytes.saturating_sub(freed);
-            self.total_bytes.fetch_sub(freed, Ordering::Relaxed);
+        } else {
+            // The Point/Exists test reads the layers table, which must
+            // still hold the pre-mutation entries.
+            let layers = self.layers.read();
+            self.evict_results(&mut counts, |q| match q {
+                Query::Chain { objects } => chain_stale(objects),
+                Query::Point { path, .. } | Query::Exists { path } => {
+                    let memo = verdicts.entry(path.root).or_default();
+                    let witness = match memo.get(&path.labels[..]) {
+                        Some(&v) => v,
+                        None => {
+                            let key = (path.root, LabelPath::from(&path.labels[..]));
+                            let v = layers.map.get(&key).map(|l| touches_direct(&l.value));
+                            memo.insert(path.labels.clone(), v);
+                            v
+                        }
+                    };
+                    witness.unwrap_or(true) // no witness — evict conservatively
+                }
+            });
         }
 
         if structural {
@@ -402,6 +399,23 @@ impl MarginalCache {
         s.bytes = s.bytes.saturating_sub(freed);
         self.total_bytes.fetch_sub(freed, Ordering::Relaxed);
         counts
+    }
+
+    /// Evicts every result `stale` says is stale, freeing its admitted
+    /// cost.
+    fn evict_results(&self, counts: &mut InvalidationCounts, mut stale: impl FnMut(&Query) -> bool) {
+        let mut s = self.results.write();
+        let mut freed = 0u64;
+        s.map.retain(|q, e| {
+            let stale = stale(q);
+            if stale {
+                freed += e.cost;
+                counts.results += 1;
+            }
+            !stale
+        });
+        s.bytes = s.bytes.saturating_sub(freed);
+        self.total_bytes.fetch_sub(freed, Ordering::Relaxed);
     }
 
     /// Snapshot of the whole-query memo (audit support).

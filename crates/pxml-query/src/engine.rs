@@ -12,11 +12,15 @@
 //! probe → optional pre-flight → budgeted evaluation → writeback and
 //! counters → optional trace record. An ungoverned run is a run on an
 //! unlimited budget. Point/exists queries evaluate through the flat §6.1
-//! sweep of [`pxml_core::ArenaInstance`] (a kept region, then
-//! `eps_flat`), chains through a link walk over the same arena. On a
-//! forest a point query's region is its target's path ancestors
-//! (`kept_point`); otherwise it is filtered from the path's located
-//! layers (`layers_flat_from` → `kept_flat`). The optional pre-flight
+//! sweep of [`pxml_core::ArenaInstance`], chains through a link walk
+//! over the same arena. On a forest an ungoverned point or exists query
+//! computes ε in the walk that finds its region (`point_pass` up from
+//! the target, `exists_pass` depth-first down the path). Everywhere
+//! else (governed runs, non-forest arenas, and to name an error) the
+//! sweep runs over a kept region (`eps_flat`): on a forest a point
+//! query's region is its target's path ancestors (`kept_point`),
+//! otherwise it is filtered from the path's located layers
+//! (`layers_flat_from` → `kept_flat`). The optional pre-flight
 //! ([`crate::preflight`]) analyses the same arena, so no write leaves
 //! an analysis to rebuild.
 //!
@@ -38,7 +42,7 @@ use pxml_algebra::path::PathExpr;
 use pxml_core::catalog::DisplayObject;
 use pxml_core::{
     render_ops, ArenaInstance, Budget, CancelToken, CoreError, Label, LabelPath, Mutation,
-    ObjectId, PointRegion, ProbInstance,
+    ObjectId, OnePass, PointRegion, ProbInstance,
 };
 use pxml_interval::Interval;
 use std::sync::Arc;
@@ -390,18 +394,12 @@ impl QueryEngine {
                 return Err(e);
             }
         };
-        // An entry-level write keeps the skeleton, so on a forest a point
-        // result without a layers witness can only be stale when one of
-        // its target's path ancestors is in `D`.
-        let (arena, direct) = (&self.arena, &d.direct);
-        let point_stale = |target: ObjectId, steps: usize| {
-            arena
-                .point_ancestors(target.raw(), steps)
-                .is_none_or(|mut up| up.any(|a| direct.contains(&a)))
-        };
-        let point_stale =
-            (!effect.structural).then_some(&point_stale as &dyn Fn(ObjectId, usize) -> bool);
-        let invalidated = self.cache.invalidate_dirty(&d.direct, effect.structural, point_stale);
+        // An entry-level write keeps the skeleton, so on a forest point
+        // and exists results are tested against the dirty objects'
+        // subtree numbers and root label paths, with no layers witness.
+        let scope =
+            if effect.structural { None } else { self.arena.dirty_scope(&effect.dirty) };
+        let invalidated = self.cache.invalidate_dirty(&d.direct, effect.structural, scope.as_ref());
         Ok(self.finish_mutation(m, effect, d.affected, invalidated, started))
     }
 
@@ -1007,11 +1005,14 @@ impl QueryEngine {
 
     /// The located layers of `path` as sorted raw ids, memoised
     /// per `(path root, label sequence)`. Like `layers_weak`, a path not
-    /// anchored at the instance root locates nothing. Exists queries
-    /// read them, and so do point queries whose target the ancestor walk
-    /// cannot place (a non-forest arena, or a target with no weak node).
-    /// An entry is also the witness dirty-set invalidation tests the
-    /// path's cached results against.
+    /// anchored at the instance root locates nothing. Only the region
+    /// route reads them: exists queries that the one-pass evaluation
+    /// does not answer (governed runs, non-forest arenas, errors), and
+    /// point queries whose target the ancestor walk cannot place (a
+    /// non-forest arena, or a target with no weak node). After a
+    /// structural write, or on a non-forest arena, an entry is also the
+    /// witness dirty-set invalidation tests the path's cached results
+    /// against.
     fn layers_for(&self, path: &PathExpr, mut t: Option<&mut TraceTally>) -> Layers {
         let start = Instant::now();
         let labels = LabelPath::from(&path.labels[..]);
@@ -1048,14 +1049,18 @@ impl QueryEngine {
     }
 
     /// Budgeted evaluation of one query over the arena: the flat §6.1
-    /// sweep over a kept region for point/exists queries, the link walk
-    /// for chains. A point query's region is its target's path
-    /// ancestors ([`ArenaInstance::kept_point`], timed as locating),
-    /// and a walk that does not reach the path root proves the answer
-    /// 0; neither touches the layers table. Where the walk proves
-    /// nothing (a non-forest arena, a target without a weak node), and
-    /// for exists queries, the region is filtered from the path's
-    /// located layers ([`QueryEngine::layers_for`]).
+    /// sweep for point/exists queries, the link walk for chains. Under
+    /// an unlimited budget a point or exists query on a forest first
+    /// tries the one-pass evaluation ([`ArenaInstance::point_pass`],
+    /// [`ArenaInstance::exists_pass`]), which touches no cache table.
+    /// Where that proves nothing, and for governed runs, the region
+    /// route runs: a point query's region is its target's path
+    /// ancestors ([`ArenaInstance::kept_point`], timed as locating), and
+    /// a walk that does not reach the path root proves the answer 0.
+    /// Where the walk proves nothing too (a non-forest arena, a target
+    /// without a weak node), and for exists queries, the region is
+    /// filtered from the path's located layers
+    /// ([`QueryEngine::layers_for`]).
     fn evaluate(
         &self,
         q: &Query,
@@ -1066,6 +1071,12 @@ impl QueryEngine {
         match q {
             Query::Point { path, object } => {
                 let x = object.raw();
+                if budget.is_unlimited() {
+                    let pass = || self.arena.point_pass(path.root.raw(), &path.labels, x);
+                    if let Some(r) = self.one_pass(pass, budget, degrade, t.as_deref_mut()) {
+                        return r;
+                    }
+                }
                 let start = Instant::now();
                 match self.arena.kept_point(path.root.raw(), &path.labels, x) {
                     PointRegion::Kept(kept) => {
@@ -1090,6 +1101,12 @@ impl QueryEngine {
                 }
             }
             Query::Exists { path } => {
+                if budget.is_unlimited() {
+                    let pass = || self.arena.exists_pass(path.root.raw(), &path.labels);
+                    if let Some(r) = self.one_pass(pass, budget, degrade, t.as_deref_mut()) {
+                        return r;
+                    }
+                }
                 let layers = self.layers_for(path, t.as_deref_mut());
                 // Mirrors `exists_query`: nothing located ⇒ 0.
                 match layers.last() {
@@ -1111,6 +1128,39 @@ impl QueryEngine {
                 r
             }
         }
+    }
+
+    /// A one-pass forest evaluation under an unlimited budget, timed
+    /// and counted as the sweep it replaces: the pass's steps are
+    /// charged in one call, as `eps_flat`'s unlimited path charges them,
+    /// and a [`OnePass::Zero`] charges nothing. `None` when the pass
+    /// proves nothing and the region route must run.
+    fn one_pass(
+        &self,
+        pass: impl FnOnce() -> OnePass,
+        budget: &Budget,
+        degrade: DegradePolicy,
+        t: Option<&mut TraceTally>,
+    ) -> Option<Result<Answer>> {
+        let start = Instant::now();
+        let (eps, entries) = match pass() {
+            OnePass::Region => return None,
+            OnePass::Zero => (0.0, 0),
+            OnePass::Eps { eps, steps, opf_entries } => {
+                if let Err(ex) = budget.charge(steps) {
+                    return Some(Err(QueryError::Core(CoreError::Exhausted(ex))));
+                }
+                (eps, opf_entries)
+            }
+        };
+        let elapsed = start.elapsed();
+        self.stats.add_marginal(elapsed);
+        self.stats.add_opf_entries(entries);
+        if let Some(t) = t {
+            t.marginal_nanos += elapsed.as_nanos() as u64;
+            t.opf_entries += entries;
+        }
+        Some(Ok(answer(eps, eps, degrade)))
     }
 
     /// The point/exists evaluation: the kept region (`kept`), then the
@@ -1297,27 +1347,25 @@ mod tests {
         assert!(snap.layers_hits >= 1, "title path located once, reused");
     }
 
-    /// On a forest a point query extracts its target's path ancestors
-    /// and never reads or writes the layers table; an exists query over
-    /// the same path still locates (and memoises) the layers.
+    /// On a forest, ungoverned point and exists queries evaluate in one
+    /// pass over the arena and never read or write the layers table;
+    /// their results are invalidated without a layers witness.
     #[test]
-    fn forest_point_leaves_the_layers_table_to_exists() {
+    fn forest_queries_never_touch_the_layers_table() {
         let pi = chain_fixture(3, 0.5);
         let o3 = pi.oid("o3").unwrap();
         let p = parse(&pi, "r.next.next.next");
         let engine = QueryEngine::with_threads(pi, 1);
         let a = engine.run(&Query::point(p.clone(), o3)).unwrap();
-        let snap = engine.stats();
-        assert_eq!((snap.layers_hits, snap.layers_misses), (0, 0));
-        assert_eq!(engine.cache_len(), (1, 0, 0), "results, layers, links");
         // Same path again as a *different* Query value: exists — the
-        // whole-query memo misses and the layers are located once.
+        // whole-query memo misses, and nothing is located either.
         let b = engine.run(&Query::exists(p.clone())).unwrap();
         assert_eq!(a, b, "on a chain the sole target is the located set");
         let snap = engine.stats();
-        assert_eq!((snap.layers_hits, snap.layers_misses), (0, 1));
-        assert_eq!(engine.cache_len(), (2, 1, 0), "results, layers, links");
+        assert_eq!((snap.layers_hits, snap.layers_misses), (0, 0));
+        assert_eq!(engine.cache_len(), (2, 0, 0), "results, layers, links");
         assert_eq!((snap.eps_hits, snap.eps_misses), (0, 0), "no ε memo");
+        assert_eq!(snap.opf_entries_visited, 12, "three two-entry OPFs per query");
     }
 
     #[test]
@@ -1767,6 +1815,40 @@ mod tests {
             "the child's result was evicted"
         );
         assert_fresh_answers(&engine, &full_q);
+    }
+
+    /// The exists sibling of the test above: an entry-level write keeps
+    /// the cached exists results of every path that does not locate the
+    /// written object, and evicts those of the paths that do.
+    #[test]
+    fn exists_results_survive_writes_off_their_path() {
+        use pxml_gen::{generate, Labeling, WorkloadConfig};
+        let g = generate(&WorkloadConfig::paper(3, 2, Labeling::SameLabel, 5));
+        let pi = g.instance;
+        let label = |d: usize| g.depth_labels[d][0];
+        let paths: Vec<PathExpr> =
+            (0..=3).map(|n| PathExpr::new(pi.root(), (0..n).map(label))).collect();
+        let queries: Vec<Query> = paths.iter().cloned().map(Query::exists).collect();
+        // A depth-2 object: located by the two- and three-label paths'
+        // prefixes only.
+        let first_child =
+            |o: ObjectId| pi.weak().node(o).unwrap().universe().iter().next().unwrap().1;
+        let parent = first_child(first_child(pi.root()));
+        let child = first_child(parent);
+        let m = Mutation::SetEdgeProb { parent, child, prob: 0.25 };
+        let mut engine = QueryEngine::with_threads(pi, 1);
+        engine.run_batch(&queries);
+        let out = engine.apply_mutation(&m).unwrap();
+        assert!(!out.effect.structural);
+        assert_eq!(out.invalidated.results, 2, "the paths locating the parent");
+        assert!(engine.audit_cache().is_empty(), "{:?}", engine.audit_cache());
+        let before = engine.stats();
+        assert_fresh_answers(&engine, &queries[..3]);
+        let after = engine.stats();
+        assert_eq!(after.result_hits - before.result_hits, 2, "short paths stay warm");
+        assert_eq!(after.result_misses - before.result_misses, 1, "R.l0.l1 was evicted");
+        assert_fresh_answers(&engine, &queries);
+        assert_eq!((after.layers_hits, after.layers_misses), (0, 0));
     }
 
     /// Builds `R` with the given `(parent, label, children)` rows, an

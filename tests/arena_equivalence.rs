@@ -33,6 +33,13 @@
 //!    of `layers_flat_from` → `kept_flat` → `eps_flat`, for located and
 //!    unlocated targets, ids past the arena, non-root path starts and
 //!    the empty path.
+//! 7. **One pass ≡ region route** — on §7.1 forests with compact OPFs
+//!    and random entry-level writes, and on hostile forests (dangling
+//!    children, missing OPFs, non-finite mass), `point_pass` and
+//!    `exists_pass` give the region route's bits, steps, polls and OPF
+//!    entries, fall back exactly where it errs (or the target has no
+//!    weak node), and `point_flat`/`exists_flat` keep its errors; the
+//!    subtree numbers agree with walking the weak parents.
 
 mod common;
 
@@ -43,7 +50,7 @@ use rand::{Rng, SeedableRng};
 use pxml::algebra::{locate_weak, PathExpr};
 use pxml::core::{
     ArenaInstance, Budget, ChildSet, CoreError, DegradePolicy, EpsBounds, IndependentOpf, Label,
-    LabelProductOpf, Mutation, ObjectId, Opf, OpfView, PointRegion, ProbInstance,
+    LabelProductOpf, Mutation, ObjectId, OnePass, Opf, OpfView, PointRegion, ProbInstance,
 };
 use pxml::gen::random_mutations;
 use pxml::query::{chain_probability, exists_query, point_query, QueryError};
@@ -459,6 +466,257 @@ fn point_walk_matches_layers_with_dangling_children() {
         drive_point_walks(&pi, &g.depth_labels, &mut rng);
     }
 }
+/// The region route for `P(target ∈ start.labels)`, as the engine runs
+/// it under `budget`: the ancestor walk's kept region, or the located
+/// layers of `locate` (nothing off the root) where the walk proves
+/// nothing, then the sweep. `Ok(None)` is an exact 0 found before any
+/// sweep.
+fn point_by_region(
+    a: &ArenaInstance,
+    start: u32,
+    labels: &[Label],
+    target: u32,
+    budget: &Budget,
+) -> Result<Option<EpsBounds>, CoreError> {
+    let kept = match a.kept_point(start, labels, target) {
+        PointRegion::Kept(kept) => kept,
+        PointRegion::Absent => return Ok(None),
+        PointRegion::Layers => {
+            let layers = a.locate(ObjectId::from_raw(start), labels);
+            if layers[labels.len()].binary_search(&target).is_err() {
+                return Ok(None);
+            }
+            a.kept_flat(labels, &layers, &[target])?
+        }
+    };
+    a.eps_flat(labels, &kept, budget, DegradePolicy::Error).map(Some)
+}
+
+/// The region route for `P(∃ o: o ∈ start.labels)`: located layers,
+/// kept region, sweep.
+fn exists_by_region(
+    a: &ArenaInstance,
+    start: u32,
+    labels: &[Label],
+    budget: &Budget,
+) -> Result<Option<EpsBounds>, CoreError> {
+    let layers = a.locate(ObjectId::from_raw(start), labels);
+    let located = &layers[labels.len()];
+    if located.is_empty() {
+        return Ok(None);
+    }
+    let kept = a.kept_flat(labels, &layers, located)?;
+    a.eps_flat(labels, &kept, budget, DegradePolicy::Error).map(Some)
+}
+
+/// One pass against its region route: a [`OnePass::Zero`] is an exact 0
+/// that spends nothing; a [`OnePass::Eps`] has the route's bits, OPF
+/// entries, and (charged in one call) steps and polls; and a
+/// [`OnePass::Region`] on a forest stands for an error or, with
+/// `region_ok`, a target the ancestor walk cannot place.
+fn assert_pass_matches_region(
+    pass: OnePass,
+    region: &Result<Option<EpsBounds>, CoreError>,
+    region_budget: &Budget,
+    region_ok: bool,
+    ctx: &str,
+) {
+    match (pass, region) {
+        (OnePass::Zero, Ok(r)) => {
+            assert!(r.is_none_or(|b| b.lo.to_bits() == 0f64.to_bits()), "{ctx}: {r:?}");
+            assert_eq!(r.map_or(0, |b| b.opf_entries), 0, "{ctx}");
+            assert_eq!(region_budget.steps_spent(), 0, "{ctx}: zero charges no step");
+            assert_eq!(region_budget.polls_performed(), 0, "{ctx}: zero polls nothing");
+        }
+        (OnePass::Eps { eps, steps, opf_entries }, Ok(Some(b))) => {
+            assert_eq!((eps.to_bits(), eps.to_bits()), (b.lo.to_bits(), b.hi.to_bits()), "{ctx}");
+            assert_eq!(opf_entries, b.opf_entries, "{ctx}: OPF entries");
+            let charged = Budget::unlimited();
+            charged.charge(steps).unwrap();
+            assert_eq!(charged.steps_spent(), region_budget.steps_spent(), "{ctx}: steps");
+            assert_eq!(charged.polls_performed(), region_budget.polls_performed(), "{ctx}: polls");
+        }
+        (OnePass::Region, Err(_)) => {}
+        (OnePass::Region, Ok(_)) if region_ok => {}
+        (pass, region) => panic!("{ctx}: pass {pass:?} vs region route {region:?}"),
+    }
+}
+
+/// Checks both passes against their region routes on random label
+/// paths of `pi` (from the root and from random objects, the empty path
+/// included), for every located target, random members and ids past the
+/// arena, and `point_flat`/`exists_flat`'s answers and errors against
+/// the route. Also checks the subtree numbers against the parent map.
+/// Returns which outcomes it met: per pass (exists, then point) a zero,
+/// an ε and a fallback.
+fn drive_passes(pi: &ProbInstance, depth_labels: &[Vec<Label>], rng: &mut StdRng) -> [bool; 6] {
+    let mut seen = [false; 6];
+    let kind = |p: OnePass| match p {
+        OnePass::Zero => 0,
+        OnePass::Eps { .. } => 1,
+        OnePass::Region => 2,
+    };
+    let a = ArenaInstance::lower_unchecked(pi);
+    assert_subtree_numbers_follow_parents(pi, &a);
+    let mut rows: Vec<u32> = pi.weak().objects().map(|o| o.raw()).collect();
+    rows.sort_unstable();
+    let root = a.root_index();
+    for _ in 0..12 {
+        let start = if rng.gen_bool(0.7) { root } else { rows[rng.gen_range(0..rows.len())] };
+        let len = rng.gen_range(0..=depth_labels.len() + 1);
+        let labels: Vec<Label> = (0..len)
+            .map(|d| {
+                let alphabet = &depth_labels[d.min(depth_labels.len() - 1)];
+                alphabet[rng.gen_range(0..alphabet.len())]
+            })
+            .collect();
+        let ctx = format!("start {start} labels {labels:?}");
+        let budget = Budget::unlimited();
+        let region = exists_by_region(&a, start, &labels, &budget);
+        let pass = a.exists_pass(start, &labels);
+        seen[kind(pass)] = true;
+        assert_pass_matches_region(pass, &region, &budget, false, &ctx);
+        if start == root {
+            // Errors compare by message: a non-finite mass is NaN.
+            let flat = a.exists_flat(&labels).map(f64::to_bits).map_err(|e| e.to_string());
+            let want = region.as_ref().map(|r| r.map_or(0, |b| b.lo.to_bits()));
+            assert_eq!(flat, want.map_err(|e| e.to_string()), "{ctx}");
+        }
+        let mut targets = a.layers_flat_from(root, &labels).pop().unwrap_or_default();
+        targets.extend((0..6).map(|_| rng.gen_range(0..a.len() as u32)));
+        targets.extend([a.len() as u32, a.len() as u32 + 7]);
+        for t in targets {
+            let ctx = format!("{ctx} target {t}");
+            let budget = Budget::unlimited();
+            let region = point_by_region(&a, start, &labels, t, &budget);
+            let walkable = (t as usize) >= a.len() || a.is_member(t);
+            let pass = a.point_pass(start, &labels, t);
+            seen[3 + kind(pass)] = true;
+            assert_pass_matches_region(pass, &region, &budget, !walkable, &ctx);
+            if start == root {
+                let flat = a.point_flat(&labels, ObjectId::from_raw(t)).map(f64::to_bits);
+                let unlimited = Budget::unlimited();
+                let by_layers =
+                    point_by_layers(&a, root, &labels, t, &unlimited, DegradePolicy::Error);
+                assert_eq!(
+                    flat.map_err(|e| e.to_string()),
+                    by_layers.map(|b| b.lo.to_bits()).map_err(|e| e.to_string()),
+                    "{ctx}"
+                );
+            }
+        }
+    }
+    seen
+}
+
+/// The weak parent of row `x` on a forest: its reverse-CSR row, or for
+/// a dangling child (no reverse-CSR row) the row naming it.
+fn forest_parent(a: &ArenaInstance, x: u32) -> Option<u32> {
+    if a.is_member(x) {
+        return a.parents_of(x).first().copied();
+    }
+    (0..a.len() as u32).find(|&p| {
+        let (s, e) = a.child_range(p);
+        (s..e).any(|i| a.child(i) == x && a.child_is_weak(i))
+    })
+}
+
+/// On a forest, row `y` is in row `x`'s subtree by the numbers exactly
+/// when walking weak parents up from `y` meets `x`, and a row is
+/// numbered exactly when that walk reaches the root.
+fn assert_subtree_numbers_follow_parents(pi: &ProbInstance, a: &ArenaInstance) {
+    let up = |mut y: u32| {
+        let mut chain = vec![y];
+        while let Some(p) = forest_parent(a, y) {
+            chain.push(p);
+            y = p;
+        }
+        chain
+    };
+    let n = a.len() as u32;
+    let chains: Vec<Vec<u32>> = (0..n).map(up).collect();
+    for y in 0..n {
+        let reached = chains[y as usize].last() == Some(&a.root_index());
+        assert_eq!(a.subtree(y).is_some(), reached, "row {y} of {}", pi.object_count());
+        let Some((enter, _)) = a.subtree(y) else { continue };
+        for x in 0..n {
+            let by_numbers = a.subtree(x).is_some_and(|(s, e)| s <= enter && enter < e);
+            assert_eq!(by_numbers, chains[y as usize].contains(&x), "is {x} above {y}?");
+        }
+    }
+}
+
+/// A §7.1 forest for the pass contract: random depth, branching and
+/// labeling; some OPFs made compact (independent or a label-product
+/// fallback); then a prefix of random entry-level writes.
+fn pass_forest(seed: u64, rng: &mut StdRng) -> (ProbInstance, Vec<Vec<Label>>) {
+    use pxml::gen::{generate, Labeling, WorkloadConfig};
+    let labeling = if rng.gen_bool(0.5) { Labeling::SameLabel } else { Labeling::FullyRandom };
+    let (depth, branching) = (rng.gen_range(1..=4usize), rng.gen_range(1..=4usize));
+    let g = generate(&WorkloadConfig::paper(depth, branching, labeling, seed));
+    let mut pi = g.instance;
+    let mut owners: Vec<ObjectId> = pi.weak().objects().filter(|&o| pi.opf(o).is_some()).collect();
+    owners.sort_unstable();
+    for &o in &owners {
+        if rng.gen_bool(0.3) {
+            if let Some(op) = reshape_op(&pi, o, rng.gen_range(2..4u32)) {
+                pi.apply(&op).expect("reshaping keeps the distribution");
+            }
+        }
+    }
+    for op in random_mutations(&pi, rng.gen_range(0..6usize), rng.gen()) {
+        pi.apply(&op).expect("generated ops apply");
+    }
+    (pi, g.depth_labels)
+}
+
+/// Hostile forests for the pass contract, from one generated tree: a
+/// depth-1 object and a leaf lose their weak nodes (dangling children),
+/// two inner objects lose their OPFs, and one gets non-finite mass.
+#[test]
+fn one_pass_matches_the_region_route_on_hostile_forests() {
+    use pxml::core::WeakInstance;
+    use pxml::gen::{generate, Labeling, WorkloadConfig};
+    use std::sync::Arc;
+    let mut rng = StdRng::seed_from_u64(0x0e9a55);
+    let mut seen = [false; 6];
+    for seed in 0..6 {
+        let g = generate(&WorkloadConfig::paper(3, 3, Labeling::FullyRandom, seed));
+        let (weak, mut opf, vpf) = g.instance.into_parts();
+        let children: Vec<ObjectId> =
+            weak.node(weak.root()).unwrap().universe().iter().map(|(_, c, _)| c).collect();
+        let inner: Vec<ObjectId> = children
+            .iter()
+            .flat_map(|&c| weak.node(c).unwrap().universe().iter().map(|(_, g, _)| g))
+            .filter(|&o| weak.node(o).is_some_and(|n| !n.is_childless()))
+            .collect();
+        let leaf = weak
+            .descendants(children[0])
+            .into_iter()
+            .find(|&o| weak.node(o).is_some_and(|n| n.is_childless()))
+            .unwrap();
+        let mut nodes = weak.nodes().clone();
+        nodes.remove(children[1]);
+        nodes.remove(leaf);
+        opf.remove(inner[0]);
+        opf.remove(children[2]);
+        let width = weak.node(inner[1]).unwrap().universe().len();
+        opf.insert(inner[1], Opf::Independent(IndependentOpf::new(vec![f64::NAN; width])));
+        let weak = WeakInstance::from_parts_unchecked(Arc::clone(weak.catalog()), weak.root(), nodes);
+        let pi = ProbInstance::from_parts_unchecked(weak, opf, vpf);
+        let a = ArenaInstance::lower_unchecked(&pi);
+        for x in [children[1], leaf] {
+            let n = pi.weak().node(x).is_none();
+            assert!(n && a.point_pass(a.root_index(), &[], x.raw()) == OnePass::Region);
+        }
+        for _ in 0..4 {
+            let met = drive_passes(&pi, &g.depth_labels, &mut rng);
+            seen.iter_mut().zip(met).for_each(|(s, m)| *s |= m);
+        }
+    }
+    assert_eq!(seen, [true; 6], "(exists, point) × (zero, ε, fallback) all met");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -477,6 +735,17 @@ proptest! {
             pi.apply(&op).expect("generated ops apply");
         }
         drive_point_walks(&pi, &g.depth_labels, &mut rng);
+    }
+
+    /// Contract 7: on random §7.1 forests with compact OPFs and random
+    /// entry-level writes, the one-pass point and exists evaluations
+    /// equal their region routes in bits, steps, polls and OPF entries,
+    /// and fall back exactly where the route errs.
+    #[test]
+    fn one_pass_matches_the_region_route_on_generated_forests(seed in 0u64..3000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (pi, depth_labels) = pass_forest(seed, &mut rng);
+        drive_passes(&pi, &depth_labels, &mut rng);
     }
 
     /// Contract 5: after every entry-level op the patched arena matches

@@ -87,21 +87,6 @@ pub struct EpsBounds {
     pub opf_entries: u64,
 }
 
-/// Where a point query's kept region comes from
-/// ([`ArenaInstance::kept_point`]).
-#[derive(Clone, Debug, PartialEq)]
-pub enum PointRegion {
-    /// The target is located: its kept region, the target's path
-    /// ancestors, one per depth (layer 0 is the path start).
-    Kept(Vec<Vec<u32>>),
-    /// The target is provably not located: the answer is exact `0.0`.
-    Absent,
-    /// The ancestor walk proves nothing here (the arena is not a
-    /// forest, or the target has no weak node): locate the path's
-    /// layers and filter them with [`ArenaInstance::kept_flat`].
-    Layers,
-}
-
 /// What a one-pass forest evaluation found
 /// ([`ArenaInstance::point_pass`], [`ArenaInstance::exists_pass`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -278,7 +263,7 @@ pub struct ArenaInstance {
     /// True when no object appears as a child more than once and the
     /// root is nobody's child — the flat pipeline then skips dedup and
     /// the (unfireable) §6 tree-shape checks, and a point query walks up
-    /// from its target ([`ArenaInstance::kept_point`]).
+    /// from its target ([`ArenaInstance::point_region`]).
     forest: bool,
     /// On a forest, `(pre-order number, one past its subtree's last)`
     /// per row over the weak edges from the root, [`UNREACHED`] for
@@ -819,117 +804,99 @@ impl ArenaInstance {
         out
     }
 
-    /// The proper ancestors of `x` on a forest, nearest first: its
-    /// weak parent, that parent's parent, and so on, at most `steps` of
-    /// them. A point query over a `steps`-label path reads OPFs of
-    /// these objects only. The chain ends early when an object has no
-    /// weak parent, and then no such path locates `x`; an id at or past
-    /// [`ArenaInstance::len`] has no ancestors. `None` when the walk
-    /// proves nothing: the arena is not a forest, or `x` has no weak
-    /// node (a dangling child is located through its parent's row but
-    /// has no reverse-CSR row).
-    fn point_ancestors(&self, x: u32, steps: usize) -> Option<impl Iterator<Item = u32> + '_> {
-        if !self.forest || self.member.get(x as usize) == Some(&false) {
+    /// The one upward walk of the point query `P(target ∈ start.labels)`
+    /// on a forest (§6.2's path-ancestor extraction): from the target up
+    /// its weak parents, one per label, checking that each edge is weak
+    /// and carries the label at its depth. It hands each ancestor to
+    /// `visit` as `(depth, ancestor, the child's position in the
+    /// ancestor's row)`, nearest first, and returns whether the walk
+    /// ends at `start` after `labels.len()` steps, i.e. whether the path
+    /// locates the target; a failed check ends it early, and an id at or
+    /// past [`ArenaInstance::len`] is not located. A located target's
+    /// path is unique on a forest, so its ancestors are its whole kept
+    /// region, at O(`labels.len()` × row width) instead of O(located
+    /// layers). `None` when the walk proves nothing: the arena is not a
+    /// forest, or the target has no weak node (a dangling child is
+    /// located through its parent's row but has no reverse-CSR row).
+    fn point_walk(
+        &self,
+        start: u32,
+        labels: &[Label],
+        target: u32,
+        mut visit: impl FnMut(usize, u32, u32),
+    ) -> Option<bool> {
+        if !self.forest || self.member.get(target as usize) == Some(&false) {
             return None;
         }
-        let steps = if (x as usize) < self.len() { steps } else { 0 };
-        let mut cur = x;
-        // On a forest every object is a child entry at most once, so a
-        // member has at most one weak parent.
-        let parent = move || match *self.parents_of(cur) {
-            [p] => {
-                cur = p;
-                Some(p)
-            }
-            _ => None,
-        };
-        Some(std::iter::from_fn(parent).take(steps))
-    }
-
-    /// The kept region of the point query `P(target ∈ start.labels)`,
-    /// by path-ancestor extraction (§6.2): on a forest, walk
-    /// [`ArenaInstance::point_ancestors`] up from the target, checking
-    /// that each edge carries the label at its depth, and require the
-    /// walk to end at `start`. A located target's path is unique on a
-    /// forest, so the region equals what
-    /// [`ArenaInstance::layers_flat_from`] → [`ArenaInstance::kept_flat`]
-    /// builds for it, at O(`labels.len()` × row width) instead of
-    /// O(located layers). Governed runs and the error path of
-    /// [`ArenaInstance::point_pass`] use it; an unlimited budget on a
-    /// forest needs no region at all.
-    pub fn kept_point(&self, start: u32, labels: &[Label], target: u32) -> PointRegion {
-        let n = labels.len();
-        let Some(ancestors) = self.point_ancestors(target, n) else {
-            return PointRegion::Layers;
-        };
         if target as usize >= self.len() {
-            return PointRegion::Absent;
+            return Some(false);
         }
-        let mut kept: Vec<Vec<u32>> = vec![Vec::new(); n + 1];
-        kept[n].push(target);
-        let (mut child, mut d) = (target, n);
-        for p in ancestors {
-            d -= 1;
+        let mut child = target;
+        for d in (0..labels.len()).rev() {
+            // On a forest every object is a child entry at most once, so
+            // a member has at most one weak parent, and `child` is one
+            // entry of its row.
+            let [p] = *self.parents_of(child) else { return Some(false) };
             let (s, e) = self.child_range(p);
-            let on_path = (s..e).any(|i| {
-                self.children[i as usize] == child
-                    && self.child_weak[i as usize]
-                    && self.child_labels[i as usize] == labels[d]
-            });
-            if !on_path {
-                return PointRegion::Absent;
-            }
-            kept[d].push(p);
-            child = p;
-        }
-        if d == 0 && child == start {
-            PointRegion::Kept(kept)
-        } else {
-            PointRegion::Absent
-        }
-    }
-
-    /// `P(target ∈ start.labels)` in one upward pass on a forest, for an
-    /// unlimited budget. It walks [`ArenaInstance::point_ancestors`] as
-    /// [`ArenaInstance::kept_point`] does, checking each edge's weakness
-    /// and label, and folds `ε ← survival_probability(p, &[(pos, ε)])`
-    /// on the way up: the call the sweep makes for a one-child kept row,
-    /// so ε is bit-equal to `kept_point` → [`ArenaInstance::eps_flat`],
-    /// and so are the steps (`labels.len()`) and OPF entries. A walk
-    /// that does not end at the root, or a path anchored anywhere else,
-    /// is [`OnePass::Zero`]. A missing OPF or non-finite mass on a walk
-    /// that does end there is [`OnePass::Region`], and the region route
-    /// names the error.
-    pub fn point_pass(&self, start: u32, labels: &[Label], target: u32) -> OnePass {
-        let n = labels.len();
-        let Some(ancestors) = self.point_ancestors(target, n) else {
-            return OnePass::Region;
-        };
-        if start != self.root || target as usize >= self.len() {
-            return OnePass::Zero;
-        }
-        let (mut child, mut d) = (target, n);
-        // `None` once an ancestor failed: the walk still decides
-        // between an exact 0 and an error.
-        let (mut eps, mut opf_entries) = (Some(1.0), 0);
-        for p in ancestors {
-            d -= 1;
-            let (s, e) = self.child_range(p);
-            // On a forest `child` is one entry of one row.
             let on_path = (s..e).find(|&i| self.children[i as usize] == child).filter(|&i| {
                 self.child_weak[i as usize] && self.child_labels[i as usize] == labels[d]
             });
-            let Some(i) = on_path else { return OnePass::Zero };
-            if let Some(below) = eps {
-                eps = self.survival_probability(p, &[(i - s, below)]).filter(|v| v.is_finite());
-                opf_entries += self.stored_len(p);
-            }
+            let Some(i) = on_path else { return Some(false) };
+            visit(d, p, i - s);
             child = p;
         }
-        match eps {
-            _ if d != 0 || child != start => OnePass::Zero,
-            Some(eps) => OnePass::Eps { eps, steps: n as u64, opf_entries },
+        Some(child == start)
+    }
+
+    /// The kept region of the point query `P(target ∈ start.labels)`,
+    /// collected from the ancestor walk (`point_walk`): the located target
+    /// and its path ancestors, one per depth (layer 0 is the path
+    /// start), which is what [`ArenaInstance::layers_flat_from`] →
+    /// [`ArenaInstance::kept_flat`] builds for it. A target the walk
+    /// proves unlocated gets the empty region, which
+    /// [`ArenaInstance::eps_flat`] answers with an exact 0 and no charge.
+    /// `None` when the walk proves nothing: locate the path's layers.
+    /// Governed runs and the error path of [`ArenaInstance::point_pass`]
+    /// sweep this region.
+    pub fn point_region(&self, start: u32, labels: &[Label], target: u32) -> Option<Vec<Vec<u32>>> {
+        let n = labels.len();
+        let mut kept: Vec<Vec<u32>> = vec![Vec::new(); n + 1];
+        kept[n].push(target);
+        if !self.point_walk(start, labels, target, |d, p, _| kept[d].push(p))? {
+            kept.iter_mut().for_each(Vec::clear);
+        }
+        Some(kept)
+    }
+
+    /// `P(target ∈ start.labels)` in one upward pass on a forest, for an
+    /// unlimited budget: the ancestor walk (`point_walk`) folding
+    /// `ε ← survival_probability(p, &[(pos, ε)])` on the way up. That is
+    /// the call the sweep makes for a one-child kept row, so ε is
+    /// bit-equal to [`ArenaInstance::point_region`] →
+    /// [`ArenaInstance::eps_flat`], and so are the steps (`labels.len()`)
+    /// and OPF entries. An unlocated target, or a path anchored anywhere
+    /// but the root, is [`OnePass::Zero`]. A missing OPF or non-finite
+    /// mass on a located target is [`OnePass::Region`], and the region
+    /// route names the error.
+    pub fn point_pass(&self, start: u32, labels: &[Label], target: u32) -> OnePass {
+        // `None` once an ancestor failed (the walk still decides between
+        // an exact 0 and an error), and from the start for a path
+        // anchored off the root, whose answer is 0 however it walks.
+        let mut eps = (start == self.root).then_some(1.0);
+        let mut opf_entries = 0;
+        let located = self.point_walk(start, labels, target, |_, p, pos| {
+            if let Some(below) = eps {
+                eps = self.survival_probability(p, &[(pos, below)]).filter(|v| v.is_finite());
+                opf_entries += self.stored_len(p);
+            }
+        });
+        match located {
             None => OnePass::Region,
+            Some(true) if start == self.root => match eps {
+                Some(eps) => OnePass::Eps { eps, steps: labels.len() as u64, opf_entries },
+                None => OnePass::Region,
+            },
+            Some(_) => OnePass::Zero,
         }
     }
 
@@ -1452,7 +1419,7 @@ impl ArenaInstance {
     /// `P(target ∈ p)` for a root-anchored label path, entirely over
     /// the flat layout: [`ArenaInstance::point_pass`], or where that pass
     /// proves nothing the region route: the kept region from
-    /// [`ArenaInstance::kept_point`], or from the located layers where
+    /// [`ArenaInstance::point_region`], or from the located layers where
     /// the ancestor walk proves nothing either, then
     /// [`ArenaInstance::eps_flat`].
     pub fn point_flat(&self, labels: &[Label], target: ObjectId) -> Result<f64> {
@@ -1462,10 +1429,9 @@ impl ArenaInstance {
             OnePass::Eps { eps, .. } => return Ok(eps),
             OnePass::Region => {}
         }
-        let kept = match self.kept_point(self.root, labels, t) {
-            PointRegion::Kept(kept) => kept,
-            PointRegion::Absent => return Ok(0.0),
-            PointRegion::Layers => {
+        let kept = match self.point_region(self.root, labels, t) {
+            Some(kept) => kept,
+            None => {
                 let layers = self.layers_flat(labels);
                 if layers[labels.len()].binary_search(&t).is_err() {
                     return Ok(0.0);

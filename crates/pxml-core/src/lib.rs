@@ -64,7 +64,7 @@ pub mod vpf;
 pub mod weak;
 pub mod worlds;
 
-pub use arena::{ArenaInstance, DirtyScope, EpsBounds, OnePass, OpfView, PointRegion};
+pub use arena::{ArenaInstance, DirtyScope, EpsBounds, OnePass, OpfView};
 pub use budget::{Budget, CancelToken, DegradePolicy, Exhausted, Resource};
 pub use catalog::Catalog;
 pub use childset::{ChildSet, ChildUniverse};

@@ -42,7 +42,7 @@ use pxml_algebra::path::PathExpr;
 use pxml_core::catalog::DisplayObject;
 use pxml_core::{
     render_ops, ArenaInstance, Budget, CancelToken, CoreError, Label, LabelPath, Mutation,
-    ObjectId, OnePass, PointRegion, ProbInstance,
+    ObjectId, OnePass, ProbInstance,
 };
 use pxml_interval::Interval;
 use std::sync::Arc;
@@ -729,30 +729,36 @@ impl QueryEngine {
     }
 
     /// The run pipeline behind every entry point; `spec` is `None` for
-    /// an ungoverned run. With tracing off (the default) the trace stage
-    /// costs one relaxed load and a branch.
+    /// an ungoverned run. The stages record into one stack ledger, which
+    /// is folded into the counters once; with tracing off (the default)
+    /// the trace stage costs one relaxed load and a branch.
     fn run_one(&self, q: &Query, spec: Option<&BudgetSpec>) -> Result<Answer> {
-        match self.trace_mode.load(Ordering::Relaxed) {
-            TRACE_OFF => self.run_stages(q, spec, None),
-            mode => self.run_traced(q, spec, mode == TRACE_FULL),
+        self.stats.count_query();
+        let mode = self.trace_mode.load(Ordering::Relaxed);
+        let mut t = TraceTally { timed: mode != TRACE_OFF, ..TraceTally::default() };
+        let started = t.timed.then(Instant::now);
+        let r = self.run_stages(q, spec, &mut t);
+        self.stats.fold(&t);
+        if let Some(started) = started {
+            self.trace(q, &r, &t, started, mode == TRACE_FULL);
         }
+        r
     }
 
-    /// The optional trace stage around [`QueryEngine::run_stages`]:
-    /// phase spans, provenance tally and histogram observations, plus
-    /// one trace record when `record` is set. Out of line so the traced
-    /// machinery never bloats the untraced path.
+    /// The trace stage after [`QueryEngine::run_stages`]: histogram
+    /// observations, plus one trace record when `record` is set. Out of
+    /// line so the traced machinery never bloats the untraced path.
     #[cold]
     #[inline(never)]
-    fn run_traced(&self, q: &Query, spec: Option<&BudgetSpec>, record: bool) -> Result<Answer> {
-        let started = Instant::now();
-        let mut tally = TraceTally::default();
-        let r = self.run_stages(q, spec, Some(&mut tally));
+    fn trace(&self, q: &Query, r: &Result<Answer>, t: &TraceTally, started: Instant, record: bool) {
         let total = started.elapsed().as_nanos() as u64;
         self.stats.observe_query_nanos(total);
+        if let Some((steps, _)) = t.budget {
+            self.stats.observe_budget_steps(steps);
+        }
         if record {
-            let (outcome, lo, hi, error) = match &r {
-                _ if tally.preflight_zero => (TraceOutcome::PreflightZero, 0.0, 0.0, None),
+            let (outcome, lo, hi, error) = match r {
+                _ if t.preflight_zero => (TraceOutcome::PreflightZero, 0.0, 0.0, None),
                 Ok(Answer::Exact(v)) => (TraceOutcome::Exact, *v, *v, None),
                 Ok(Answer::Interval(i)) => (TraceOutcome::Degraded, i.lo, i.hi, None),
                 Err(e) if exhaustion_of(e).is_some() => {
@@ -760,26 +766,20 @@ impl QueryEngine {
                 }
                 Err(e) => (TraceOutcome::Error, 0.0, 0.0, Some(e.to_string())),
             };
-            self.push_trace(q, &tally, total, outcome, lo, hi, error);
+            self.push_trace(q, t, total, outcome, lo, hi, error);
         }
-        r
     }
 
-    /// Count → result probe → optional pre-flight (provable zero;
-    /// canonical rewrite and a second probe; admission control) →
-    /// budgeted evaluation → writeback and counters. The result cache
-    /// is probed before any analysis, so warm serving pays nothing for
-    /// pre-flight and a memoised exact answer always wins over
+    /// Result probe → optional pre-flight (provable zero; canonical
+    /// rewrite and a second probe; admission control) → budgeted
+    /// evaluation → writeback, each stage recording into `t`. The result
+    /// cache is probed before any analysis, so warm serving pays nothing
+    /// for pre-flight and a memoised exact answer always wins over
     /// admission control; a proved zero is written back like any exact
-    /// result, so each zero is proved once, not per encounter.
-    fn run_stages(
-        &self,
-        q: &Query,
-        spec: Option<&BudgetSpec>,
-        mut t: Option<&mut TraceTally>,
-    ) -> Result<Answer> {
-        self.stats.count_query();
-        if let Some(r) = self.probe(q, spec.is_some(), t.as_deref_mut()) {
+    /// result, so each zero is proved once, not per encounter. A query
+    /// the probes do not answer is a result miss.
+    fn run_stages(&self, q: &Query, spec: Option<&BudgetSpec>, t: &mut TraceTally) -> Result<Answer> {
+        if let Some(r) = self.probe(q, spec.is_some(), t) {
             return r;
         }
         let mut admission = None;
@@ -787,56 +787,43 @@ impl QueryEngine {
         if self.preflight.load(Ordering::Relaxed) {
             let report = preflight::analyze(&self.arena, q);
             if report.is_provably_zero() {
-                self.stats.count_result(false);
-                self.stats.count_preflight_zero();
                 self.cache.put_result(q.clone(), Ok(0.0));
-                if let Some(t) = t {
-                    t.preflight_zero = true;
-                }
+                t.preflight_zero = true;
                 return Ok(Answer::Exact(0.0));
             }
             admission = spec.and_then(|s| report.predicted_exhaustion(s));
             if let Some(nq) = report.normalised {
-                self.stats.count_preflight_rewrite();
+                t.preflight_rewrite = true;
                 // The canonical key may be warm even though the
                 // original's probe above missed.
-                if let Some(r) = self.probe(&nq, spec.is_some(), t.as_deref_mut()) {
+                if let Some(r) = self.probe(&nq, spec.is_some(), t) {
                     return r;
                 }
                 canonical = Some(nq);
             }
         }
         let q = canonical.as_ref().unwrap_or(q);
-        self.stats.count_result(false);
         if let Some(ex) = admission {
-            self.stats.count_preflight_rejection();
-            self.stats.count_exhausted();
+            t.preflight_rejection = true;
+            t.exhausted = true;
             return Err(QueryError::Core(CoreError::Exhausted(ex)));
         }
         let budget = spec.map_or_else(Budget::unlimited, BudgetSpec::budget);
         let degrade = spec.map_or(DegradePolicy::Error, |s| s.degrade);
-        let r = self.evaluate(q, &budget, degrade, t.as_deref_mut());
+        let r = self.evaluate(q, &budget, degrade, t);
         self.settle(q, r, spec, &budget, t)
     }
 
     /// A memoised answer for `q`, counted as a result hit. Governed
     /// runs take only exact values from the cache, never a memoised
     /// ungoverned error (a `NotTreeShaped` there has a DAG answer).
-    fn probe(
-        &self,
-        q: &Query,
-        governed: bool,
-        t: Option<&mut TraceTally>,
-    ) -> Option<Result<Answer>> {
+    fn probe(&self, q: &Query, governed: bool, t: &mut TraceTally) -> Option<Result<Answer>> {
         let r = match self.cache.get_result(q)? {
             Ok(v) => Ok(Answer::Exact(v)),
             Err(e) if !governed => Err(e),
             Err(_) => return None,
         };
-        self.stats.count_result(true);
-        if let Some(t) = t {
-            t.result_hit = true;
-        }
+        t.result_hit = true;
         Some(r)
     }
 
@@ -847,45 +834,40 @@ impl QueryEngine {
     /// non-DAG answers are memoised (the ungoverned path errs where the
     /// DAG engine answers, and caching `Ok` would break the
     /// engine/sequential exact-equality contract); degradations,
-    /// exhaustions and budget spend are counted.
+    /// exhaustions and budget spend are recorded.
     fn settle(
         &self,
         q: &Query,
         r: Result<Answer>,
         spec: Option<&BudgetSpec>,
         budget: &Budget,
-        t: Option<&mut TraceTally>,
+        t: &mut TraceTally,
     ) -> Result<Answer> {
         let Some(spec) = spec else {
             // Normalise span: result-memo writeback.
-            let n0 = t.is_some().then(Instant::now);
+            let n0 = t.timed.then(Instant::now);
             self.cache.put_result(q.clone(), r.clone().map(|a| a.lo()));
-            if let (Some(t), Some(n0)) = (t, n0) {
-                t.normalise_nanos = n0.elapsed().as_nanos() as u64;
+            if let Some(n0) = n0 {
+                t.normalise_nanos = nanos_since(n0);
             }
             return r;
         };
-        let mut t = t;
         let (r, cacheable) = match r {
             Err(QueryError::NotTreeShaped(_)) => {
-                (self.dag_fallback(q, budget, spec.degrade, t.as_deref_mut()), false)
+                (self.dag_fallback(q, budget, spec.degrade, t), false)
             }
             r => (r, true),
         };
-        let n0 = t.is_some().then(Instant::now);
+        let n0 = t.timed.then(Instant::now);
         match &r {
             Ok(Answer::Exact(v)) if cacheable => self.cache.put_result(q.clone(), Ok(*v)),
-            Ok(Answer::Interval(_)) => self.stats.count_degraded(),
-            Err(e) if exhaustion_of(e).is_some() => self.stats.count_exhausted(),
+            Ok(Answer::Interval(_)) => t.degraded = true,
+            Err(e) if exhaustion_of(e).is_some() => t.exhausted = true,
             _ => {}
         }
-        let (steps, polls) = (budget.steps_spent(), budget.polls_performed());
-        self.stats.add_budget_spend(steps, polls);
-        if let (Some(t), Some(n0)) = (t, n0) {
-            t.normalise_nanos = n0.elapsed().as_nanos() as u64;
-            t.budget_steps = steps;
-            t.budget_polls = polls;
-            self.stats.observe_budget_steps(steps);
+        t.budget = Some((budget.steps_spent(), budget.polls_performed()));
+        if let Some(n0) = n0 {
+            t.normalise_nanos = nanos_since(n0);
         }
         r
     }
@@ -898,7 +880,7 @@ impl QueryEngine {
         q: &Query,
         budget: &Budget,
         degrade: DegradePolicy,
-        t: Option<&mut TraceTally>,
+        t: &mut TraceTally,
     ) -> Result<Answer> {
         let start = Instant::now();
         let r = match q {
@@ -906,11 +888,7 @@ impl QueryEngine {
             Query::Exists { path } => exists_query_dag_governed(&self.pi, path, budget),
             Query::Chain { .. } => unreachable!("chain probabilities are exact on any DAG"),
         };
-        let elapsed = start.elapsed();
-        self.stats.add_marginal(elapsed);
-        if let Some(t) = t {
-            t.marginal_nanos += elapsed.as_nanos() as u64;
-        }
+        t.marginal_nanos += nanos_since(start);
         match r {
             Ok(DagOutcome::Exact(v)) => Ok(Answer::Exact(v)),
             Ok(DagOutcome::Bracket { lo, hi, exhausted }) => match degrade {
@@ -962,8 +940,8 @@ impl QueryEngine {
             link_hits: tally.link_hits,
             link_misses: tally.link_misses,
             opf_entries: tally.opf_entries,
-            budget_steps: tally.budget_steps,
-            budget_polls: tally.budget_polls,
+            budget_steps: tally.budget.map_or(0, |b| b.0),
+            budget_polls: tally.budget.map_or(0, |b| b.1),
         });
     }
 
@@ -1013,39 +991,23 @@ impl QueryEngine {
     /// structural write, or on a non-forest arena, an entry is also the
     /// witness dirty-set invalidation tests the path's cached results
     /// against.
-    fn layers_for(&self, path: &PathExpr, mut t: Option<&mut TraceTally>) -> Layers {
+    fn layers_for(&self, path: &PathExpr, t: &mut TraceTally) -> Layers {
         let start = Instant::now();
         let labels = LabelPath::from(&path.labels[..]);
-        let (layers, hit) = match self.cache.get_layers(path.root, &labels) {
+        let layers = match self.cache.get_layers(path.root, &labels) {
             Some(l) => {
-                self.stats.count_layers(true);
-                (l, true)
+                t.layers_hits += 1;
+                l
             }
             None => {
-                self.stats.count_layers(false);
+                t.layers_misses += 1;
                 let l = Arc::new(self.arena.locate(path.root, &path.labels));
                 self.cache.put_layers(path.root, labels, Arc::clone(&l));
-                (l, false)
+                l
             }
         };
-        if let Some(t) = t.as_deref_mut() {
-            if hit {
-                t.layers_hits += 1;
-            } else {
-                t.layers_misses += 1;
-            }
-        }
-        self.add_locate(start, t);
+        t.locate_nanos += nanos_since(start);
         layers
-    }
-
-    /// Counts the time since `start` as locating.
-    fn add_locate(&self, start: Instant, t: Option<&mut TraceTally>) {
-        let elapsed = start.elapsed();
-        self.stats.add_locate(elapsed);
-        if let Some(t) = t {
-            t.locate_nanos += elapsed.as_nanos() as u64;
-        }
     }
 
     /// Budgeted evaluation of one query over the arena: the flat §6.1
@@ -1054,60 +1016,51 @@ impl QueryEngine {
     /// tries the one-pass evaluation ([`ArenaInstance::point_pass`],
     /// [`ArenaInstance::exists_pass`]), which touches no cache table.
     /// Where that proves nothing, and for governed runs, the region
-    /// route runs: a point query's region is its target's path
-    /// ancestors ([`ArenaInstance::kept_point`], timed as locating), and
-    /// a walk that does not reach the path root proves the answer 0.
-    /// Where the walk proves nothing too (a non-forest arena, a target
-    /// without a weak node), and for exists queries, the region is
-    /// filtered from the path's located layers
-    /// ([`QueryEngine::layers_for`]).
+    /// route runs: a point query's region is what the same ancestor walk
+    /// collects ([`ArenaInstance::point_region`], timed as locating),
+    /// empty when the walk does not reach the path root. Where the walk
+    /// proves nothing (a non-forest arena, a target without a weak node),
+    /// and for exists queries, the region is filtered from the path's
+    /// located layers ([`QueryEngine::layers_for`]).
     fn evaluate(
         &self,
         q: &Query,
         budget: &Budget,
         degrade: DegradePolicy,
-        mut t: Option<&mut TraceTally>,
+        t: &mut TraceTally,
     ) -> Result<Answer> {
         match q {
             Query::Point { path, object } => {
                 let x = object.raw();
                 if budget.is_unlimited() {
                     let pass = || self.arena.point_pass(path.root.raw(), &path.labels, x);
-                    if let Some(r) = self.one_pass(pass, budget, degrade, t.as_deref_mut()) {
+                    if let Some(r) = self.one_pass(pass, budget, degrade, t) {
                         return r;
                     }
                 }
                 let start = Instant::now();
-                match self.arena.kept_point(path.root.raw(), &path.labels, x) {
-                    PointRegion::Kept(kept) => {
-                        self.add_locate(start, t.as_deref_mut());
-                        self.sweep(&path.labels, || Ok(kept), budget, degrade, t)
+                if let Some(kept) = self.arena.point_region(path.root.raw(), &path.labels, x) {
+                    t.locate_nanos += nanos_since(start);
+                    return self.sweep(&path.labels, || Ok(kept), budget, degrade, t);
+                }
+                let layers = self.layers_for(path, t);
+                // Mirrors `point_query`: absent from the located layer ⇒ 0.
+                match layers.last() {
+                    Some(located) if located.binary_search(&x).is_ok() => {
+                        let kept = || self.arena.kept_flat(&path.labels, &layers, &[x]);
+                        self.sweep(&path.labels, kept, budget, degrade, t)
                     }
-                    PointRegion::Absent => {
-                        self.add_locate(start, t);
-                        Ok(Answer::Exact(0.0))
-                    }
-                    PointRegion::Layers => {
-                        let layers = self.layers_for(path, t.as_deref_mut());
-                        // Mirrors `point_query`: absent from the located layer ⇒ 0.
-                        match layers.last() {
-                            Some(located) if located.binary_search(&x).is_ok() => {
-                                let kept = || self.arena.kept_flat(&path.labels, &layers, &[x]);
-                                self.sweep(&path.labels, kept, budget, degrade, t)
-                            }
-                            _ => Ok(Answer::Exact(0.0)),
-                        }
-                    }
+                    _ => Ok(Answer::Exact(0.0)),
                 }
             }
             Query::Exists { path } => {
                 if budget.is_unlimited() {
                     let pass = || self.arena.exists_pass(path.root.raw(), &path.labels);
-                    if let Some(r) = self.one_pass(pass, budget, degrade, t.as_deref_mut()) {
+                    if let Some(r) = self.one_pass(pass, budget, degrade, t) {
                         return r;
                     }
                 }
-                let layers = self.layers_for(path, t.as_deref_mut());
+                let layers = self.layers_for(path, t);
                 // Mirrors `exists_query`: nothing located ⇒ 0.
                 match layers.last() {
                     Some(located) if !located.is_empty() => {
@@ -1119,12 +1072,8 @@ impl QueryEngine {
             }
             Query::Chain { objects } => {
                 let start = Instant::now();
-                let r = self.eval_chain(objects, budget, degrade, t.as_deref_mut());
-                let elapsed = start.elapsed();
-                self.stats.add_marginal(elapsed);
-                if let Some(t) = t {
-                    t.marginal_nanos += elapsed.as_nanos() as u64;
-                }
+                let r = self.eval_chain(objects, budget, degrade, t);
+                t.marginal_nanos += nanos_since(start);
                 r
             }
         }
@@ -1140,7 +1089,7 @@ impl QueryEngine {
         pass: impl FnOnce() -> OnePass,
         budget: &Budget,
         degrade: DegradePolicy,
-        t: Option<&mut TraceTally>,
+        t: &mut TraceTally,
     ) -> Option<Result<Answer>> {
         let start = Instant::now();
         let (eps, entries) = match pass() {
@@ -1153,13 +1102,8 @@ impl QueryEngine {
                 (eps, opf_entries)
             }
         };
-        let elapsed = start.elapsed();
-        self.stats.add_marginal(elapsed);
-        self.stats.add_opf_entries(entries);
-        if let Some(t) = t {
-            t.marginal_nanos += elapsed.as_nanos() as u64;
-            t.opf_entries += entries;
-        }
+        t.marginal_nanos += nanos_since(start);
+        t.opf_entries += entries;
         Some(Ok(answer(eps, eps, degrade)))
     }
 
@@ -1172,18 +1116,12 @@ impl QueryEngine {
         kept: impl FnOnce() -> pxml_core::Result<Vec<Vec<u32>>>,
         budget: &Budget,
         degrade: DegradePolicy,
-        t: Option<&mut TraceTally>,
+        t: &mut TraceTally,
     ) -> Result<Answer> {
         let start = Instant::now();
         let swept = kept().and_then(|kept| self.arena.eps_flat(labels, &kept, budget, degrade));
-        let elapsed = start.elapsed();
-        self.stats.add_marginal(elapsed);
-        let entries = swept.as_ref().map_or(0, |b| b.opf_entries);
-        self.stats.add_opf_entries(entries);
-        if let Some(t) = t {
-            t.marginal_nanos += elapsed.as_nanos() as u64;
-            t.opf_entries += entries;
-        }
+        t.marginal_nanos += nanos_since(start);
+        t.opf_entries += swept.as_ref().map_or(0, |b| b.opf_entries);
         swept.map(|b| answer(b.lo, b.hi, degrade)).map_err(flat_error)
     }
 
@@ -1200,7 +1138,7 @@ impl QueryEngine {
         chain: &[ObjectId],
         budget: &Budget,
         degrade: DegradePolicy,
-        mut t: Option<&mut TraceTally>,
+        t: &mut TraceTally,
     ) -> Result<Answer> {
         let Some((&first, rest)) = chain.split_first() else {
             return Err(QueryError::EmptyChain);
@@ -1228,23 +1166,15 @@ impl QueryEngine {
             };
             let m = match self.cache.get_link(pidx, pos) {
                 Some(m) => {
-                    self.stats.count_link(true);
-                    if let Some(t) = t.as_deref_mut() {
-                        t.link_hits += 1;
-                    }
+                    t.link_hits += 1;
                     m
                 }
                 None => {
-                    self.stats.count_link(false);
+                    t.link_misses += 1;
                     if !self.arena.has_opf(pidx) {
                         return Err(QueryError::UnknownObject(parent));
                     }
-                    let entries = self.arena.stored_len(pidx);
-                    self.stats.add_opf_entries(entries);
-                    if let Some(t) = t.as_deref_mut() {
-                        t.link_misses += 1;
-                        t.opf_entries += entries;
-                    }
+                    t.opf_entries += self.arena.stored_len(pidx);
                     let m = self
                         .arena
                         .marginal_present(pidx, pos)
@@ -1261,6 +1191,11 @@ impl QueryEngine {
         }
         Ok(answer(p, p, degrade))
     }
+}
+
+/// Nanoseconds since `start`, as the ledger records time.
+fn nanos_since(start: Instant) -> u64 {
+    start.elapsed().as_nanos() as u64
 }
 
 /// A flat-kernel error as the variant the sequential path raises, so
@@ -1756,10 +1691,9 @@ mod tests {
         assert_eq!(after.layers_misses, before.layers_misses);
         // Re-run the chain below the result memo: both links hit.
         let chain = Query::chain(chain);
-        let linked = engine.evaluate(&chain, &Budget::unlimited(), DegradePolicy::Error, None);
-        let relinked = engine.stats();
-        assert_eq!(relinked.link_hits - after.link_hits, 2, "both link memos survived");
-        assert_eq!(relinked.link_misses, after.link_misses);
+        let mut t = TraceTally::default();
+        let linked = engine.evaluate(&chain, &Budget::unlimited(), DegradePolicy::Error, &mut t);
+        assert_eq!((t.link_hits, t.link_misses), (2, 0), "both link memos survived");
         let fresh = QueryEngine::with_threads(engine.instance().clone(), 1);
         assert_eq!(again.to_bits(), fresh.run(&warm).unwrap().to_bits());
         assert_eq!(other.to_bits(), fresh.run(&Query::point(title, t1)).unwrap().to_bits());

@@ -31,6 +31,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use crate::trace::TraceTally;
+
 /// Number of log-scaled buckets in a [`LogHistogram`].
 pub const HIST_BUCKETS: usize = 16;
 
@@ -211,45 +213,43 @@ impl EngineStats {
     pub(crate) fn count_query(&self) {
         bump!(self.queries_run);
     }
-    pub(crate) fn count_result(&self, hit: bool) {
-        // Release: pairs with the Acquire load in `snapshot` so the
-        // preceding `queries_run` bump is visible wherever this is.
-        let f = if hit { &self.result_hits } else { &self.result_misses };
-        f.fetch_add(1, Ordering::Release);
-    }
-    pub(crate) fn count_layers(&self, hit: bool) {
-        bump!(if hit { &self.layers_hits } else { &self.layers_misses });
-    }
-    pub(crate) fn count_link(&self, hit: bool) {
-        bump!(if hit { &self.link_hits } else { &self.link_misses });
-    }
-    pub(crate) fn add_opf_entries(&self, n: u64) {
-        self.opf_entries_visited.fetch_add(n, Ordering::Relaxed);
-    }
-    pub(crate) fn count_degraded(&self) {
-        self.queries_degraded.fetch_add(1, Ordering::Release);
-    }
-    pub(crate) fn count_exhausted(&self) {
-        self.queries_exhausted.fetch_add(1, Ordering::Release);
-    }
-    pub(crate) fn add_budget_spend(&self, steps: u64, polls: u64) {
-        self.budget_steps_spent.fetch_add(steps, Ordering::Relaxed);
-        self.budget_polls.fetch_add(polls, Ordering::Relaxed);
-    }
-    pub(crate) fn count_preflight_zero(&self) {
-        bump!(self.preflight_zeros);
-    }
-    pub(crate) fn count_preflight_rewrite(&self) {
-        bump!(self.preflight_rewrites);
-    }
-    pub(crate) fn count_preflight_rejection(&self) {
-        bump!(self.preflight_rejections);
-    }
-    pub(crate) fn add_locate(&self, d: Duration) {
-        self.locate_nanos.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-    pub(crate) fn add_marginal(&self, d: Duration) {
-        self.marginal_nanos.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
+    /// Folds one query's ledger into the counters, after
+    /// [`EngineStats::count_query`] counted the query. The result,
+    /// degraded and exhausted counters are published with `Release`
+    /// (see the module-level protocol); zero fields cost no atomic, so
+    /// a result hit adds one atomic to the `queries_run` bump.
+    pub(crate) fn fold(&self, t: &TraceTally) {
+        let add = |f: &AtomicU64, v: u64| {
+            if v != 0 {
+                f.fetch_add(v, Ordering::Relaxed);
+            }
+        };
+        // Release: pairs with the Acquire loads in `snapshot`, so the
+        // query's `queries_run` bump is visible wherever these are. The
+        // miss is published before a degradation, so a snapshot never
+        // sees more degraded queries than misses.
+        let result = if t.result_hit { &self.result_hits } else { &self.result_misses };
+        result.fetch_add(1, Ordering::Release);
+        if t.degraded {
+            self.queries_degraded.fetch_add(1, Ordering::Release);
+        }
+        if t.exhausted {
+            self.queries_exhausted.fetch_add(1, Ordering::Release);
+        }
+        add(&self.layers_hits, t.layers_hits);
+        add(&self.layers_misses, t.layers_misses);
+        add(&self.link_hits, t.link_hits);
+        add(&self.link_misses, t.link_misses);
+        add(&self.opf_entries_visited, t.opf_entries);
+        add(&self.preflight_zeros, u64::from(t.preflight_zero));
+        add(&self.preflight_rewrites, u64::from(t.preflight_rewrite));
+        add(&self.preflight_rejections, u64::from(t.preflight_rejection));
+        add(&self.locate_nanos, t.locate_nanos);
+        add(&self.marginal_nanos, t.marginal_nanos);
+        if let Some((steps, polls)) = t.budget {
+            add(&self.budget_steps_spent, steps);
+            add(&self.budget_polls, polls);
+        }
     }
     pub(crate) fn add_batch(&self, d: Duration) {
         self.batch_nanos.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
@@ -582,11 +582,14 @@ mod tests {
     fn snapshot_reflects_counts_and_resets() {
         let s = EngineStats::new();
         s.count_query();
-        s.count_result(true);
-        s.count_result(false);
-        s.count_layers(true);
-        s.add_opf_entries(7);
-        s.add_budget_spend(40, 2);
+        s.fold(&TraceTally {
+            result_hit: true,
+            layers_hits: 1,
+            opf_entries: 7,
+            budget: Some((40, 2)),
+            ..TraceTally::default()
+        });
+        s.fold(&TraceTally::default());
         s.observe_query_nanos(100);
         let snap = s.snapshot();
         assert_eq!(snap.queries_run, 1);
@@ -641,8 +644,7 @@ mod tests {
         let s = EngineStats::new();
         for _ in 0..3 {
             s.count_query();
-            s.count_result(false);
-            s.count_degraded();
+            s.fold(&TraceTally { degraded: true, ..TraceTally::default() });
         }
         let snap = s.snapshot();
         assert_eq!(snap.degraded_fraction(), 1.0);
@@ -704,7 +706,7 @@ mod tests {
     }
 
     /// Four writer threads hammer the counters in the exact order the
-    /// engine uses (query first, then outcome) while the main thread
+    /// engine uses (query first, then the ledger's fold) while the main thread
     /// snapshots in a tight loop: **every** racing snapshot satisfies
     /// the ordering-protocol invariants, and the final at-rest snapshot
     /// balances exactly.
@@ -718,18 +720,13 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..PER_THREAD {
                         s.count_query();
-                        match (worker + i) % 4 {
-                            0 => s.count_result(true),
-                            1 => s.count_result(false),
-                            2 => {
-                                s.count_result(false);
-                                s.count_degraded();
-                            }
-                            _ => {
-                                s.count_result(false);
-                                s.count_exhausted();
-                            }
-                        }
+                        let t = TraceTally::default();
+                        s.fold(&match (worker + i) % 4 {
+                            0 => TraceTally { result_hit: true, ..t },
+                            1 => t,
+                            2 => TraceTally { degraded: true, ..t },
+                            _ => TraceTally { exhausted: true, ..t },
+                        });
                     }
                 });
             }

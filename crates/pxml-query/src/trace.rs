@@ -121,15 +121,29 @@ impl TraceOutcome {
     }
 }
 
-/// Per-query scratch counters, threaded by reference through one
-/// evaluation. Plain (non-atomic) because a query is evaluated by
-/// exactly one worker; the engine folds the tally into a [`QueryTrace`]
-/// afterwards.
+/// One query's ledger: everything its run records, filled on the
+/// stack by the run's stages whether tracing is on or not. Plain
+/// (non-atomic) because a query is evaluated by exactly one worker. The
+/// engine folds it into [`crate::EngineStats`] once per query
+/// ([`crate::EngineStats`]'s ordering protocol is kept there) and, when
+/// tracing, into the histograms and a [`QueryTrace`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct TraceTally {
+    /// Tracing is on: the run also times the normalise span, which
+    /// costs two clock reads an untraced run skips.
+    pub timed: bool,
+    /// A result probe answered; otherwise the query is a result miss.
     pub result_hit: bool,
     /// The pre-flight proved the answer zero; nothing was evaluated.
     pub preflight_zero: bool,
+    /// The pre-flight rewrote the query to a canonical plan.
+    pub preflight_rewrite: bool,
+    /// Pre-flight admission control rejected the governed query.
+    pub preflight_rejection: bool,
+    /// The governed answer degraded to an interval.
+    pub degraded: bool,
+    /// The governed run returned the typed `Exhausted` error.
+    pub exhausted: bool,
     pub layers_hits: u64,
     pub layers_misses: u64,
     pub link_hits: u64,
@@ -137,9 +151,11 @@ pub(crate) struct TraceTally {
     pub opf_entries: u64,
     pub locate_nanos: u64,
     pub marginal_nanos: u64,
+    /// Timed only when `timed` is set.
     pub normalise_nanos: u64,
-    pub budget_steps: u64,
-    pub budget_polls: u64,
+    /// `(steps, polls)` a governed evaluation spent; `None` for an
+    /// ungoverned run and for one answered before evaluation.
+    pub budget: Option<(u64, u64)>,
 }
 
 /// One query's trace record: what ran, how long each §6 phase took,

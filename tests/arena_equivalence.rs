@@ -28,14 +28,16 @@
 //!    `to_bits`-equal flat answers.
 //! 6. **Ancestor walk ≡ layers route** — on §7.1 trees after random
 //!    mutation prefixes, and on a hostile instance with a dangling
-//!    child, a point query's kept region from `kept_point` (the
-//!    target's path ancestors) gives the answer, error and budget spend
+//!    child, a point query's kept region from `point_region` (the
+//!    target's path ancestors, collected from the one ancestor walk)
+//!    gives the answer, error and budget spend
 //!    of `layers_flat_from` → `kept_flat` → `eps_flat`, for located and
 //!    unlocated targets, ids past the arena, non-root path starts and
 //!    the empty path.
 //! 7. **One pass ≡ region route** — on §7.1 forests with compact OPFs
 //!    and random entry-level writes, and on hostile forests (dangling
-//!    children, missing OPFs, non-finite mass), `point_pass` and
+//!    children, missing OPFs, non-finite mass), `point_pass` (the same
+//!    walk, folding ε) and
 //!    `exists_pass` give the region route's bits, steps, polls and OPF
 //!    entries, fall back exactly where it errs (or the target has no
 //!    weak node), and `point_flat`/`exists_flat` keep its errors; the
@@ -50,7 +52,7 @@ use rand::{Rng, SeedableRng};
 use pxml::algebra::{locate_weak, PathExpr};
 use pxml::core::{
     ArenaInstance, Budget, ChildSet, CoreError, DegradePolicy, EpsBounds, IndependentOpf, Label,
-    LabelProductOpf, Mutation, ObjectId, OnePass, Opf, OpfView, PointRegion, ProbInstance,
+    LabelProductOpf, Mutation, ObjectId, OnePass, Opf, OpfView, ProbInstance,
 };
 use pxml::gen::random_mutations;
 use pxml::query::{chain_probability, exists_query, point_query, QueryError};
@@ -356,7 +358,8 @@ fn point_by_layers(
 /// Checks the ancestor walk against the layers route for one target
 /// under every budget, and checks which region the walk chose: on a
 /// forest it falls back to the layers only for a target in range
-/// without a weak node, and a walked region is `kept_flat`'s.
+/// without a weak node, a located target's region is `kept_flat`'s,
+/// and an unlocated target's region is empty.
 fn assert_walk_matches_layers(
     pi: &ProbInstance,
     a: &ArenaInstance,
@@ -365,19 +368,21 @@ fn assert_walk_matches_layers(
     target: u32,
 ) {
     let ctx = format!("start {start} labels {labels:?} target {target}");
-    let region = a.kept_point(start, labels, target);
+    let region = a.point_region(start, labels, target);
     let in_range = (target as usize) < a.len();
     let member = pi.weak().node(ObjectId::from_raw(target)).is_some();
-    assert_eq!(matches!(region, PointRegion::Layers), in_range && !member, "{ctx}: {region:?}");
+    assert_eq!(region.is_none(), in_range && !member, "{ctx}: {region:?}");
     let layers = a.layers_flat_from(start, labels);
     let located = layers[labels.len()].binary_search(&target).is_ok();
     match &region {
-        PointRegion::Kept(kept) => {
-            assert!(located, "{ctx}: walked to an unlocated target");
+        Some(kept) if located => {
             assert_eq!(Ok(kept.clone()), a.kept_flat(labels, &layers, &[target]), "{ctx}");
         }
-        PointRegion::Absent => assert!(!located, "{ctx}: a located target reported absent"),
-        PointRegion::Layers => {}
+        Some(kept) => {
+            let empty = kept.iter().all(Vec::is_empty);
+            assert!(empty, "{ctx}: an unlocated target kept {kept:?}");
+        }
+        None => {}
     }
     let budgets = [None, Some(0), Some(1), Some(2), Some(3), Some(5), Some(8)];
     for max_steps in budgets {
@@ -386,12 +391,9 @@ fn assert_walk_matches_layers(
                 max_steps.map_or_else(Budget::unlimited, |k| Budget::unlimited().with_max_steps(k))
             };
             let (walk_budget, layers_budget) = (budget(), budget());
-            let walked = match a.kept_point(start, labels, target) {
-                PointRegion::Kept(kept) => a.eps_flat(labels, &kept, &walk_budget, degrade),
-                PointRegion::Absent => Ok(ZERO),
-                PointRegion::Layers => {
-                    point_by_layers(a, start, labels, target, &walk_budget, degrade)
-                }
+            let walked = match a.point_region(start, labels, target) {
+                Some(kept) => a.eps_flat(labels, &kept, &walk_budget, degrade),
+                None => point_by_layers(a, start, labels, target, &walk_budget, degrade),
             };
             let by_layers = point_by_layers(a, start, labels, target, &layers_budget, degrade);
             assert_eq!(
@@ -455,11 +457,7 @@ fn point_walk_matches_layers_with_dangling_children() {
     let pi = ProbInstance::from_parts_unchecked(weak, opf, vpf);
     let a = ArenaInstance::lower_unchecked(&pi);
     for x in [cut_branch, leaf] {
-        assert_eq!(
-            a.kept_point(a.root_index(), &[], x.raw()),
-            PointRegion::Layers,
-            "{x:?} dangles"
-        );
+        assert_eq!(a.point_region(a.root_index(), &[], x.raw()), None, "{x:?} dangles");
     }
     let mut rng = StdRng::seed_from_u64(0xd4);
     for _ in 0..8 {
@@ -478,10 +476,9 @@ fn point_by_region(
     target: u32,
     budget: &Budget,
 ) -> Result<Option<EpsBounds>, CoreError> {
-    let kept = match a.kept_point(start, labels, target) {
-        PointRegion::Kept(kept) => kept,
-        PointRegion::Absent => return Ok(None),
-        PointRegion::Layers => {
+    let kept = match a.point_region(start, labels, target) {
+        Some(kept) => kept,
+        None => {
             let layers = a.locate(ObjectId::from_raw(start), labels);
             if layers[labels.len()].binary_search(&target).is_err() {
                 return Ok(None);

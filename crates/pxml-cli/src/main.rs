@@ -354,7 +354,7 @@ fn run_batch(args: &[String]) -> Result<(), CliError> {
                     println!("[{:.6}, {:.6}]", iv.lo, iv.hi)
                 }
                 Some(Err(e)) => {
-                    if is_exhausted(&e) {
+                    if e.exhaustion().is_some() {
                         exhausted += 1;
                     }
                     println!("error: {e}")
@@ -706,10 +706,6 @@ fn parse_degrade(arg: Option<&String>) -> Result<pxml_query::DegradePolicy, CliE
         Some("interval") => Ok(pxml_query::DegradePolicy::Interval),
         other => Err(usage_err(format!("--degrade wants error|interval, got {other:?}"))),
     }
-}
-
-fn is_exhausted(e: &pxml_query::QueryError) -> bool {
-    matches!(e, pxml_query::QueryError::Core(pxml_core::CoreError::Exhausted(_)))
 }
 
 fn write_file(path: &Path, contents: &str) -> Result<(), String> {

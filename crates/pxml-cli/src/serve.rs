@@ -866,10 +866,6 @@ struct RequestTiming {
     wal: Option<Duration>,
 }
 
-fn is_exhausted(e: &pxml_query::QueryError) -> bool {
-    matches!(e, pxml_query::QueryError::Core(pxml_core::CoreError::Exhausted(_)))
-}
-
 fn dispatch(
     inner: &Arc<ServerInner>,
     req: &Request,
@@ -908,7 +904,7 @@ fn dispatch(
                     Ok(Answer::Interval(iv)) => {
                         (Status::Ok, format!("[{:.6}, {:.6}]", iv.lo, iv.hi))
                     }
-                    Err(e) if is_exhausted(&e) => (Status::BudgetRejected, e.to_string()),
+                    Err(e) if e.exhaustion().is_some() => (Status::BudgetRejected, e.to_string()),
                     Err(e) => (Status::RunError, e.to_string()),
                 }
             }
@@ -978,7 +974,8 @@ fn mutate_as_writer(
         Ok(p) => p,
         Err(e) => return (Status::BadRequest, e.to_string()),
     };
-    let budget = budget_from(inner.spec_for(options));
+    let spec = inner.spec_for(options);
+    let budget = spec.as_ref().map_or_else(pxml_query::Budget::unlimited, BudgetSpec::budget);
     let mut dirty = 0usize;
     let mut invalidated = 0u64;
     for (idx, op) in parsed.iter().enumerate() {
@@ -1026,7 +1023,7 @@ fn mutate_as_writer(
             // budget mid-propagation; the engine already
             // flushed wholesale, which is sound. Report the
             // spend so the caller can widen the budget.
-            Err(e) if is_exhausted(&e) => {
+            Err(e) if e.exhaustion().is_some() => {
                 return (
                     Status::BudgetRejected,
                     format!(
@@ -1226,19 +1223,6 @@ fn unknown_instance(inner: &Arc<ServerInner>, name: &str) -> (Status, String) {
         Status::BadRequest,
         format!("unknown instance {name:?} (loaded: {})", known.join(", ")),
     )
-}
-
-fn budget_from(spec: Option<BudgetSpec>) -> pxml_query::Budget {
-    let mut b = pxml_query::Budget::unlimited();
-    if let Some(spec) = spec {
-        if let Some(n) = spec.max_steps {
-            b = b.with_max_steps(n);
-        }
-        if let Some(t) = spec.timeout {
-            b = b.with_timeout(t);
-        }
-    }
-    b
 }
 
 /// The whole-daemon Prometheus exposition: serve-level request/

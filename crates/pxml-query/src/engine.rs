@@ -761,7 +761,7 @@ impl QueryEngine {
                 _ if t.preflight_zero => (TraceOutcome::PreflightZero, 0.0, 0.0, None),
                 Ok(Answer::Exact(v)) => (TraceOutcome::Exact, *v, *v, None),
                 Ok(Answer::Interval(i)) => (TraceOutcome::Degraded, i.lo, i.hi, None),
-                Err(e) if exhaustion_of(e).is_some() => {
+                Err(e) if e.exhaustion().is_some() => {
                     (TraceOutcome::Exhausted, 0.0, 0.0, Some(e.to_string()))
                 }
                 Err(e) => (TraceOutcome::Error, 0.0, 0.0, Some(e.to_string())),
@@ -862,7 +862,7 @@ impl QueryEngine {
         match &r {
             Ok(Answer::Exact(v)) if cacheable => self.cache.put_result(q.clone(), Ok(*v)),
             Ok(Answer::Interval(_)) => t.degraded = true,
-            Err(e) if exhaustion_of(e).is_some() => t.exhausted = true,
+            Err(e) if e.exhaustion().is_some() => t.exhausted = true,
             _ => {}
         }
         t.budget = Some((budget.steps_spent(), budget.polls_performed()));
@@ -897,7 +897,7 @@ impl QueryEngine {
             },
             // Exhaustion while still enumerating chains: nothing is
             // known yet, the trivial bracket is the only safe answer.
-            Err(e) if degrade == DegradePolicy::Interval && exhaustion_of(&e).is_some() => {
+            Err(e) if degrade == DegradePolicy::Interval && e.exhaustion().is_some() => {
                 Ok(Answer::Interval(Interval { lo: 0.0, hi: 1.0 }))
             }
             Err(e) => Err(e),
@@ -1208,14 +1208,6 @@ fn flat_error(e: CoreError) -> QueryError {
     }
 }
 
-/// The exhaustion record inside a [`QueryError`], if that is what it is.
-fn exhaustion_of(e: &QueryError) -> Option<pxml_core::Exhausted> {
-    match e {
-        QueryError::Core(pxml_core::CoreError::Exhausted(x)) => Some(*x),
-        _ => None,
-    }
-}
-
 /// The answer for evaluated bounds: under [`DegradePolicy::Error`] no
 /// charge was refused, so `lo == hi` is the exact value as computed;
 /// under [`DegradePolicy::Interval`] the bounds go through
@@ -1426,7 +1418,7 @@ mod tests {
         let engine = QueryEngine::with_threads(pi, 1);
         let spec = BudgetSpec { max_steps: Some(1), ..BudgetSpec::default() };
         let err = engine.run_governed(&q, &spec).unwrap_err();
-        let ex = exhaustion_of(&err).expect("budget of 1 must exhaust");
+        let ex = err.exhaustion().expect("budget of 1 must exhaust");
         assert_eq!(ex.resource, pxml_core::Resource::Steps);
         assert_eq!(engine.stats().queries_exhausted, 1);
         // Exhausted results are never cached: a later unlimited governed
@@ -1493,7 +1485,7 @@ mod tests {
         };
         let out = engine.run_batch_governed(&[Query::point(p, o3)], &spec);
         let err = out[0].as_ref().unwrap_err();
-        let ex = exhaustion_of(err).expect("cancelled run must exhaust");
+        let ex = err.exhaustion().expect("cancelled run must exhaust");
         assert_eq!(ex.resource, pxml_core::Resource::Cancelled);
     }
 
@@ -1511,7 +1503,7 @@ mod tests {
             engine
                 .run_batch_governed(&queries, &spec)
                 .into_iter()
-                .map(|r| exhaustion_of(&r.unwrap_err()).unwrap().spent)
+                .map(|r| r.unwrap_err().exhaustion().unwrap().spent)
                 .collect::<Vec<u64>>()
         };
         assert_eq!(spent_with(1), spent_with(4));

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use pxml_core::{CoreError, ObjectId};
+use pxml_core::{CoreError, Exhausted, ObjectId};
 use pxml_algebra::AlgebraError;
 
 /// Errors raised by the query engine.
@@ -29,6 +29,17 @@ pub enum QueryError {
     /// Too many label-matching chains for inclusion–exclusion
     /// ([`crate::dag::MAX_CHAINS`]); use the Bayesian-network engine.
     TooManyChains(usize),
+}
+
+impl QueryError {
+    /// The budget-exhaustion record, when this is the typed
+    /// `Exhausted` error a governed run returns.
+    pub fn exhaustion(&self) -> Option<Exhausted> {
+        match self {
+            QueryError::Core(CoreError::Exhausted(x)) => Some(*x),
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for QueryError {

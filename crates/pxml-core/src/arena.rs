@@ -133,7 +133,7 @@ struct Frame {
 /// paths of its dirty objects. An entry-level write keeps the weak
 /// skeleton, so a cached point or exists answer is stale only when a
 /// dirty object is a proper weak ancestor of its target, or is located
-/// by a prefix of its path.
+/// by a proper prefix of its path.
 #[derive(Clone, Debug)]
 pub struct DirtyScope<'a> {
     /// The arena's subtree numbers.
@@ -160,8 +160,9 @@ impl DirtyScope<'_> {
 
     /// True when a cached exists answer over `root.labels` can have
     /// changed: `root` is the arena root and some dirty object's root
-    /// label path is a prefix of `labels` (the object is located by the
-    /// path). A path anchored elsewhere locates nothing.
+    /// label path is a proper prefix of `labels` (the object is located
+    /// above the path's targets). An exists answer reads no OPF of a
+    /// target, and a path anchored elsewhere locates nothing.
     pub fn exists_stale(&self, root: ObjectId, labels: &[Label]) -> bool {
         if root.raw() != self.root {
             return false;
@@ -170,7 +171,7 @@ impl DirtyScope<'_> {
         self.path_ends.iter().any(|&end| {
             let path = &self.path_labels[start..end];
             start = end;
-            labels.starts_with(path)
+            labels.len() > path.len() && labels.starts_with(path)
         })
     }
 }
@@ -1006,8 +1007,8 @@ impl ArenaInstance {
                 };
                 let Some((p, i)) = parent else {
                     // A reached row without a reverse-CSR row (a
-                    // dangling child): the empty path, stale for every
-                    // root-anchored path.
+                    // dangling child): the empty path, a proper prefix
+                    // of every non-empty root-anchored path.
                     scope.path_labels.truncate(from);
                     break;
                 };

@@ -305,7 +305,8 @@ impl MarginalCache {
     ///     it holds `D`'s subtree numbers and root label paths
     ///     ([`DirtyScope`]). A point result is stale when a member of `D`
     ///     is a proper weak ancestor of its target, and an exists result
-    ///     when a member of `D` is located by a prefix of its path. Each
+    ///     when a member of `D` is located by a proper prefix of its
+    ///     path (an exists answer reads no OPF of its targets). Each
     ///     test is a few integer or label compares per member of `D`,
     ///     with no hashing and no layers lookup.
     ///   - Otherwise (a structural write, or a non-forest arena), the

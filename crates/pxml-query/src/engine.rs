@@ -1745,7 +1745,9 @@ mod tests {
 
     /// The exists sibling of the test above: an entry-level write keeps
     /// the cached exists results of every path that does not locate the
-    /// written object, and evicts those of the paths that do.
+    /// written object above its targets, and evicts those of the paths
+    /// that do. A path whose targets include the written object reads
+    /// none of its OPF, so its result stays warm too.
     #[test]
     fn exists_results_survive_writes_off_their_path() {
         use pxml_gen::{generate, Labeling, WorkloadConfig};
@@ -1755,8 +1757,8 @@ mod tests {
         let paths: Vec<PathExpr> =
             (0..=3).map(|n| PathExpr::new(pi.root(), (0..n).map(label))).collect();
         let queries: Vec<Query> = paths.iter().cloned().map(Query::exists).collect();
-        // A depth-2 object: located by the two- and three-label paths'
-        // prefixes only.
+        // A depth-2 object: a target of the two-label path, and above
+        // the three-label path's targets.
         let first_child =
             |o: ObjectId| pi.weak().node(o).unwrap().universe().iter().next().unwrap().1;
         let parent = first_child(first_child(pi.root()));
@@ -1766,13 +1768,13 @@ mod tests {
         engine.run_batch(&queries);
         let out = engine.apply_mutation(&m).unwrap();
         assert!(!out.effect.structural);
-        assert_eq!(out.invalidated.results, 2, "the paths locating the parent");
+        assert_eq!(out.invalidated.results, 1, "the path locating the parent above its targets");
         assert!(engine.audit_cache().is_empty(), "{:?}", engine.audit_cache());
         let before = engine.stats();
         assert_fresh_answers(&engine, &queries[..3]);
         let after = engine.stats();
-        assert_eq!(after.result_hits - before.result_hits, 2, "short paths stay warm");
-        assert_eq!(after.result_misses - before.result_misses, 1, "R.l0.l1 was evicted");
+        assert_eq!(after.result_hits - before.result_hits, 3, "R.l0.l1 and shorter stay warm");
+        assert_eq!(after.result_misses, before.result_misses);
         assert_fresh_answers(&engine, &queries);
         assert_eq!((after.layers_hits, after.layers_misses), (0, 0));
     }

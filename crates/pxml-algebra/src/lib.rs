@@ -13,7 +13,7 @@
 //! * [`selection`] — object/value/cardinality selection (Definitions
 //!   5.4–5.6) by local chain conditioning on tree-shaped instances.
 //! * [`product`] — Cartesian product (Definition 5.7).
-//! * [`join`] and [`setops`] — join, union and intersection, which the
+//! * [`join`](mod@join) and [`setops`] — join, union and intersection, which the
 //!   paper defers to a longer version; evaluated under the global
 //!   semantics with Theorem-2 factorisation on demand.
 //! * [`naive`] — the possible-worlds oracle: every operator executed

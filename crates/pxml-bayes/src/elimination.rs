@@ -1,4 +1,4 @@
-//! Bucket (variable) elimination — Dechter [8].
+//! Bucket (variable) elimination — Dechter \[8\].
 //!
 //! Eliminates variables one at a time: all factors mentioning the
 //! variable are multiplied together and the variable is summed out of the

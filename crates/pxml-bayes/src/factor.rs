@@ -3,7 +3,7 @@
 //! A factor maps joint assignments of a small set of variables to
 //! non-negative reals. Values are stored row-major with the *last*
 //! variable varying fastest. Multiplication and summing-out are the two
-//! primitives of bucket elimination (Dechter [8]).
+//! primitives of bucket elimination (Dechter \[8\]).
 
 /// A network variable (dense index).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]

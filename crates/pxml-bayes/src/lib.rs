@@ -9,7 +9,7 @@
 //!   restrict;
 //! * [`ordering`] — greedy min-degree and min-fill elimination orderings
 //!   over the interaction graph (induced-width control);
-//! * [`elimination`] — bucket elimination (Dechter [8]) with evidence;
+//! * [`elimination`] — bucket elimination (Dechter \[8\]) with evidence;
 //! * [`network`] — the object-variable encoding of a probabilistic
 //!   instance (gated CPTs: an object is absent unless some parent's
 //!   chosen child set contains it) and marginal / joint-presence queries.

@@ -247,7 +247,7 @@ struct ServerInner {
 }
 
 /// A running daemon. Obtained from [`Server::start`]; drop-in for both
-/// the CLI (which blocks on [`ServerHandle::join`]) and in-process
+/// the CLI (which blocks on [`ServerHandle::shutdown_and_join`]) and in-process
 /// benches/tests (which keep driving requests at it).
 pub struct ServerHandle {
     inner: Arc<ServerInner>,

@@ -1026,7 +1026,7 @@ impl ArenaInstance {
     /// kept-region construction over raw ids. Layers must come
     /// from [`ArenaInstance::layers_flat_from`] for the same labels. A
     /// violation reports the object the legacy check reports (see
-    /// [`ArenaInstance::tree_shape_error`]).
+    /// `tree_shape_error`).
     pub fn kept_flat(
         &self,
         labels: &[Label],

@@ -7,7 +7,7 @@
 //! distributions" — this module implements two such compact forms:
 //!
 //! * [`IndependentOpf`] — every potential child is present independently
-//!   with its own probability (the ProTDB-style special case [19]);
+//!   with its own probability (the ProTDB-style special case \[19\]);
 //! * [`LabelProductOpf`] — an independent table per label (the paper's
 //!   "if the existence of author and title objects is independent, then we
 //!   only need to specify a distribution over authors and a distribution

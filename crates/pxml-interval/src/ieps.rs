@@ -9,7 +9,7 @@
 //! ([`bound_expectation`]). The per-entry relaxation (children's ε may
 //! be chosen per entry) makes the final bounds **sound but possibly
 //! loose**: every point instance inside the envelope is guaranteed to
-//! fall inside the returned interval — the PIXML [14] reading.
+//! fall inside the returned interval — the PIXML \[14\] reading.
 
 use std::collections::HashMap;
 

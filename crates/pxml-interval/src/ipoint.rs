@@ -2,7 +2,7 @@
 //!
 //! An interval instance denotes the *set* of point instances inside its
 //! intervals; an interval query returns bounds enclosing the answer of
-//! every such point instance (the PIXML [14] reading).
+//! every such point instance (the PIXML \[14\] reading).
 
 use pxml_core::ObjectId;
 

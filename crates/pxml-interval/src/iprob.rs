@@ -1,7 +1,7 @@
 //! Probability intervals and coherence.
 //!
 //! The paper's companion work (Hung, Getoor & Subrahmanian, *Probabilistic
-//! Interval XML*, ICDT 2003 — reference [14]) replaces point probabilities
+//! Interval XML*, ICDT 2003 — reference \[14\]) replaces point probabilities
 //! with intervals `[lo, hi]`. A family of intervals over an exhaustive,
 //! mutually exclusive event set is **coherent** iff some point
 //! distribution fits inside every interval, i.e. `Σ lo ≤ 1 ≤ Σ hi`.

@@ -1,6 +1,6 @@
 //! # pxml-interval — interval probabilities (the PIXML track)
 //!
-//! The paper's introduction points to "a companion paper [14] [that]
+//! The paper's introduction points to "a companion paper \[14\] \[that\]
 //! describes an approach which uses interval probabilities". This crate
 //! implements that extension over the same weak-instance skeleton:
 //!

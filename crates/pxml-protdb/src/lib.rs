@@ -4,12 +4,12 @@
 //! semistructured models the paper positions itself against, plus the
 //! mappings *into* PXML that establish subsumption:
 //!
-//! * [`model`] — ProTDB (Nierman & Jagadish [19]): trees with independent
+//! * [`model`] — ProTDB (Nierman & Jagadish \[19\]): trees with independent
 //!   per-child existence probabilities; [`convert::to_pxml`] embeds them
 //!   as PXML instances using compact `Opf::Independent` representations,
 //!   and the tests exhibit a PXML instance (exactly-one-of-two children)
 //!   no ProTDB tree can express.
-//! * [`spo`] — the SPO flat probability tables of Dekhtyar et al. [9],
+//! * [`spo`] — the SPO flat probability tables of Dekhtyar et al. \[9\],
 //!   encoded with the `card = [1, 1]` construction the paper describes.
 
 #![warn(missing_docs)]

@@ -1,4 +1,4 @@
-//! The ProTDB probabilistic-XML model (Nierman & Jagadish [19]).
+//! The ProTDB probabilistic-XML model (Nierman & Jagadish \[19\]).
 //!
 //! ProTDB attaches an *independent* existence probability to each
 //! individual child of a node, and requires tree-structured dependencies.

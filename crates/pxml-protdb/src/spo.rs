@@ -1,5 +1,5 @@
 //! The SPO (semistructured probabilistic object) encoding of Dekhtyar,
-//! Goldsmith & Hawkes [9], expressed in PXML.
+//! Goldsmith & Hawkes \[9\], expressed in PXML.
 //!
 //! Section 8: "our model can represent their table. For each random
 //! variable, define a set of children (with the possible variable
@@ -31,7 +31,7 @@ pub struct SpoVariable {
 ///
 /// (A joint SPO table over several variables can be encoded the same way
 /// with an explicit [`OpfTable`] over value-object combinations; the
-/// independent case shown here is what [9]'s flat tables most often
+/// independent case shown here is what \[9\]'s flat tables most often
 /// hold.)
 pub fn encode_spo(root_name: &str, variables: &[SpoVariable]) -> pxml_core::Result<ProbInstance> {
     let mut catalog = Catalog::new();

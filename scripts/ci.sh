@@ -25,6 +25,12 @@ cargo test -q --offline --workspace
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Rustdoc with warnings denied, so a doc link to a deleted or private
+# item fails CI. Libraries only: the binaries of two packages are both
+# named `pxml`, and documenting both would collide.
+echo "==> cargo doc -- -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib --offline
+
 # Panic-free guarantee on the untrusted-input crates: their sources deny
 # clippy::unwrap_used / expect_used / panic outside test code via
 # cfg_attr attributes (enforced by the clippy pass above, which compiles

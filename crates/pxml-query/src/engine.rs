@@ -1370,18 +1370,34 @@ mod tests {
         assert!(engine.run(&q).is_err());
     }
 
-    /// The pre-flight counters are a property of the batch, not of the
-    /// trace mode: a traced run probes the result cache before the
-    /// analysis, as an untraced one does, so a repeated provable zero is
-    /// a result hit rather than a second proof.
+    /// The counters are a property of the queries, not of the trace
+    /// mode: every run records into one ledger whatever the mode. A
+    /// traced run probes the result cache before the analysis, as an
+    /// untraced one does, so a repeated provable zero is a result hit
+    /// rather than a second proof; governed runs degrade, exhaust and
+    /// spend alike; and Figure 2's point and exists queries, which
+    /// locate through the layers table (the arena is not a forest),
+    /// count the same lookups.
     #[test]
     fn preflight_counters_do_not_depend_on_the_trace_mode() {
+        // Everything but the timings and the trace-only histograms.
+        let counted = |engine: &QueryEngine| StatsSnapshot {
+            locate_nanos: 0,
+            marginal_nanos: 0,
+            batch_nanos: 0,
+            mutation_nanos: 0,
+            query_nanos_hist: Default::default(),
+            budget_steps_hist: Default::default(),
+            ..engine.stats()
+        };
+        let tight = |degrade| BudgetSpec { max_steps: Some(1), degrade, ..BudgetSpec::default() };
         let counters = |mode: TraceMode| {
             let pi = chain_fixture(3, 0.5);
             let (o1, o2, o3) = (pi.oid("o1").unwrap(), pi.oid("o2").unwrap(), pi.oid("o3").unwrap());
+            let deep = Query::point(parse(&pi, "r.next.next.next"), o3); // rewritten to EXISTS
             let batch = vec![
                 Query::point(parse(&pi, "r.next"), o2), // provably zero
-                Query::point(parse(&pi, "r.next.next.next"), o3), // rewritten to EXISTS
+                deep.clone(),
                 Query::chain([pi.root(), o1]),
             ];
             let engine = QueryEngine::with_threads(pi, 1);
@@ -1389,24 +1405,44 @@ mod tests {
             engine.set_trace_mode(mode);
             engine.run_batch(&batch);
             engine.run_batch(&batch);
-            StatsSnapshot {
-                locate_nanos: 0,
-                marginal_nanos: 0,
-                batch_nanos: 0,
-                mutation_nanos: 0,
-                query_nanos_hist: Default::default(),
-                budget_steps_hist: Default::default(),
-                ..engine.stats()
+            // A fresh key: admission control rejects it under Error, the
+            // sweep degrades it under Interval.
+            engine.clear_cache();
+            engine.run_governed(&deep, &tight(DegradePolicy::Error)).unwrap_err();
+            assert!(engine.run_governed(&deep, &tight(DegradePolicy::Interval)).unwrap().is_degraded());
+
+            let pi = fig2_instance();
+            let t2 = pi.oid("T2").unwrap();
+            let a1 = pi.oid("A1").unwrap();
+            let title = parse(&pi, "R.book.title");
+            let exists = Query::exists(title.clone());
+            let author = Query::point(parse(&pi, "R.book.author"), a1); // DAG fallback
+            let fig2 = QueryEngine::with_threads(pi, 1);
+            fig2.set_trace_mode(mode);
+            fig2.run_batch(&[Query::point(title, t2), exists.clone()]);
+            fig2.clear_cache();
+            for q in [&exists, &author] {
+                for degrade in [DegradePolicy::Error, DegradePolicy::Interval] {
+                    let _ = fig2.run_governed(q, &tight(degrade));
+                }
             }
+            fig2.run_governed(&author, &BudgetSpec::default()).unwrap();
+            (counted(&engine), counted(&fig2))
         };
-        let untraced = counters(TraceMode::Off);
+        let (chain, fig2) = counters(TraceMode::Off);
         assert_eq!(
-            (untraced.preflight_zeros, untraced.preflight_rewrites),
-            (1, 2),
+            (chain.preflight_zeros, chain.preflight_rewrites, chain.preflight_rejections),
+            (1, 4, 1),
             "each zero is proved once; the original key of a rewrite is never cached"
         );
-        assert_eq!((untraced.result_hits, untraced.result_misses), (3, 3));
-        assert_eq!(counters(TraceMode::Full), untraced);
+        assert_eq!((chain.result_hits, chain.result_misses), (3, 5));
+        assert_eq!((chain.queries_degraded, chain.queries_exhausted), (1, 1));
+        assert!(fig2.layers_hits > 0 && fig2.layers_misses > 0, "{fig2:?}");
+        assert!(fig2.queries_degraded > 0 && fig2.queries_exhausted > 0, "{fig2:?}");
+        assert!(fig2.budget_steps_spent > 0 && fig2.opf_entries_visited > 0, "{fig2:?}");
+        for mode in [TraceMode::Timing, TraceMode::Full] {
+            assert_eq!(counters(mode), (chain, fig2), "{mode:?}");
+        }
     }
 
     #[test]

@@ -859,7 +859,12 @@ impl ArenaInstance {
     /// `None` when the walk proves nothing: locate the path's layers.
     /// Governed runs and the error path of [`ArenaInstance::point_pass`]
     /// sweep this region.
-    pub fn point_region(&self, start: u32, labels: &[Label], target: u32) -> Option<Vec<Vec<u32>>> {
+    pub fn point_region(
+        &self,
+        start: u32,
+        labels: &[Label],
+        target: u32,
+    ) -> Option<Vec<Vec<u32>>> {
         let n = labels.len();
         let mut kept: Vec<Vec<u32>> = vec![Vec::new(); n + 1];
         kept[n].push(target);

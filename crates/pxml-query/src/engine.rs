@@ -9,18 +9,21 @@
 //! count.
 //!
 //! Every query, governed or not, runs one pipeline: count → result
-//! probe → optional pre-flight → budgeted evaluation → writeback and
-//! counters → optional trace record. An ungoverned run is a run on an
-//! unlimited budget. Point/exists queries evaluate through the flat §6.1
-//! sweep of [`pxml_core::ArenaInstance`], chains through a link walk
-//! over the same arena. On a forest an ungoverned point or exists query
-//! computes ε in the walk that finds its region (`point_pass` up from
-//! the target, `exists_pass` depth-first down the path). Everywhere
-//! else (governed runs, non-forest arenas, and to name an error) the
-//! sweep runs over a kept region (`eps_flat`): on a forest a point
-//! query's region is its target's path ancestors (`kept_point`),
-//! otherwise it is filtered from the path's located layers
-//! (`layers_flat_from` → `kept_flat`). The optional pre-flight
+//! probe → optional pre-flight → budgeted evaluation → writeback → one
+//! fold of the query's ledger into the counters → optional trace
+//! record. An ungoverned run is a run on an unlimited budget. The
+//! stages record into one stack ledger per query (`TraceTally`),
+//! traced or not, and only the fold writes the counters. Point/exists
+//! queries evaluate through the flat §6.1 sweep of
+//! [`pxml_core::ArenaInstance`], chains through a link walk over the
+//! same arena. On a forest an ungoverned point or exists query computes
+//! ε in the walk that finds its region (`point_pass` folding up the
+//! target's one ancestor walk, `exists_pass` depth-first down the
+//! path). Everywhere else (governed runs, non-forest arenas, and to name
+//! an error) the sweep runs over a kept region (`eps_flat`): on a forest
+//! a point query's region is what the same ancestor walk collects
+//! (`point_region`), otherwise it is filtered from the path's located
+//! layers (`layers_flat_from` → `kept_flat`). The optional pre-flight
 //! ([`crate::preflight`]) analyses the same arena, so no write leaves
 //! an analysis to rebuild.
 //!
@@ -778,7 +781,12 @@ impl QueryEngine {
     /// admission control; a proved zero is written back like any exact
     /// result, so each zero is proved once, not per encounter. A query
     /// the probes do not answer is a result miss.
-    fn run_stages(&self, q: &Query, spec: Option<&BudgetSpec>, t: &mut TraceTally) -> Result<Answer> {
+    fn run_stages(
+        &self,
+        q: &Query,
+        spec: Option<&BudgetSpec>,
+        t: &mut TraceTally,
+    ) -> Result<Answer> {
         if let Some(r) = self.probe(q, spec.is_some(), t) {
             return r;
         }
@@ -1409,7 +1417,8 @@ mod tests {
             // sweep degrades it under Interval.
             engine.clear_cache();
             engine.run_governed(&deep, &tight(DegradePolicy::Error)).unwrap_err();
-            assert!(engine.run_governed(&deep, &tight(DegradePolicy::Interval)).unwrap().is_degraded());
+            let degraded = engine.run_governed(&deep, &tight(DegradePolicy::Interval)).unwrap();
+            assert!(degraded.is_degraded());
 
             let pi = fig2_instance();
             let t2 = pi.oid("T2").unwrap();

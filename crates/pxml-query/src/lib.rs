@@ -54,7 +54,9 @@
 //! (per-query [`trace::QueryTrace`] records — phase spans, cache
 //! provenance per memo layer, `|℘|` OPF-entry work, budget spend — in a
 //! bounded ring buffer drained via
-//! [`engine::QueryEngine::take_traces`]). Everything measured exports
+//! [`engine::QueryEngine::take_traces`]). Every query records into one
+//! per-query ledger, folded into the counters once whatever the trace
+//! mode, so traced and untraced runs count alike. Everything measured exports
 //! to Prometheus text exposition format through
 //! [`engine::QueryEngine::export_metrics`] /
 //! [`metrics::MetricsRegistry`].

@@ -2,6 +2,9 @@
 //! and per-phase wall time.
 //!
 //! [`EngineStats`] is a bag of [`AtomicU64`]s updated by worker threads.
+//! A query's run writes it twice: `EngineStats::count_query` when it
+//! starts, and one fold of the query's ledger (`TraceTally`) when it
+//! ends; mutations and batches count themselves.
 //! Most counters use relaxed ordering (they are diagnostics, not
 //! synchronisation), but the counters that participate in snapshot
 //! invariants follow a small protocol so that **every** snapshot — even
@@ -12,7 +15,8 @@
 //! * `queries_degraded <= result_misses` (a degraded answer is always a
 //!   counted miss first)
 //!
-//! Writers bump `queries_run` *before* the dependent counter and publish
+//! Writers bump `queries_run` *before* the dependent counters (the fold
+//! publishes the result counter before degraded/exhausted) and publish
 //! the dependent counter with `Release`; [`EngineStats::snapshot`] reads
 //! the dependent counters *first* with `Acquire` and `queries_run`
 //! *last*. Reading a `Release` increment therefore guarantees the

@@ -7,14 +7,17 @@
 //! the paper's Figure 7 cost model, and — for governed runs — the
 //! budget spend and degradation status.
 //!
-//! Tracing is **off by default** and allocation-shy by design: with
-//! [`TraceMode::Off`] the engine's hot path pays one relaxed atomic
-//! load and an early branch, nothing else (no clock reads, no
+//! Every query fills one stack ledger (`TraceTally`) whatever the
+//! mode; the engine folds it into the [`crate::EngineStats`] counters,
+//! so a trace and the counters read the same numbers. Tracing is **off
+//! by default** and allocation-shy by design: with [`TraceMode::Off`]
+//! the engine's hot path pays one relaxed atomic load and an early
+//! branch for the trace stage, nothing else (no extra clock reads, no
 //! allocation — proven <1 % on the warm-batch ablation, see
-//! EXPERIMENTS.md). [`TraceMode::Timing`] adds per-query latency /
-//! budget-spend histogram observations; [`TraceMode::Full`]
-//! additionally materialises one [`QueryTrace`] record per query into a
-//! bounded [`TraceRing`].
+//! EXPERIMENTS.md). [`TraceMode::Timing`] adds the normalise span and
+//! per-query latency / budget-spend histogram observations;
+//! [`TraceMode::Full`] additionally materialises one [`QueryTrace`]
+//! record per query into a bounded [`TraceRing`].
 //!
 //! Records serialise to JSON lines via [`QueryTrace::to_json`] and
 //! parse back with [`QueryTrace::from_json`] (the workspace's `serde`

@@ -807,10 +807,13 @@ impl ArenaInstance {
 
     /// The one upward walk of the point query `P(target ∈ start.labels)`
     /// on a forest (§6.2's path-ancestor extraction): from the target up
-    /// its weak parents, one per label, checking that each edge is weak
-    /// and carries the label at its depth. It hands each ancestor to
-    /// `visit` as `(depth, ancestor, the child's position in the
-    /// ancestor's row)`, nearest first, and returns whether the walk
+    /// its weak parents, one per label, checking that each edge carries
+    /// the label at its depth. The edge needs no weakness test: the
+    /// forest check counts every child entry, weak or not, so a child
+    /// is one entry of one row, and [`ArenaInstance::parents_of`] lists
+    /// only weak parents, so that one entry is weak. It hands each
+    /// ancestor to `visit` as `(depth, ancestor, the child's position in
+    /// the ancestor's row)`, nearest first, and returns whether the walk
     /// ends at `start` after `labels.len()` steps, i.e. whether the path
     /// locates the target; a failed check ends it early, and an id at or
     /// past [`ArenaInstance::len`] is not located. A located target's
@@ -839,10 +842,11 @@ impl ArenaInstance {
             // entry of its row.
             let [p] = *self.parents_of(child) else { return Some(false) };
             let (s, e) = self.child_range(p);
-            let on_path = (s..e).find(|&i| self.children[i as usize] == child).filter(|&i| {
-                self.child_weak[i as usize] && self.child_labels[i as usize] == labels[d]
-            });
+            let on_path = (s..e)
+                .find(|&i| self.children[i as usize] == child)
+                .filter(|&i| self.child_labels[i as usize] == labels[d]);
             let Some(i) = on_path else { return Some(false) };
+            debug_assert!(self.child_weak[i as usize], "a forest's one entry of a child is weak");
             visit(d, p, i - s);
             child = p;
         }

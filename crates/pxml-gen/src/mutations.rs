@@ -56,10 +56,14 @@ fn value_candidates(pi: &ProbInstance) -> Vec<(ObjectId, Value)> {
     out
 }
 
-/// A deterministic batch of `count` entry-level mutations (roughly 4:1
-/// `SETEDGE` : `SETVAL`) that apply cleanly against `pi` in any order
-/// and any interleaving with queries. Returns fewer ops (possibly none)
-/// when the instance offers no safe targets.
+/// A deterministic batch of `count` entry-level mutations that apply
+/// cleanly against `pi` in any order and any interleaving with queries.
+/// The mix depends on the instance: roughly 4:1 `SETEDGE` : `SETVAL`
+/// when it has both safe edges and VPF leaves, only `SETEDGE` when it
+/// has no VPF leaves (as on [`crate::WorkloadConfig::paper`]'s
+/// `leaf_domain: 0` instances), and only `SETVAL` when it has no safe
+/// edges. Returns fewer ops (possibly none) when the instance offers no
+/// safe targets.
 pub fn random_mutations(pi: &ProbInstance, count: usize, seed: u64) -> Vec<Mutation> {
     let mut rng = StdRng::seed_from_u64(seed);
     let edges = edge_candidates(pi);

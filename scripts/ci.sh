@@ -422,10 +422,10 @@ set -e
 # whose reads mostly miss the cache and so run the served §6.1 sweep.
 # Every read answer is checked against an in-process engine, so each
 # step fails unless the result says correct and no request failed.
-for workload in mixed_rw_1e4 cold_reads_1e5; do
-  echo "==> e2ebench smoke ($workload, 3 s)"
-  e2e_out="$(python3 e2ebench/run.py --workload "$workload" --seed 1 --seconds 3 --trace 0)" || {
-    echo "error: e2ebench $workload run exited nonzero:"; echo "$e2e_out"; exit 1;
+e2e_smoke() { # workload, trace
+  echo "==> e2ebench smoke ($1, 3 s, --trace $2)"
+  e2e_out="$(python3 e2ebench/run.py --workload "$1" --seed 1 --seconds 3 --trace "$2")" || {
+    echo "error: e2ebench $1 run exited nonzero:"; echo "$e2e_out"; exit 1;
   }
   e2e_line="$(printf '%s\n' "$e2e_out" | tail -n 1)"
   python3 -c '
@@ -433,9 +433,16 @@ import json, sys
 r = json.loads(sys.argv[1])
 sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)
 ' "$e2e_line" || {
-    echo "error: e2ebench $workload smoke not correct or had failures: $e2e_line"; exit 1;
+    echo "error: e2ebench $1 smoke not correct or had failures: $e2e_line"; exit 1;
   }
+}
+for workload in mixed_rw_1e4 cold_reads_1e5; do
+  e2e_smoke "$workload" 0
 done
+# The traced run also replays the workload in process (e2ebench's
+# trace.rs): engine stats, governed mutation, re-lowering and the STATS
+# parse, none of which the untraced smokes reach.
+e2e_smoke mixed_rw_1e4 1
 
 if [ "$in_git" -eq 1 ]; then
   echo "==> tracked files untouched"

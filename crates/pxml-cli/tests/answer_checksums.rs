@@ -111,7 +111,7 @@ fn cold_reads_1e5_pool_checksum_is_pinned() {
     // route keeps every answer; only these counts can see it.
     let s = engine.stats();
     assert_eq!((s.layers_hits, s.layers_misses), (0, 0), "forest queries read no layers");
-    assert_eq!((s.result_hits, s.opf_entries_visited), (0, 1_907_744), "(result_hits, opf_entries_visited)");
+    assert_eq!((s.result_hits, s.opf_entries_visited), (0, 1_706_464), "(result_hits, opf_entries_visited)");
 }
 
 /// The total `apply_mutation` time of the warm-up replay before cached
@@ -203,9 +203,9 @@ fn mixed_rw_1e4_warmup_checksum_is_pinned() {
     let r = replay_mixed_rw_1e4_warmup(false);
     assert_eq!((r.answers, r.writes), (10_544, 811));
     assert_eq!(format!("{:016x}", r.sum), "92d55c79f8e3cc40");
-    assert_eq!(r.evicted, 2_998, "cache entries evicted by the writes");
+    assert_eq!(r.evicted, 3_252, "cache entries evicted by the writes");
     assert_eq!(r.stats.result_hits, 5_306);
-    assert_eq!(r.stats.opf_entries_visited, 808_944);
+    assert_eq!(r.stats.opf_entries_visited, 746_008);
     assert_eq!((r.stats.layers_hits, r.stats.layers_misses), (0, 0), "forest queries read no layers");
 }
 
@@ -222,6 +222,6 @@ fn mixed_rw_1e4_warmup_is_unchanged_by_preflight() {
         (0, 0, 5_306),
         "(preflight_zeros, preflight_rewrites, result_hits)"
     );
-    assert_eq!(r.evicted, 2_998, "cache entries evicted by the writes");
+    assert_eq!(r.evicted, 3_252, "cache entries evicted by the writes");
     assert_eq!((r.stats.layers_hits, r.stats.layers_misses), (0, 0), "forest queries read no layers");
 }

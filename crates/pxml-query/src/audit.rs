@@ -12,6 +12,8 @@
 //!
 //! * **layers** — read the cached raw ids as [`ObjectId`]s and compare
 //!   with the legacy forward locate pass (`layers_weak`).
+//! * **links** — compare against `℘(parent)`'s marginal at the cached
+//!   universe position.
 //! * **results** — rerun each cached query on a fresh single-threaded
 //!   engine over a clone of the instance and compare answers bit-exactly
 //!   (errors compare by rendered message).
@@ -33,6 +35,7 @@ impl QueryEngine {
         let mut findings = Vec::new();
         self.audit_bytes(&mut findings);
         self.audit_layers(&mut findings);
+        self.audit_links(&mut findings);
         self.audit_results(&mut findings);
         findings
     }
@@ -63,6 +66,29 @@ impl QueryEngine {
                     labels.labels(),
                     cached,
                     fresh
+                ));
+            }
+        }
+    }
+
+    fn audit_links(&self, findings: &mut Vec<String>) {
+        let pi = self.instance();
+        for ((pidx, pos), cached) in self.cache().link_entries() {
+            let parent = ObjectId::from_raw(pidx);
+            let fresh = match pi.opf(parent) {
+                Some(opf) if (pos as usize) < pi.weak().node(parent).map_or(0, |n| n.universe().len()) => {
+                    opf.marginal_present(pos)
+                }
+                _ => {
+                    findings.push(format!(
+                        "links[{parent:?}, {pos}]: parent or position no longer exists"
+                    ));
+                    continue;
+                }
+            };
+            if cached.to_bits() != fresh.to_bits() {
+                findings.push(format!(
+                    "links[{parent:?}, {pos}]: cached {cached} != fresh {fresh}"
                 ));
             }
         }

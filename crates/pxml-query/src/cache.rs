@@ -1,6 +1,6 @@
 //! The shared marginalisation cache behind [`crate::engine::QueryEngine`].
 //!
-//! Two memo tables, each guarded by its own [`parking_lot::RwLock`] so
+//! Three memo tables, each guarded by its own [`parking_lot::RwLock`] so
 //! concurrent workers contend only on the table they touch:
 //!
 //! * **results** — whole-query memo: `Query → Result<f64>`. Duplicate
@@ -17,6 +17,8 @@
 //!   against, but only after a structural write or on a non-forest
 //!   arena: an entry-level write on a forest tests results against its
 //!   dirty objects' subtree numbers and root label paths instead.
+//! * **links** — per-OPF child marginals `(parent raw id, universe
+//!   position) → P(child present)` used by chain queries.
 //!
 //! There is no ε memo: a point/exists miss re-runs the flat §6.1 sweep
 //! over its kept region. Measured on the 10⁵-object cold-read pool, a
@@ -24,15 +26,13 @@
 //! ~470k lookups, and its inserts forced whole-table evictions under
 //! the byte ceiling.
 //!
-//! There is no link memo either: a chain reads each link's marginal
-//! straight from the arena ([`pxml_core::ArenaInstance::marginal_present`]),
-//! an O(1) read for an independent OPF and otherwise a sum of at most
-//! 2^b table entries for a parent with b potential children (16 on the
-//! 10⁵-object cold-read pool, 8 on the 10⁴-object mixed pool). A `(parent, position)` table saved that sum
-//! at the price of a lock and a hash probe per link, a write lock per
-//! miss, a scan per write and a share of the byte ceiling; measured
-//! over ten end-to-end benchmark pairs per workload, removing it moved
-//! no median beyond its bound.
+//! The link memo saves only a sum of at most 2^b OPF entries per link.
+//! Reading `marginal_present` per link instead moved no e2ebench median
+//! beyond its bound, but `mixed_rw_1e4` p50/p98 rose 5–12% (cause not
+//! found), and on `cold_reads_1e5` the freed ceiling lifted the result
+//! hit ratio from 0.04 to 0.13, past that workload's cold-read premise.
+//! So the table stays until the benchmark states that premise apart
+//! from the cache's table mix (DESIGN.md, "Cache-key design").
 
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -113,9 +113,10 @@ type LayerTable = Shard<(ObjectId, LabelPath), Layers>;
 pub struct MarginalCache {
     results: RwLock<Shard<Query, Result<f64>>>,
     layers: RwLock<LayerTable>,
+    links: RwLock<Shard<(u32, u32), f64>>,
     /// Byte ceiling; 0 = unlimited.
     max_bytes: AtomicU64,
-    /// Sum of the two shards' `bytes` (kept in lock-step under the
+    /// Sum of the three shards' `bytes` (kept in lock-step under the
     /// respective write locks; reads are advisory).
     total_bytes: AtomicU64,
     /// Whole-table evictions performed by the admission path.
@@ -129,6 +130,7 @@ pub struct MarginalCache {
 /// on top at the insert sites.
 pub(crate) const RESULT_ENTRY_BYTES: u64 = 96;
 pub(crate) const LAYERS_ENTRY_BYTES: u64 = 64;
+pub(crate) const LINK_ENTRY_BYTES: u64 = 40;
 
 impl MarginalCache {
     /// An empty cache.
@@ -147,7 +149,7 @@ impl MarginalCache {
         self.max_bytes.load(Ordering::Relaxed)
     }
 
-    /// The approximate accounted footprint of both tables.
+    /// The approximate accounted footprint of all three tables.
     pub fn approx_bytes(&self) -> u64 {
         self.total_bytes.load(Ordering::Relaxed)
     }
@@ -171,7 +173,7 @@ impl MarginalCache {
     }
 
     /// The accounted footprint recomputed from scratch — the sum of
-    /// every live entry's admitted cost across both tables. Equal to
+    /// every live entry's admitted cost across all three tables. Equal to
     /// [`MarginalCache::approx_bytes`] whenever the cache is quiescent;
     /// tests and `audit_cache` use the pair to prove the incremental
     /// accounting never drifts.
@@ -179,7 +181,7 @@ impl MarginalCache {
         fn sum<K, V>(shard: &RwLock<Shard<K, V>>) -> u64 {
             shard.read().map.values().map(|e| e.cost).sum()
         }
-        sum(&self.results) + sum(&self.layers)
+        sum(&self.results) + sum(&self.layers) + sum(&self.links)
     }
 
     /// Byte-governed insert into one shard, following the documented
@@ -254,7 +256,18 @@ impl MarginalCache {
         self.admit(&self.layers, (root, path), layers, LAYERS_ENTRY_BYTES + extra);
     }
 
-    /// Drops every memoised entry (both tables).
+    /// Chain-link marginal lookup: `P(child at universe position ∈
+    /// children(parent))`. `parent` is a raw object id.
+    pub fn get_link(&self, parent: u32, pos: u32) -> Option<f64> {
+        self.links.read().map.get(&(parent, pos)).map(|e| e.value)
+    }
+
+    /// Chain-link marginal insert. `parent` is a raw object id.
+    pub fn put_link(&self, parent: u32, pos: u32, value: f64) {
+        self.admit(&self.links, (parent, pos), value, LINK_ENTRY_BYTES);
+    }
+
+    /// Drops every memoised entry (all three tables).
     pub fn clear(&self) {
         fn wipe<K, V>(shard: &RwLock<Shard<K, V>>) {
             let mut s = shard.write();
@@ -263,18 +276,19 @@ impl MarginalCache {
         }
         wipe(&self.results);
         wipe(&self.layers);
+        wipe(&self.links);
         self.total_bytes.store(0, Ordering::Relaxed);
     }
 
-    /// Entry counts `(results, layers)` — used by stats reporting and
-    /// tests.
-    pub fn len(&self) -> (usize, usize) {
-        (self.results.read().map.len(), self.layers.read().map.len())
+    /// Entry counts `(results, layers, links)` — used by stats
+    /// reporting and tests.
+    pub fn len(&self) -> (usize, usize, usize) {
+        (self.results.read().map.len(), self.layers.read().map.len(), self.links.read().map.len())
     }
 
     /// True when no table holds any entry.
     pub fn is_empty(&self) -> bool {
-        self.len() == (0, 0)
+        self.len() == (0, 0, 0)
     }
 
     /// Dirty-set invalidation after a mutation: evicts exactly the
@@ -282,8 +296,10 @@ impl MarginalCache {
     ///
     /// `direct` is the set `D` of directly changed objects (mutated
     /// parents, removed objects, the inserted object) as raw ids — the
-    /// arena rows the layers table holds. Per table:
+    /// arena rows the layers and link tables are keyed by. Per table:
     ///
+    /// * **links** — `(parent, pos)` memoises one OPF marginal: evict
+    ///   `parent ∈ D`.
     /// * **layers** — located layers depend only on the weak skeleton,
     ///   so entry-level mutations keep them valid; on structural
     ///   mutations evict entries with any located object in `D`. This is
@@ -378,6 +394,19 @@ impl MarginalCache {
             s.bytes = s.bytes.saturating_sub(freed);
             self.total_bytes.fetch_sub(freed, Ordering::Relaxed);
         }
+
+        let mut s = self.links.write();
+        let mut freed = 0u64;
+        s.map.retain(|(parent, _), e| {
+            let stale = direct.contains(parent);
+            if stale {
+                freed += e.cost;
+                counts.links += 1;
+            }
+            !stale
+        });
+        s.bytes = s.bytes.saturating_sub(freed);
+        self.total_bytes.fetch_sub(freed, Ordering::Relaxed);
         counts
     }
 
@@ -407,6 +436,12 @@ impl MarginalCache {
     pub(crate) fn layer_entries(&self) -> LayerEntries {
         self.layers.read().map.iter().map(|(k, e)| (k.clone(), Arc::clone(&e.value))).collect()
     }
+
+    /// Snapshot of the link-marginal memo (audit support). Keys are
+    /// `(parent raw id, universe position)`.
+    pub(crate) fn link_entries(&self) -> Vec<((u32, u32), f64)> {
+        self.links.read().map.iter().map(|(k, e)| (*k, e.value)).collect()
+    }
 }
 
 /// Snapshot of the located-layers memo: `(root, label path)` key plus
@@ -421,12 +456,14 @@ pub struct InvalidationCounts {
     pub results: u64,
     /// Located-layer entries evicted.
     pub layers: u64,
+    /// Link marginals evicted.
+    pub links: u64,
 }
 
 impl InvalidationCounts {
-    /// Total entries evicted across both tables.
+    /// Total entries evicted across all three tables.
     pub fn total(&self) -> u64 {
-        self.results + self.layers
+        self.results + self.layers + self.links
     }
 }
 
@@ -442,13 +479,6 @@ mod tests {
         LAYERS_ENTRY_BYTES + lens.iter().map(|&n| 24 + n as u64 * 4).sum::<u64>()
     }
 
-    /// A one-object chain result key; it costs [`CHAIN_COST`].
-    fn chain(raw: u32) -> Query {
-        Query::Chain { objects: vec![o(raw)] }
-    }
-
-    const CHAIN_COST: u64 = RESULT_ENTRY_BYTES + 4;
-
     /// The verified bug: an entry whose cost alone busts the ceiling used
     /// to evict its shard (and bump `evictions`) on every put, even
     /// though it could never be admitted. It must now be refused without
@@ -456,11 +486,11 @@ mod tests {
     #[test]
     fn oversized_insert_refused_without_eviction() {
         let cache = MarginalCache::new();
-        cache.set_max_bytes(4 * CHAIN_COST);
+        cache.set_max_bytes(200);
         for i in 0..4 {
-            cache.put_result(chain(i), Ok(0.5));
+            cache.put_link(i, 0, 0.5);
         }
-        assert_eq!(cache.approx_bytes(), 4 * CHAIN_COST);
+        assert_eq!(cache.approx_bytes(), 4 * LINK_ENTRY_BYTES);
 
         let big: Layers = Arc::new(vec![(0..100).collect()]);
         let path = LabelPath::new(vec![Label::from_raw(1)]);
@@ -472,11 +502,11 @@ mod tests {
         assert_eq!(cache.evictions(), 0, "oversized puts must not evict");
         assert_eq!(cache.admission_rejections(), 10);
         assert!(cache.get_layers(o(0), &path).is_none());
-        // Warm state survives: every result still hits.
+        // Warm state survives: every link still hits.
         for i in 0..4 {
-            assert_eq!(cache.get_result(&chain(i)), Some(Ok(0.5)));
+            assert_eq!(cache.get_link(i, 0), Some(0.5));
         }
-        assert_eq!(cache.approx_bytes(), 4 * CHAIN_COST);
+        assert_eq!(cache.approx_bytes(), 4 * LINK_ENTRY_BYTES);
         assert_eq!(cache.approx_bytes(), cache.recomputed_bytes());
     }
 
@@ -485,32 +515,31 @@ mod tests {
     #[test]
     fn eviction_only_when_it_makes_room() {
         let cache = MarginalCache::new();
-        cache.set_max_bytes(5 * CHAIN_COST);
+        cache.set_max_bytes(200);
         for i in 0..4 {
-            cache.put_result(chain(i), Ok(0.25));
+            cache.put_link(i, 0, 0.25);
         }
-        // A layers entry would fit nowhere: results hold four fifths of
-        // the budget and emptying the (empty) layers shard frees
+        // A result entry would fit nowhere: links hold 160 of the
+        // 200-byte budget and emptying the (empty) results shard frees
         // nothing.
-        let path = LabelPath::new(vec![Label::from_raw(1)]);
-        assert!(layer_cost(&[10]) > CHAIN_COST);
-        cache.put_layers(o(0), path.clone(), Arc::new(vec![(0..10).collect()]));
-        assert!(cache.get_layers(o(0), &path).is_none());
+        let q = Query::Chain { objects: vec![o(9)] };
+        cache.put_result(q.clone(), Ok(0.125));
+        assert_eq!(cache.get_result(&q), None);
         assert_eq!(cache.evictions(), 0);
         assert_eq!(cache.admission_rejections(), 1);
 
-        // A fifth result fits exactly in place (the ceiling): admitted.
-        cache.put_result(chain(4), Ok(0.25));
+        // A fifth link fits exactly in place (200 = ceiling): admitted.
+        cache.put_link(4, 0, 0.25);
         assert_eq!(cache.evictions(), 0);
-        assert_eq!(cache.approx_bytes(), 5 * CHAIN_COST);
+        assert_eq!(cache.approx_bytes(), 5 * LINK_ENTRY_BYTES);
 
-        // A sixth does not fit, but emptying the results shard makes
-        // room: one epoch eviction, then admission.
-        cache.put_result(chain(5), Ok(0.25));
+        // A sixth does not fit, but emptying the links shard makes room:
+        // one epoch eviction, then admission.
+        cache.put_link(5, 0, 0.25);
         assert_eq!(cache.evictions(), 1);
-        assert_eq!(cache.get_result(&chain(5)), Some(Ok(0.25)));
-        assert_eq!(cache.get_result(&chain(0)), None);
-        assert_eq!(cache.approx_bytes(), CHAIN_COST);
+        assert_eq!(cache.get_link(5, 0), Some(0.25));
+        assert_eq!(cache.get_link(0, 0), None);
+        assert_eq!(cache.approx_bytes(), LINK_ENTRY_BYTES);
         assert_eq!(cache.approx_bytes(), cache.recomputed_bytes());
     }
 
@@ -537,7 +566,7 @@ mod tests {
         cache.put_layers(o(0), path.clone(), small);
         assert_eq!(cache.approx_bytes(), layer_cost(&[1]));
         assert_eq!(cache.approx_bytes(), cache.recomputed_bytes());
-        assert_eq!(cache.len(), (0, 1));
+        assert_eq!(cache.len(), (0, 1, 0));
     }
 
     /// Under a ceiling, replacing a key accounts for the bytes it frees:

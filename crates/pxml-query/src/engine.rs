@@ -32,8 +32,8 @@
 //! [`crate::exists_query`] and [`crate::chain_probability`]: the sweep's
 //! arithmetic replicates the sequential recursion operation for
 //! operation, charges a budget in the recursion's order, and its errors
-//! name the same objects; the engine only adds whole-result and
-//! located-layers memos.
+//! name the same objects; the engine only adds whole-result,
+//! located-layers and chain-link memos.
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -323,8 +323,8 @@ impl QueryEngine {
         self.cache.clear();
     }
 
-    /// Entry counts of the two cache tables `(results, layers)`.
-    pub fn cache_len(&self) -> (usize, usize) {
+    /// Entry counts of the three cache tables `(results, layers, links)`.
+    pub fn cache_len(&self) -> (usize, usize, usize) {
         self.cache.len()
     }
 
@@ -466,6 +466,8 @@ impl QueryEngine {
             result_hit: false,
             layers_hits: 0,
             layers_misses: 0,
+            link_hits: 0,
+            link_misses: 0,
             opf_entries: 0,
             budget_steps: 0,
             budget_polls: 0,
@@ -543,9 +545,9 @@ impl QueryEngine {
             "Cache inserts refused because no eviction could make room.",
             s.cache_admission_rejections,
         );
-        let (results, layers) = self.cache_len();
-        // The `eps` and `link` series stay (at zero) so the exposition
-        // keeps its shape now that neither memo exists.
+        let (results, layers, links) = self.cache_len();
+        // The `eps` series stays (at zero) so the exposition keeps its
+        // shape now that no ε memo exists.
         reg.gauge_vec(
             "pxml_cache_entries",
             "Entries per cache table.",
@@ -553,7 +555,7 @@ impl QueryEngine {
                 ("table=\"result\"", results as f64),
                 ("table=\"layers\"", layers as f64),
                 ("table=\"eps\"", 0.0),
-                ("table=\"link\"", 0.0),
+                ("table=\"link\"", links as f64),
             ],
         );
         reg.gauge(
@@ -680,9 +682,9 @@ impl QueryEngine {
     ///   inclusion–exclusion engine instead of erring `NotTreeShaped`.
     /// * The steps a query spends (and hence `Exhausted::spent`) are a
     ///   deterministic function of the instance, the query and the
-    ///   budget: neither the ε sweep nor the chain walk keeps a memo, so
-    ///   neither worker count nor shared cache state moves them. Only
-    ///   exact whole-query results that the
+    ///   budget: the ε sweep keeps no memo, and a chain-link memo hit
+    ///   pays its step like a miss, so neither worker count nor shared
+    ///   cache state moves them. Only exact whole-query results that the
     ///   ungoverned path would also produce are written back to the
     ///   shared cache; degraded and DAG-fallback answers are never
     ///   cached.
@@ -943,6 +945,8 @@ impl QueryEngine {
             result_hit: tally.result_hit,
             layers_hits: tally.layers_hits,
             layers_misses: tally.layers_misses,
+            link_hits: tally.link_hits,
+            link_misses: tally.link_misses,
             opf_entries: tally.opf_entries,
             budget_steps: tally.budget.map_or(0, |b| b.0),
             budget_polls: tally.budget.map_or(0, |b| b.1),
@@ -1129,14 +1133,14 @@ impl QueryEngine {
         swept.map(|b| answer(b.lo, b.hi, degrade)).map_err(flat_error)
     }
 
-    /// `chain_probability` over the arena: each link's marginal is read
-    /// from its parent's OPF ([`ArenaInstance::marginal_present`]), and
-    /// the OPF's stored entries are counted as visited. One budget step
-    /// is charged at the top of each link, before any lookup. On
-    /// exhaustion after `j` links the bracket is `[0, Π_{i≤j} mᵢ]`:
-    /// appending links only multiplies by marginals `≤ 1`. The error
-    /// behaviour (node → position → OPF, in that order) is the
-    /// sequential function's.
+    /// `chain_probability` over the arena with the per-link marginal
+    /// memoised. One budget step is charged at the top of each link,
+    /// before any lookup, so a memo hit pays its step too and the spend
+    /// does not depend on cache state. On exhaustion after `j` links the
+    /// bracket is `[0, Π_{i≤j} mᵢ]`: appending links only multiplies by
+    /// marginals `≤ 1`. The memo is only written after a successful OPF
+    /// lookup, so the error behaviour (node → position → OPF, in that
+    /// order) is the sequential function's.
     fn eval_chain(
         &self,
         chain: &[ObjectId],
@@ -1159,6 +1163,7 @@ impl QueryEngine {
                     DegradePolicy::Interval => Ok(bounds_answer(0.0, p)),
                 };
             }
+            // The link memo is keyed by the parent's row, its raw id.
             let pidx = parent.raw();
             let pos = match self.arena.child_position(pidx, child.raw()) {
                 Some(pos) => pos,
@@ -1167,9 +1172,26 @@ impl QueryEngine {
                 }
                 None => return Err(QueryError::UnknownObject(parent)),
             };
-            // A parent without an OPF stores no entries.
-            t.opf_entries += self.arena.stored_len(pidx);
-            p *= self.arena.marginal_present(pidx, pos).ok_or(QueryError::UnknownObject(parent))?;
+            let m = match self.cache.get_link(pidx, pos) {
+                Some(m) => {
+                    t.link_hits += 1;
+                    m
+                }
+                None => {
+                    t.link_misses += 1;
+                    if !self.arena.has_opf(pidx) {
+                        return Err(QueryError::UnknownObject(parent));
+                    }
+                    t.opf_entries += self.arena.stored_len(pidx);
+                    let m = self
+                        .arena
+                        .marginal_present(pidx, pos)
+                        .ok_or(QueryError::UnknownObject(parent))?;
+                    self.cache.put_link(pidx, pos, m);
+                    m
+                }
+            };
+            p *= m;
             if p == 0.0 {
                 return Ok(Answer::Exact(0.0));
             }
@@ -1276,9 +1298,26 @@ mod tests {
         assert_eq!(a, b, "on a chain the sole target is the located set");
         let snap = engine.stats();
         assert_eq!((snap.layers_hits, snap.layers_misses), (0, 0));
-        assert_eq!(engine.cache_len(), (2, 0), "results, layers");
+        assert_eq!(engine.cache_len(), (2, 0, 0), "results, layers, links");
         assert_eq!((snap.eps_hits, snap.eps_misses), (0, 0), "no ε memo");
         assert_eq!(snap.opf_entries_visited, 12, "three two-entry OPFs per query");
+    }
+
+    #[test]
+    fn chain_links_are_memoised() {
+        let pi = chain_fixture(3, 0.5);
+        let o1 = pi.oid("o1").unwrap();
+        let o2 = pi.oid("o2").unwrap();
+        let o3 = pi.oid("o3").unwrap();
+        let r = pi.root();
+        let engine = QueryEngine::with_threads(pi, 1);
+        let full = engine.run(&Query::chain([r, o1, o2, o3])).unwrap();
+        let prefix = engine.run(&Query::chain([r, o1, o2])).unwrap();
+        assert!((full - 0.125).abs() < 1e-12);
+        assert!((prefix - 0.25).abs() < 1e-12);
+        let snap = engine.stats();
+        assert_eq!(snap.link_misses, 3, "three distinct links");
+        assert_eq!(snap.link_hits, 2, "prefix chain reuses both links");
     }
 
     #[test]
@@ -1571,7 +1610,7 @@ mod tests {
         assert!(!engine.apply_mutation(&m).unwrap().effect.dirty.is_empty());
         engine.run_batch(&queries);
         let (cache, slabs) = (engine.cache_len(), engine.arena.slab_lens());
-        assert_ne!(cache, (0, 0));
+        assert_ne!(cache, (0, 0, 0));
         let again = engine.apply_mutation(&m).unwrap();
         assert!(again.effect.dirty.is_empty());
         assert_eq!((again.affected, again.invalidated.total()), (0, 0));
@@ -1659,9 +1698,8 @@ mod tests {
     }
 
     /// A structural op in a disjoint subtree keeps the title path's
-    /// result and its layers witness warm, and the chain `R → B1 → T1`
-    /// still evaluates to the fresh answer: rows are object ids, so
-    /// their keys stay valid.
+    /// result, its layers witness and the link memos of the chain
+    /// `R → B1 → T1` warm: rows are object ids, so their keys stay valid.
     #[test]
     fn structural_op_keeps_disjoint_entries_warm() {
         let pi = fig2_instance();
@@ -1679,6 +1717,7 @@ mod tests {
             Mutation::InsertObject { name: "I9".into(), parent: a3, label: institution, prob: 0.0 };
         let out = engine.apply_mutation(&m).unwrap();
         assert_eq!((out.invalidated.results, out.invalidated.layers), (0, 0));
+        assert_eq!(out.invalidated.links, 0, "no link memo's parent is dirty");
         let before = engine.stats();
         let again = engine.run(&warm).unwrap();
         // A new query over the same path must find the surviving layers.
@@ -1687,10 +1726,11 @@ mod tests {
         assert_eq!(after.result_hits - before.result_hits, 1, "the warm result still hits");
         assert_eq!(after.layers_hits - before.layers_hits, 1, "the layers entry survived");
         assert_eq!(after.layers_misses, before.layers_misses);
-        // Re-run the chain below the result memo.
+        // Re-run the chain below the result memo: both links hit.
         let chain = Query::chain(chain);
         let mut t = TraceTally::default();
         let linked = engine.evaluate(&chain, &Budget::unlimited(), DegradePolicy::Error, &mut t);
+        assert_eq!((t.link_hits, t.link_misses), (2, 0), "both link memos survived");
         let fresh = QueryEngine::with_threads(engine.instance().clone(), 1);
         assert_eq!(again.to_bits(), fresh.run(&warm).unwrap().to_bits());
         assert_eq!(other.to_bits(), fresh.run(&Query::point(title, t1)).unwrap().to_bits());
@@ -1932,9 +1972,9 @@ mod tests {
         engine.set_threads(2);
         assert_eq!(engine.threads(), 2);
         engine.run(&Query::exists(p)).unwrap();
-        assert_ne!(engine.cache_len(), (0, 0));
+        assert_ne!(engine.cache_len(), (0, 0, 0));
         engine.clear_cache();
-        assert_eq!(engine.cache_len(), (0, 0));
+        assert_eq!(engine.cache_len(), (0, 0, 0));
         engine.reset_stats();
         assert_eq!(engine.stats().queries_run, 0);
         let pi = engine.into_instance();

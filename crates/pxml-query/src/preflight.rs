@@ -35,7 +35,7 @@
 
 use pxml_core::{ArenaInstance, CoreError, Exhausted, Label, ObjectId, Resource};
 
-use crate::cache::{LAYERS_ENTRY_BYTES, RESULT_ENTRY_BYTES};
+use crate::cache::{LAYERS_ENTRY_BYTES, LINK_ENTRY_BYTES, RESULT_ENTRY_BYTES};
 use crate::dag::MAX_CHAINS;
 use crate::engine::{BudgetSpec, DegradePolicy, Query};
 
@@ -136,7 +136,7 @@ pub struct CostEstimate {
     /// chain extensions, inclusion–exclusion terms).
     pub steps: u64,
     /// Upper bound on bytes the query can add to the shared
-    /// [`crate::MarginalCache`] (result + layers entries).
+    /// [`crate::MarginalCache`] (result + layers + link entries).
     pub memo_bytes: u64,
     /// True when `steps` is the *exact* governed charge count (tree
     /// point/exists regions and chains), enabling admission control.
@@ -477,7 +477,7 @@ fn analyze_chain(arena: &ArenaInstance, objects: &[ObjectId]) -> Report {
                 verdict: Verdict::ProvablyZero,
                 cost: CostEstimate {
                     steps: scanned,
-                    memo_bytes: chain_bytes(objects),
+                    memo_bytes: chain_bytes(objects, scanned),
                     exact_steps: true,
                 },
                 upper_bound: 0.0,
@@ -493,7 +493,7 @@ fn analyze_chain(arena: &ArenaInstance, objects: &[ObjectId]) -> Report {
         verdict: Verdict::Clean,
         cost: CostEstimate {
             steps,
-            memo_bytes: chain_bytes(objects),
+            memo_bytes: chain_bytes(objects, steps),
             exact_steps: true,
         },
         upper_bound: upper_bound.clamp(0.0, 1.0),
@@ -513,9 +513,10 @@ fn base_bytes(q: &Query, layers: &[Vec<u32>]) -> u64 {
     RESULT_ENTRY_BYTES + result_extra + LAYERS_ENTRY_BYTES + layers_extra
 }
 
-/// Shared-cache bytes a chain query can add: its result entry.
-fn chain_bytes(objects: &[ObjectId]) -> u64 {
-    RESULT_ENTRY_BYTES + objects.len() as u64 * 4
+/// Shared-cache bytes a chain query can add: its result entry plus one
+/// link entry per scanned link.
+fn chain_bytes(objects: &[ObjectId], scanned: u64) -> u64 {
+    RESULT_ENTRY_BYTES + objects.len() as u64 * 4 + scanned * LINK_ENTRY_BYTES
 }
 
 #[cfg(test)]

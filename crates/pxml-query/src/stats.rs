@@ -147,6 +147,10 @@ pub struct EngineStats {
     pub layers_hits: AtomicU64,
     /// Locate-layer memo misses (forward traversals run).
     pub layers_misses: AtomicU64,
+    /// Chain-link marginal memo hits.
+    pub link_hits: AtomicU64,
+    /// Chain-link marginal memo misses.
+    pub link_misses: AtomicU64,
     /// OPF entries visited by survival/marginal evaluations — the `|℘|`
     /// work measure of the paper's Figure 7 cost model.
     pub opf_entries_visited: AtomicU64,
@@ -184,7 +188,7 @@ pub struct EngineStats {
     pub batches_run: AtomicU64,
     /// Mutations applied through `QueryEngine::apply_mutation`.
     pub mutations_applied: AtomicU64,
-    /// Cache entries evicted by dirty-set invalidation (both tables;
+    /// Cache entries evicted by dirty-set invalidation (all three tables;
     /// whole-table byte-ceiling evictions are counted separately).
     pub cache_invalidations: AtomicU64,
     /// Nanoseconds spent applying mutations (§6.1 recomputation plus
@@ -238,6 +242,8 @@ impl EngineStats {
         }
         add(&self.layers_hits, t.layers_hits);
         add(&self.layers_misses, t.layers_misses);
+        add(&self.link_hits, t.link_hits);
+        add(&self.link_misses, t.link_misses);
         add(&self.opf_entries_visited, t.opf_entries);
         add(&self.preflight_zeros, u64::from(t.preflight_zero));
         add(&self.preflight_rewrites, u64::from(t.preflight_rewrite));
@@ -273,6 +279,8 @@ impl EngineStats {
             &self.result_misses,
             &self.layers_hits,
             &self.layers_misses,
+            &self.link_hits,
+            &self.link_misses,
             &self.opf_entries_visited,
             &self.queries_degraded,
             &self.queries_exhausted,
@@ -317,8 +325,8 @@ impl EngineStats {
             layers_misses: g(&self.layers_misses),
             eps_hits: 0,
             eps_misses: 0,
-            link_hits: 0,
-            link_misses: 0,
+            link_hits: g(&self.link_hits),
+            link_misses: g(&self.link_misses),
             opf_entries_visited: g(&self.opf_entries_visited),
             queries_degraded,
             queries_exhausted,
@@ -361,11 +369,9 @@ pub struct StatsSnapshot {
     pub eps_hits: u64,
     /// ε-marginal memo misses: always 0 (see `eps_hits`).
     pub eps_misses: u64,
-    /// Chain-link memo hits: always 0, as no link memo exists; kept so
-    /// the STATS line and the `table="link"` metric families keep their
-    /// shape.
+    /// Chain-link memo hits.
     pub link_hits: u64,
-    /// Chain-link memo misses: always 0 (see `link_hits`).
+    /// Chain-link memo misses.
     pub link_misses: u64,
     /// OPF entries visited.
     pub opf_entries_visited: u64,
@@ -412,14 +418,16 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    /// Total cache hits across the result and layers tables.
+    /// Total cache hits across the result, layers and link tables
+    /// (`eps_hits` is always 0).
     pub fn total_hits(&self) -> u64 {
-        self.result_hits + self.layers_hits
+        self.result_hits + self.layers_hits + self.eps_hits + self.link_hits
     }
 
-    /// Total cache misses across the result and layers tables.
+    /// Total cache misses across the result, layers and link tables
+    /// (`eps_misses` is always 0).
     pub fn total_misses(&self) -> u64 {
-        self.result_misses + self.layers_misses
+        self.result_misses + self.layers_misses + self.eps_misses + self.link_misses
     }
 
     /// Hit fraction in `[0, 1]`; `0.0` when no lookups happened.

@@ -149,6 +149,8 @@ pub(crate) struct TraceTally {
     pub exhausted: bool,
     pub layers_hits: u64,
     pub layers_misses: u64,
+    pub link_hits: u64,
+    pub link_misses: u64,
     pub opf_entries: u64,
     pub locate_nanos: u64,
     pub marginal_nanos: u64,
@@ -191,6 +193,10 @@ pub struct QueryTrace {
     pub layers_hits: u64,
     /// Locate-layer memo misses (forward traversals run).
     pub layers_misses: u64,
+    /// Chain-link marginal memo hits.
+    pub link_hits: u64,
+    /// Chain-link marginal memo misses.
+    pub link_misses: u64,
     /// OPF entries visited — the `|℘|` work measure of Figure 7.
     pub opf_entries: u64,
     /// Budget work steps spent (0 for ungoverned queries).
@@ -229,6 +235,8 @@ impl QueryTrace {
             ("normalise_nanos", self.normalise_nanos),
             ("layers_hits", self.layers_hits),
             ("layers_misses", self.layers_misses),
+            ("link_hits", self.link_hits),
+            ("link_misses", self.link_misses),
             ("opf_entries", self.opf_entries),
             ("budget_steps", self.budget_steps),
             ("budget_polls", self.budget_polls),
@@ -304,6 +312,8 @@ impl QueryTrace {
             result_hit,
             layers_hits: num("layers_hits")?,
             layers_misses: num("layers_misses")?,
+            link_hits: num("link_hits")?,
+            link_misses: num("link_misses")?,
             opf_entries: num("opf_entries")?,
             budget_steps: num("budget_steps")?,
             budget_polls: num("budget_polls")?,
@@ -617,6 +627,8 @@ mod tests {
             result_hit: false,
             layers_hits: 1,
             layers_misses: 0,
+            link_hits: 0,
+            link_misses: 0,
             opf_entries: 12,
             budget_steps: 0,
             budget_polls: 0,

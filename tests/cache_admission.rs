@@ -1,5 +1,5 @@
 //! Admission/eviction hammer for the byte-governed [`MarginalCache`]:
-//! multi-threaded churn across both tables under a tight ceiling,
+//! multi-threaded churn across all three tables under a tight ceiling,
 //! then accounting proofs — the running byte total must equal the
 //! recomputed sum of live entry costs, and oversized inserts must be
 //! refused without evicting warm state (the admission-thrash bug).
@@ -28,12 +28,6 @@ fn exists_query(raw: u32) -> Query {
     Query::Exists { path: PathExpr::new(o(raw), lp(raw).labels().to_vec()) }
 }
 
-/// A point query over the same path as [`exists_query`], targeting the
-/// first object that path's layers entry locates.
-fn point_query(raw: u32) -> Query {
-    Query::Point { path: PathExpr::new(o(raw), lp(raw).labels().to_vec()), object: o(4 * raw) }
-}
-
 fn chain_query(raw: u32, len: u32) -> Query {
     Query::Chain { objects: (raw..raw + 1 + len % 4).map(o).collect() }
 }
@@ -43,19 +37,19 @@ fn layers(raw: u32, len: u32) -> Arc<Vec<Vec<u32>>> {
     Arc::new(vec![(raw..raw + len).collect()])
 }
 
-/// One deterministic put: `sel` picks the table (three selectors land in
-/// the results table, as chain, exists and point queries), `raw` the
-/// key, `len` scales value-bearing entry costs.
+/// One deterministic put: `sel` picks the table (two selectors land in
+/// the results table, as chain and as exists queries), `raw` the key,
+/// `len` scales value-bearing entry costs.
 fn put(cache: &MarginalCache, sel: u8, raw: u32, len: u32) {
     match sel % 4 {
         0 => cache.put_result(chain_query(raw % 32, len), Ok(0.5)),
         1 => cache.put_layers(o(raw % 32), lp(raw), layers(raw, 1 + len % 24)),
         2 => cache.put_result(exists_query(raw % 32), Ok(0.25)),
-        _ => cache.put_result(point_query(raw % 32), Ok(0.125)),
+        _ => cache.put_link(raw % 32, raw % 3, 0.125),
     }
 }
 
-/// Multi-threaded churn across both tables under a ceiling small
+/// Multi-threaded churn across all three tables under a ceiling small
 /// enough to keep admission/eviction/refusal all hot. After quiescence
 /// the running byte total must equal the recomputed sum of live entry
 /// costs exactly — any drift means an admit path skipped accounting.
@@ -106,7 +100,7 @@ fn concurrent_churn_keeps_byte_accounting_exact() {
     );
 }
 
-/// Warm both tables below the ceiling, then hammer oversized puts
+/// Warm all three tables below the ceiling, then hammer oversized puts
 /// from many threads: every one must be refused (counted), none may
 /// evict, and the warm entries must still hit afterwards.
 #[test]
@@ -120,7 +114,7 @@ fn oversized_hammer_causes_zero_spurious_evictions() {
     for i in 0..4 {
         cache.put_result(chain_query(i, 1), Ok(0.5));
         cache.put_result(exists_query(i), Ok(0.25));
-        cache.put_result(point_query(i), Ok(0.125));
+        cache.put_link(i, 0, 0.125);
     }
     cache.put_layers(o(0), lp(0), layers(0, 4));
     let warm_bytes = cache.approx_bytes();
@@ -151,7 +145,7 @@ fn oversized_hammer_causes_zero_spurious_evictions() {
     for i in 0..4 {
         assert!(cache.get_result(&chain_query(i, 1)).is_some(), "warm result {i} lost");
         assert!(cache.get_result(&exists_query(i)).is_some(), "warm exists result {i} lost");
-        assert!(cache.get_result(&point_query(i)).is_some(), "warm point result {i} lost");
+        assert!(cache.get_link(i, 0).is_some(), "warm link {i} lost");
     }
     assert!(cache.get_layers(o(0), &lp(0)).is_some(), "warm layers lost");
     assert_eq!(cache.approx_bytes(), warm_bytes, "footprint must be untouched");
@@ -159,9 +153,9 @@ fn oversized_hammer_causes_zero_spurious_evictions() {
 }
 
 /// Regression for dirty-set invalidation over row-keyed entries: the
-/// layers table holds raw object ids, and `invalidate_dirty` (one dirty
-/// id set testing chain results and the layers witnesses of point and
-/// exists results) must free exactly the admitted costs —
+/// layers and link tables hold raw object ids, and `invalidate_dirty`
+/// (one dirty id set testing chain results, the layers witnesses and
+/// the link table) must free exactly the admitted costs —
 /// `approx == recomputed` must hold after it.
 #[test]
 fn invalidation_over_index_keyed_entries_keeps_accounting_exact() {
@@ -172,19 +166,20 @@ fn invalidation_over_index_keyed_entries_keeps_accounting_exact() {
         // Entry i locates the objects 4i..4i+4.
         cache.put_layers(o(i), lp(i), layers(4 * i, 4));
         cache.put_result(exists_query(i), Ok(0.25));
-        cache.put_result(point_query(i), Ok(0.125));
+        cache.put_link(i, i % 3, 0.125);
     }
     assert_eq!(cache.approx_bytes(), cache.recomputed_bytes());
 
     let direct: HashSet<u32> = (0..8u32).collect();
     let counts = cache.invalidate_dirty(&direct, true, None);
-    assert_eq!(counts.results, 8 + 2 + 2, "chains over D, paths over the dirty witnesses");
+    assert_eq!(counts.results, 8 + 2, "chains over D, exists over the dirty witnesses");
     assert_eq!(counts.layers, 2, "layers evicted per dirty id set");
+    assert_eq!(counts.links, 8, "links evicted per dirty id set");
     assert_eq!(cache.approx_bytes(), cache.recomputed_bytes());
     for i in 0..16u32 {
         assert_eq!(cache.get_result(&exists_query(i)).is_some(), i >= 2, "exists {i}");
-        assert_eq!(cache.get_result(&point_query(i)).is_some(), i >= 2, "point {i}");
         assert_eq!(cache.get_layers(o(i), &lp(i)).is_some(), i >= 2, "layers {i}");
+        assert_eq!(cache.get_link(i, i % 3).is_some(), i >= 8, "link {i}");
     }
 }
 
@@ -196,7 +191,7 @@ enum Op {
     SetMax(u64),
 }
 
-/// A deterministic op script: mostly puts across both tables,
+/// A deterministic op script: mostly puts across all three tables,
 /// seasoned with wholesale clears and ceiling moves.
 fn op_script(seed: u64, steps: usize) -> Vec<Op> {
     let mut rng = StdRng::seed_from_u64(seed);

@@ -380,6 +380,7 @@ fn reports_are_pinned_bit_for_bit() {
         assert!(seen.contains_key(kind), "no pinned report reaches {kind}: {seen:?}");
     }
     assert_eq!(reports, 3_181, "pinned query count");
-    // Taken when chain memo bytes stopped counting link-memo entries.
-    assert_eq!(h.0, 15_531_782_399_320_837_316, "pre-flight reports changed");
+    // Taken when the analyser still read a separately built structural
+    // summary of the instance.
+    assert_eq!(h.0, 15_993_476_095_756_500_004, "pre-flight reports changed");
 }

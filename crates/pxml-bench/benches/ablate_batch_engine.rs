@@ -10,7 +10,7 @@
 //!
 //! §7.1 workloads draw query labels from a 2-letter per-depth alphabet,
 //! so a 1000-query batch holds few distinct queries and many shared
-//! paths — what the whole-query and located-layers memos exploit.
+//! paths — what the whole-query memo exploits.
 //!
 //! `cargo bench -p pxml-bench --bench ablate_batch_engine`
 

@@ -87,7 +87,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
-use pxml_query::{Answer, BudgetSpec, DegradePolicy, QueryEngine};
+use pxml_query::{push_json_escaped, Answer, BudgetSpec, DegradePolicy, QueryEngine};
 use pxml_storage::{AttachOutcome, FsyncPolicy, Wal, WalCounters};
 
 use crate::protocol::{
@@ -825,13 +825,15 @@ impl ServerInner {
         if let Some(d) = timing.wal {
             waits.push_str(&format!(",\"wal_us\":{}", d.as_micros()));
         }
-        let line = format!(
-            "{{\"verb\":\"{}\",\"status\":{},\"micros\":{}{waits},\"detail\":\"{}\"}}\n",
-            json_escape(verb),
+        let mut line = String::from("{\"verb\":\"");
+        push_json_escaped(&mut line, verb);
+        line.push_str(&format!(
+            "\",\"status\":{},\"micros\":{}{waits},\"detail\":\"",
             status.exit_code(),
-            elapsed.as_micros(),
-            json_escape(&detail),
-        );
+            elapsed.as_micros()
+        ));
+        push_json_escaped(&mut line, &detail);
+        line.push_str("\"}\n");
         let mut f = trace.lock();
         let _ = f.write_all(line.as_bytes());
     }
@@ -1431,22 +1433,6 @@ fn handle_http(inner: &Arc<ServerInner>, conn: &mut Conn) {
     );
     let _ = conn.write_all(response.as_bytes());
     let _ = conn.flush();
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------

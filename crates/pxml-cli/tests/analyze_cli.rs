@@ -31,10 +31,10 @@ PROJECT ANCESTOR R.book.title
 SELECT R.book = B1
 "#;
 
-const REPORT: &str = r#"line 1: clean (steps <= 3, exact, memo <= 264 B, p <= 1.000000)
-line 2: clean (steps <= 2, exact, memo <= 264 B, p <= 0.800000)
-line 3: clean (steps <= 2, exact, memo <= 264 B, p <= 0.440000)
-line 4: clean (steps <= 1, exact, memo <= 228 B, p <= 1.000000)
+const REPORT: &str = r#"line 1: clean (steps <= 3, exact, memo <= 104 B, p <= 1.000000)
+line 2: clean (steps <= 2, exact, memo <= 104 B, p <= 0.800000)
+line 3: clean (steps <= 2, exact, memo <= 104 B, p <= 0.440000)
+line 4: clean (steps <= 1, exact, memo <= 100 B, p <= 1.000000)
 line 5: clean (steps <= 3, exact, memo <= 232 B, p <= 0.480000)
 line 6: clean (steps <= 2, exact, memo <= 188 B, p <= 0.800000)
 line 7: AQ008 non-tree-region: kept region is not tree-shaped at o#5: ungoverned evaluation returns NotTreeShaped, governed evaluation falls back to DAG inclusion–exclusion
@@ -55,9 +55,9 @@ analyzed 20 queries: 8 clean, 12 flagged, 0 budget-rejected
 "#;
 
 const REPORT_MAX_STEPS_2: &str = r#"line 1: AQ006 budget-rejected: predicted 3 steps exceed the 2-step budget
-line 2: clean (steps <= 2, exact, memo <= 264 B, p <= 0.800000)
-line 3: clean (steps <= 2, exact, memo <= 264 B, p <= 0.440000)
-line 4: clean (steps <= 1, exact, memo <= 228 B, p <= 1.000000)
+line 2: clean (steps <= 2, exact, memo <= 104 B, p <= 0.800000)
+line 3: clean (steps <= 2, exact, memo <= 104 B, p <= 0.440000)
+line 4: clean (steps <= 1, exact, memo <= 100 B, p <= 1.000000)
 line 5: AQ006 budget-rejected: predicted 3 steps exceed the 2-step budget
 line 6: clean (steps <= 2, exact, memo <= 188 B, p <= 0.800000)
 line 7: AQ008 non-tree-region: kept region is not tree-shaped at o#5: ungoverned evaluation returns NotTreeShaped, governed evaluation falls back to DAG inclusion–exclusion

@@ -212,8 +212,8 @@ fn mutate_is_visible_until_reload_reverts_it() {
 
 /// The STATS reply keeps the shape the end-to-end benchmark parses: a
 /// `H/M` token after each of `result`, `layers`, `eps` and `link`, and
-/// counts after `applied` and `invalidations`. `eps` reads `0/0` on the
-/// ungoverned path, which keeps no ε memo.
+/// counts after `applied` and `invalidations`. `eps` and `layers` always
+/// read `0/0`: the cache keeps no ε memo and no located-layers memo.
 #[test]
 fn stats_reply_keeps_the_tokens_the_benchmark_parses() {
     let (handle, target, _) = start_two("stats_tokens");
@@ -234,7 +234,7 @@ fn stats_reply_keeps_the_tokens_the_benchmark_parses() {
         (h.parse::<u64>().expect("hits"), m.parse::<u64>().expect("misses"))
     };
     assert_eq!(table("result"), (1, 1), "{stats}");
-    assert_eq!(table("layers"), (0, 1), "{stats}");
+    assert_eq!(table("layers"), (0, 0), "{stats}");
     assert_eq!(table("eps"), (0, 0), "{stats}");
     assert_eq!(table("link"), (0, 0), "{stats}");
     assert_eq!(after("applied").parse::<u64>().ok(), Some(0), "{stats}");

@@ -10,8 +10,6 @@
 //! holds is exactly what evaluation would recompute against the current
 //! instance:
 //!
-//! * **layers** — read the cached raw ids as [`ObjectId`]s and compare
-//!   with the legacy forward locate pass (`layers_weak`).
 //! * **links** — compare against `℘(parent)`'s marginal at the cached
 //!   universe position.
 //! * **results** — rerun each cached query on a fresh single-threaded
@@ -21,8 +19,6 @@
 //! The audit is test/debug machinery — it is deliberately `O(cache)` ×
 //! `O(instance)` and takes no shortcuts from the very caches it audits.
 
-use pxml_algebra::locate::layers_weak;
-use pxml_algebra::path::PathExpr;
 use pxml_core::ObjectId;
 
 use crate::engine::QueryEngine;
@@ -34,7 +30,6 @@ impl QueryEngine {
     pub fn audit_cache(&self) -> Vec<String> {
         let mut findings = Vec::new();
         self.audit_bytes(&mut findings);
-        self.audit_layers(&mut findings);
         self.audit_links(&mut findings);
         self.audit_results(&mut findings);
         findings
@@ -50,24 +45,6 @@ impl QueryEngine {
             findings.push(format!(
                 "bytes: running total {accounted} != recomputed sum of live entry costs {recomputed}"
             ));
-        }
-    }
-
-    fn audit_layers(&self, findings: &mut Vec<String>) {
-        let pi = self.instance();
-        for ((root, labels), cached) in self.cache().layer_entries() {
-            let cached: Vec<Vec<ObjectId>> =
-                cached.iter().map(|l| l.iter().map(|&x| ObjectId::from_raw(x)).collect()).collect();
-            let p = PathExpr::new(root, labels.labels().to_vec());
-            let fresh = layers_weak(pi.weak(), &p);
-            if cached != fresh {
-                findings.push(format!(
-                    "layers[{root:?}, {:?}]: cached {:?} != fresh {:?}",
-                    labels.labels(),
-                    cached,
-                    fresh
-                ));
-            }
         }
     }
 

@@ -1,22 +1,11 @@
 //! The shared marginalisation cache behind [`crate::engine::QueryEngine`].
 //!
-//! Three memo tables, each guarded by its own [`parking_lot::RwLock`] so
+//! Two memo tables, each guarded by its own [`parking_lot::RwLock`] so
 //! concurrent workers contend only on the table they touch:
 //!
 //! * **results** — whole-query memo: `Query → Result<f64>`. Duplicate
 //!   queries in a batch (common in generated workloads, where distinct
 //!   path expressions are few) cost one lookup.
-//! * **layers** — the forward locate pass, keyed by `(root, full label
-//!   path)` and holding sorted raw object ids, the row numbers of the
-//!   engine's [`pxml_core::ArenaInstance`]. Point and exists queries
-//!   over the same path share one traversal on a non-forest arena, and
-//!   so do governed runs. On a forest an ungoverned point or exists
-//!   query evaluates in one pass over the arena and never reads or
-//!   writes this table (except to name an error). An entry doubles as
-//!   the witness that dirty-set invalidation tests the path's results
-//!   against, but only after a structural write or on a non-forest
-//!   arena: an entry-level write on a forest tests results against its
-//!   dirty objects' subtree numbers and root label paths instead.
 //! * **links** — per-OPF child marginals `(parent raw id, universe
 //!   position) → P(child present)` used by chain queries.
 //!
@@ -25,6 +14,12 @@
 //! shared `(object, path suffix, target)` ε table hit 15–24 times in
 //! ~470k lookups, and its inserts forced whole-table evictions under
 //! the byte ceiling.
+//!
+//! There is no located-layers memo either: on a forest an ungoverned
+//! point or exists query finds its region in one pass over the arena,
+//! so a layers table got 0 lookups on both e2ebench workloads and every
+//! `answer_checksums` replay. The region route (governed runs,
+//! non-forest arenas) locates the path afresh.
 //!
 //! The link memo saves only a sum of at most 2^b OPF entries per link.
 //! Reading `marginal_present` per link instead moved no e2ebench median
@@ -37,10 +32,9 @@
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use parking_lot::RwLock;
-use pxml_core::{DirtyScope, Label, LabelPath, ObjectId};
+use pxml_core::DirtyScope;
 
 use crate::engine::Query;
 use crate::error::Result;
@@ -70,13 +64,6 @@ impl<K, V> Default for Shard<K, V> {
         Shard { map: HashMap::new(), bytes: 0 }
     }
 }
-
-/// Per-depth located layers as sorted raw object ids, shared between
-/// queries over the same path.
-pub(crate) type Layers = Arc<Vec<Vec<u32>>>;
-
-/// The layers table: `(root, label path) → located layers`.
-type LayerTable = Shard<(ObjectId, LabelPath), Layers>;
 
 /// The shared cache. Cheap to clone the handle (`Arc` inside the engine);
 /// all tables are independently locked.
@@ -112,11 +99,10 @@ type LayerTable = Shard<(ObjectId, LabelPath), Layers>;
 #[derive(Debug, Default)]
 pub struct MarginalCache {
     results: RwLock<Shard<Query, Result<f64>>>,
-    layers: RwLock<LayerTable>,
     links: RwLock<Shard<(u32, u32), f64>>,
     /// Byte ceiling; 0 = unlimited.
     max_bytes: AtomicU64,
-    /// Sum of the three shards' `bytes` (kept in lock-step under the
+    /// Sum of the two shards' `bytes` (kept in lock-step under the
     /// respective write locks; reads are advisory).
     total_bytes: AtomicU64,
     /// Whole-table evictions performed by the admission path.
@@ -126,10 +112,9 @@ pub struct MarginalCache {
 }
 
 /// Flat per-entry cost estimates (key + value + hash-table slot). The
-/// variable-length parts (chain object lists, layer vectors) are added
-/// on top at the insert sites.
+/// variable-length part (a result key's object or label list) is added
+/// on top at the insert site.
 pub(crate) const RESULT_ENTRY_BYTES: u64 = 96;
-pub(crate) const LAYERS_ENTRY_BYTES: u64 = 64;
 pub(crate) const LINK_ENTRY_BYTES: u64 = 40;
 
 impl MarginalCache {
@@ -149,7 +134,7 @@ impl MarginalCache {
         self.max_bytes.load(Ordering::Relaxed)
     }
 
-    /// The approximate accounted footprint of all three tables.
+    /// The approximate accounted footprint of both tables.
     pub fn approx_bytes(&self) -> u64 {
         self.total_bytes.load(Ordering::Relaxed)
     }
@@ -173,7 +158,7 @@ impl MarginalCache {
     }
 
     /// The accounted footprint recomputed from scratch — the sum of
-    /// every live entry's admitted cost across all three tables. Equal to
+    /// every live entry's admitted cost across both tables. Equal to
     /// [`MarginalCache::approx_bytes`] whenever the cache is quiescent;
     /// tests and `audit_cache` use the pair to prove the incremental
     /// accounting never drifts.
@@ -181,7 +166,7 @@ impl MarginalCache {
         fn sum<K, V>(shard: &RwLock<Shard<K, V>>) -> u64 {
             shard.read().map.values().map(|e| e.cost).sum()
         }
-        sum(&self.results) + sum(&self.layers) + sum(&self.links)
+        sum(&self.results) + sum(&self.links)
     }
 
     /// Byte-governed insert into one shard, following the documented
@@ -215,9 +200,8 @@ impl MarginalCache {
             }
         }
         // Replacement re-accounts: subtract the displaced entry's
-        // admitted cost, add the new one. (Costs for one key can differ
-        // across inserts in the value-bearing tables, e.g. a layers
-        // entry recomputed after a mutation.)
+        // admitted cost, add the new one, so the total stays exact even
+        // if two estimates for one key ever differ.
         let displaced = s.map.insert(key, Entry { value, cost }).map_or(0, |e| e.cost);
         s.bytes = s.bytes.saturating_sub(displaced).saturating_add(cost);
         if cost >= displaced {
@@ -234,26 +218,8 @@ impl MarginalCache {
 
     /// Whole-query insert.
     pub fn put_result(&self, q: Query, r: Result<f64>) {
-        let extra = match &q {
-            Query::Chain { objects } => objects.len() as u64 * 4,
-            Query::Point { path, .. } | Query::Exists { path } => path.labels.len() as u64 * 4,
-        };
-        self.admit(&self.results, q, r, RESULT_ENTRY_BYTES + extra);
-    }
-
-    /// Located-layers lookup for `(root, path labels)`: sorted raw
-    /// object ids.
-    pub fn get_layers(&self, root: ObjectId, path: &LabelPath) -> Option<Layers> {
-        self.layers.read().map.get(&(root, path.clone())).map(|e| Arc::clone(&e.value))
-    }
-
-    /// Located-layers insert. Each layer must be sorted ascending (as
-    /// `ArenaInstance::layers_flat_from` returns them): invalidation
-    /// binary-searches them.
-    pub fn put_layers(&self, root: ObjectId, path: LabelPath, layers: Layers) {
-        debug_assert!(layers.iter().all(|l| l.is_sorted()), "layers must be sorted");
-        let extra: u64 = layers.iter().map(|l| 24 + l.len() as u64 * 4).sum();
-        self.admit(&self.layers, (root, path), layers, LAYERS_ENTRY_BYTES + extra);
+        let cost = result_cost(&q);
+        self.admit(&self.results, q, r, cost);
     }
 
     /// Chain-link marginal lookup: `P(child at universe position ∈
@@ -267,7 +233,7 @@ impl MarginalCache {
         self.admit(&self.links, (parent, pos), value, LINK_ENTRY_BYTES);
     }
 
-    /// Drops every memoised entry (all three tables).
+    /// Drops every memoised entry (both tables).
     pub fn clear(&self) {
         fn wipe<K, V>(shard: &RwLock<Shard<K, V>>) {
             let mut s = shard.write();
@@ -275,20 +241,19 @@ impl MarginalCache {
             s.bytes = 0;
         }
         wipe(&self.results);
-        wipe(&self.layers);
         wipe(&self.links);
         self.total_bytes.store(0, Ordering::Relaxed);
     }
 
-    /// Entry counts `(results, layers, links)` — used by stats
-    /// reporting and tests.
-    pub fn len(&self) -> (usize, usize, usize) {
-        (self.results.read().map.len(), self.layers.read().map.len(), self.links.read().map.len())
+    /// Entry counts `(results, links)` — used by stats reporting and
+    /// tests.
+    pub fn len(&self) -> (usize, usize) {
+        (self.results.read().map.len(), self.links.read().map.len())
     }
 
     /// True when no table holds any entry.
     pub fn is_empty(&self) -> bool {
-        self.len() == (0, 0, 0)
+        self.len() == (0, 0)
     }
 
     /// Dirty-set invalidation after a mutation: evicts exactly the
@@ -296,145 +261,60 @@ impl MarginalCache {
     ///
     /// `direct` is the set `D` of directly changed objects (mutated
     /// parents, removed objects, the inserted object) as raw ids — the
-    /// arena rows the layers and link tables are keyed by. Per table:
+    /// arena rows the link table is keyed by. Per table:
     ///
     /// * **links** — `(parent, pos)` memoises one OPF marginal: evict
     ///   `parent ∈ D`.
-    /// * **layers** — located layers depend only on the weak skeleton,
-    ///   so entry-level mutations keep them valid; on structural
-    ///   mutations evict entries with any located object in `D`. This is
-    ///   sound for *additions* too: a newly locatable path must traverse
-    ///   the mutated parent `P`, and its prefix uses only pre-existing
-    ///   edges, so `P ∈ D` already appears in the stale entry's layers.
     /// * **results** — `Chain` answers touch exactly their listed
     ///   objects: evict on overlap with `D`. `Point`/`Exists` answers
-    ///   are tested in one of two ways:
-    ///   - `scope` is passed for an entry-level write on a forest, where
-    ///     it holds `D`'s subtree numbers and root label paths
-    ///     ([`DirtyScope`]). A point result is stale when a member of `D`
-    ///     is a proper weak ancestor of its target, and an exists result
-    ///     when a member of `D` is located by a proper prefix of its
-    ///     path (an exists answer reads no OPF of its targets). Each
-    ///     test is a few integer or label compares per member of `D`,
-    ///     with no hashing and no layers lookup.
-    ///   - Otherwise (a structural write, or a non-forest arena), the
-    ///     answer is determined by the path's located layers plus the
-    ///     OPFs of objects in them, so consult this cache's own layers
-    ///     entry for the path, the *witness* (results are therefore
-    ///     evicted *before* layers), and evict on overlap with `D`. A
-    ///     result without a witness is evicted conservatively. A layers
-    ///     entry touches `D` when some member of `D` is found by binary
-    ///     search in one of its sorted layers; each distinct `(root,
-    ///     labels)` verdict is computed once per call and shared by every
-    ///     result over that path.
+    ///   are tested by `scope` when the write has one: an entry-level
+    ///   write on a forest, where it holds `D`'s subtree numbers and
+    ///   root label paths ([`DirtyScope`]). A point result is stale when
+    ///   a member of `D` is a proper weak ancestor of its target, and an
+    ///   exists result when a member of `D` is located by a proper prefix
+    ///   of its path (an exists answer reads no OPF of its targets). Each
+    ///   test is a few integer or label compares per member of `D`. Any
+    ///   other write (a structural one, or any write on a non-forest
+    ///   arena) evicts every point and exists result.
     ///
-    /// The layers table and its witness role thus serve only non-forest
-    /// arenas and structural writes (plus governed runs, which locate
-    /// through it). Freed bytes are the entries' *admitted* costs, so
-    /// the accounting stays exactly in step with `admit`.
+    /// Freed bytes are the entries' *admitted* costs, so the accounting
+    /// stays exactly in step with `admit`.
     pub fn invalidate_dirty(
         &self,
         direct: &HashSet<u32>,
-        structural: bool,
         scope: Option<&DirtyScope<'_>>,
     ) -> InvalidationCounts {
-        debug_assert!(!(structural && scope.is_some()), "a structural write changes the skeleton");
-        let mut counts = InvalidationCounts::default();
-        let chain_stale = |objects: &[ObjectId]| objects.iter().any(|o| direct.contains(&o.raw()));
-        let mut dirty: Vec<u32> = direct.iter().copied().collect();
-        dirty.sort_unstable();
-        let touches_direct = |layers: &[Vec<u32>]| {
-            layers.iter().any(|l| dirty.iter().any(|x| l.binary_search(x).is_ok()))
-        };
-        // Witness verdicts by root, then by label sequence (looked up by
-        // slice, so a memo hit allocates nothing); `None` = no witness.
-        let mut verdicts: HashMap<ObjectId, HashMap<Vec<Label>, Option<bool>>> = HashMap::new();
-
-        if let Some(scope) = scope {
-            self.evict_results(&mut counts, |q| match q {
-                Query::Chain { objects } => chain_stale(objects),
-                Query::Point { object, .. } => scope.point_stale(*object),
-                Query::Exists { path } => scope.exists_stale(path.root, &path.labels),
-            });
-        } else {
-            // The Point/Exists test reads the layers table, which must
-            // still hold the pre-mutation entries.
-            let layers = self.layers.read();
-            self.evict_results(&mut counts, |q| match q {
-                Query::Chain { objects } => chain_stale(objects),
-                Query::Point { path, .. } | Query::Exists { path } => {
-                    let memo = verdicts.entry(path.root).or_default();
-                    let witness = match memo.get(&path.labels[..]) {
-                        Some(&v) => v,
-                        None => {
-                            let key = (path.root, LabelPath::from(&path.labels[..]));
-                            let v = layers.map.get(&key).map(|l| touches_direct(&l.value));
-                            memo.insert(path.labels.clone(), v);
-                            v
-                        }
-                    };
-                    witness.unwrap_or(true) // no witness — evict conservatively
-                }
-            });
-        }
-
-        if structural {
-            let mut s = self.layers.write();
-            let mut freed = 0u64;
-            s.map.retain(|(root, labels), e| {
-                let known =
-                    verdicts.get(root).and_then(|m| m.get(labels.labels())).copied().flatten();
-                let stale = known.unwrap_or_else(|| touches_direct(&e.value));
-                if stale {
-                    freed += e.cost;
-                    counts.layers += 1;
-                }
-                !stale
-            });
-            s.bytes = s.bytes.saturating_sub(freed);
-            self.total_bytes.fetch_sub(freed, Ordering::Relaxed);
-        }
-
-        let mut s = self.links.write();
-        let mut freed = 0u64;
-        s.map.retain(|(parent, _), e| {
-            let stale = direct.contains(parent);
-            if stale {
-                freed += e.cost;
-                counts.links += 1;
-            }
-            !stale
+        let results = self.evict(&self.results, |q| match (q, scope) {
+            (Query::Chain { objects }, _) => objects.iter().any(|o| direct.contains(&o.raw())),
+            (Query::Point { object, .. }, Some(scope)) => scope.point_stale(*object),
+            (Query::Exists { path }, Some(scope)) => scope.exists_stale(path.root, &path.labels),
+            (Query::Point { .. } | Query::Exists { .. }, None) => true,
         });
-        s.bytes = s.bytes.saturating_sub(freed);
-        self.total_bytes.fetch_sub(freed, Ordering::Relaxed);
-        counts
+        let links = self.evict(&self.links, |(parent, _)| direct.contains(parent));
+        InvalidationCounts { results, links }
     }
 
-    /// Evicts every result `stale` says is stale, freeing its admitted
-    /// cost.
-    fn evict_results(&self, counts: &mut InvalidationCounts, mut stale: impl FnMut(&Query) -> bool) {
-        let mut s = self.results.write();
-        let mut freed = 0u64;
-        s.map.retain(|q, e| {
-            let stale = stale(q);
+    /// Evicts every entry of `shard` whose key `stale` says is stale,
+    /// freeing its admitted cost; returns how many went.
+    fn evict<K, V>(&self, shard: &RwLock<Shard<K, V>>, mut stale: impl FnMut(&K) -> bool) -> u64 {
+        let mut s = shard.write();
+        let (mut evicted, mut freed) = (0, 0);
+        s.map.retain(|k, e| {
+            let stale = stale(k);
             if stale {
+                evicted += 1;
                 freed += e.cost;
-                counts.results += 1;
             }
             !stale
         });
         s.bytes = s.bytes.saturating_sub(freed);
         self.total_bytes.fetch_sub(freed, Ordering::Relaxed);
+        evicted
     }
 
     /// Snapshot of the whole-query memo (audit support).
     pub(crate) fn result_entries(&self) -> Vec<(Query, Result<f64>)> {
         self.results.read().map.iter().map(|(k, e)| (k.clone(), e.value.clone())).collect()
-    }
-
-    /// Snapshot of the located-layers memo (audit support).
-    pub(crate) fn layer_entries(&self) -> LayerEntries {
-        self.layers.read().map.iter().map(|(k, e)| (k.clone(), Arc::clone(&e.value))).collect()
     }
 
     /// Snapshot of the link-marginal memo (audit support). Keys are
@@ -444,9 +324,15 @@ impl MarginalCache {
     }
 }
 
-/// Snapshot of the located-layers memo: `(root, label path)` key plus
-/// the cached per-depth layers (audit support).
-pub(crate) type LayerEntries = Vec<((ObjectId, LabelPath), Layers)>;
+/// The admitted cost of `q`'s result entry: the flat entry size plus
+/// its key's object or label list.
+pub(crate) fn result_cost(q: &Query) -> u64 {
+    let extra = match q {
+        Query::Chain { objects } => objects.len() as u64 * 4,
+        Query::Point { path, .. } | Query::Exists { path } => path.labels.len() as u64 * 4,
+    };
+    RESULT_ENTRY_BYTES + extra
+}
 
 /// Per-table eviction counts from one [`MarginalCache::invalidate_dirty`]
 /// call.
@@ -454,29 +340,29 @@ pub(crate) type LayerEntries = Vec<((ObjectId, LabelPath), Layers)>;
 pub struct InvalidationCounts {
     /// Whole-query results evicted.
     pub results: u64,
-    /// Located-layer entries evicted.
-    pub layers: u64,
     /// Link marginals evicted.
     pub links: u64,
 }
 
 impl InvalidationCounts {
-    /// Total entries evicted across all three tables.
+    /// Total entries evicted across both tables.
     pub fn total(&self) -> u64 {
-        self.results + self.layers + self.links
+        self.results + self.links
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pxml_core::ObjectId;
 
     fn o(raw: u32) -> ObjectId {
         ObjectId::from_raw(raw)
     }
 
-    fn layer_cost(lens: &[usize]) -> u64 {
-        LAYERS_ENTRY_BYTES + lens.iter().map(|&n| 24 + n as u64 * 4).sum::<u64>()
+    /// A chain result over `n` objects, and its admitted cost.
+    fn chain(n: u32) -> (Query, u64) {
+        (Query::Chain { objects: (0..n).map(o).collect() }, RESULT_ENTRY_BYTES + u64::from(n) * 4)
     }
 
     /// The verified bug: an entry whose cost alone busts the ceiling used
@@ -492,16 +378,15 @@ mod tests {
         }
         assert_eq!(cache.approx_bytes(), 4 * LINK_ENTRY_BYTES);
 
-        let big: Layers = Arc::new(vec![(0..100).collect()]);
-        let path = LabelPath::new(vec![Label::from_raw(1)]);
-        assert!(layer_cost(&[100]) > cache.max_bytes());
+        let (big, cost) = chain(100);
+        assert!(cost > cache.max_bytes());
         for _ in 0..10 {
-            cache.put_layers(o(0), path.clone(), Arc::clone(&big));
+            cache.put_result(big.clone(), Ok(0.5));
         }
 
         assert_eq!(cache.evictions(), 0, "oversized puts must not evict");
         assert_eq!(cache.admission_rejections(), 10);
-        assert!(cache.get_layers(o(0), &path).is_none());
+        assert!(cache.get_result(&big).is_none());
         // Warm state survives: every link still hits.
         for i in 0..4 {
             assert_eq!(cache.get_link(i, 0), Some(0.5));
@@ -546,27 +431,27 @@ mod tests {
     /// The second bug: same-key replacement used to skip byte accounting
     /// entirely (`is_none()` guard), so a differing-cost replacement
     /// drifted the totals. Replacement must subtract the displaced cost
-    /// and add the new one.
+    /// and add the new one. Both tables derive an entry's cost from its
+    /// key, so the differing costs go through `admit` directly.
     #[test]
     fn replacement_reaccounts_bytes() {
         let cache = MarginalCache::new();
-        let path = LabelPath::new(vec![Label::from_raw(1)]);
-        let small: Layers = Arc::new(vec![vec![1]]);
-        let large: Layers = Arc::new(vec![(0..10).collect()]);
+        let (q, _) = chain(1);
 
-        cache.put_layers(o(0), path.clone(), Arc::clone(&small));
-        assert_eq!(cache.approx_bytes(), layer_cost(&[1]));
+        cache.admit(&cache.results, q.clone(), Ok(0.5), 100);
+        assert_eq!(cache.approx_bytes(), 100);
 
         // Grow: total must move to the new cost, not accumulate.
-        cache.put_layers(o(0), path.clone(), Arc::clone(&large));
-        assert_eq!(cache.approx_bytes(), layer_cost(&[10]));
+        cache.admit(&cache.results, q.clone(), Ok(0.25), 500);
+        assert_eq!(cache.approx_bytes(), 500);
         assert_eq!(cache.approx_bytes(), cache.recomputed_bytes());
 
         // Shrink back: total follows exactly.
-        cache.put_layers(o(0), path.clone(), small);
-        assert_eq!(cache.approx_bytes(), layer_cost(&[1]));
+        cache.admit(&cache.results, q.clone(), Ok(0.5), 100);
+        assert_eq!(cache.approx_bytes(), 100);
         assert_eq!(cache.approx_bytes(), cache.recomputed_bytes());
-        assert_eq!(cache.len(), (0, 1, 0));
+        assert_eq!(cache.len(), (1, 0));
+        assert_eq!(cache.get_result(&q), Some(Ok(0.5)));
     }
 
     /// Under a ceiling, replacing a key accounts for the bytes it frees:
@@ -575,146 +460,14 @@ mod tests {
     #[test]
     fn replacement_under_ceiling_counts_freed_bytes() {
         let cache = MarginalCache::new();
-        let path = LabelPath::new(vec![Label::from_raw(1)]);
-        let layers: Layers = Arc::new(vec![(0..10).collect()]);
-        cache.set_max_bytes(layer_cost(&[10]));
-        cache.put_layers(o(0), path.clone(), Arc::clone(&layers));
+        let (q, cost) = chain(10);
+        cache.set_max_bytes(cost);
+        cache.put_result(q.clone(), Ok(0.5));
         assert_eq!(cache.approx_bytes(), cache.max_bytes());
-        cache.put_layers(o(0), path.clone(), Arc::clone(&layers));
+        cache.put_result(q.clone(), Ok(0.5));
         assert_eq!(cache.evictions(), 0);
         assert_eq!(cache.admission_rejections(), 0);
-        assert!(cache.get_layers(o(0), &path).is_some());
+        assert!(cache.get_result(&q).is_some());
         assert_eq!(cache.approx_bytes(), cache.recomputed_bytes());
-    }
-
-    impl MarginalCache {
-        /// The linear-scan invalidation of the results and layers
-        /// tables the binary-search one replaced, kept as its oracle:
-        /// scans every object of every layer, once per cached result.
-        fn invalidate_results_and_layers_linear(
-            &self,
-            direct: &HashSet<u32>,
-            structural: bool,
-            counts: &mut InvalidationCounts,
-        ) {
-            let touches_direct =
-                |layers: &[Vec<u32>]| layers.iter().any(|l| l.iter().any(|x| direct.contains(x)));
-            {
-                let layers = self.layers.read();
-                let mut s = self.results.write();
-                let mut freed = 0u64;
-                s.map.retain(|q, e| {
-                    let stale = match q {
-                        Query::Chain { objects } => {
-                            objects.iter().any(|o| direct.contains(&o.raw()))
-                        }
-                        Query::Point { path, .. } | Query::Exists { path } => {
-                            match layers.map.get(&(path.root, LabelPath::from(&path.labels[..]))) {
-                                Some(l) => touches_direct(&l.value),
-                                None => true,
-                            }
-                        }
-                    };
-                    if stale {
-                        freed += e.cost;
-                        counts.results += 1;
-                    }
-                    !stale
-                });
-                s.bytes = s.bytes.saturating_sub(freed);
-                self.total_bytes.fetch_sub(freed, Ordering::Relaxed);
-            }
-            if structural {
-                let mut s = self.layers.write();
-                let mut freed = 0u64;
-                s.map.retain(|_, e| {
-                    let stale = touches_direct(&e.value);
-                    if stale {
-                        freed += e.cost;
-                        counts.layers += 1;
-                    }
-                    !stale
-                });
-                s.bytes = s.bytes.saturating_sub(freed);
-                self.total_bytes.fetch_sub(freed, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Over random sorted layers, results and dirty sets, the
-    /// binary-search invalidation evicts exactly the keys, and frees
-    /// exactly the bytes, that the linear scan does.
-    #[test]
-    fn binary_search_invalidation_matches_the_linear_scan() {
-        use pxml_algebra::path::PathExpr;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        let mut rng = StdRng::seed_from_u64(0x1a7e);
-        for round in 0..300 {
-            let objects = rng.gen_range(1..48u32);
-            let mut paths: Vec<(ObjectId, Vec<Label>)> = Vec::new();
-            for _ in 0..rng.gen_range(1..12) {
-                let len = rng.gen_range(0..4);
-                let labels = (0..len).map(|_| Label::from_raw(rng.gen_range(0..3u32))).collect();
-                paths.push((o(rng.gen_range(0..3u32)), labels));
-            }
-            let mut layer_puts = Vec::new();
-            for (root, labels) in &paths {
-                if rng.gen_bool(0.8) {
-                    let layers: Vec<Vec<u32>> = (0..=labels.len())
-                        .map(|_| {
-                            let mut l: Vec<u32> = (0..rng.gen_range(0..10))
-                                .map(|_| rng.gen_range(0..objects))
-                                .collect();
-                            l.sort_unstable();
-                            l.dedup();
-                            l
-                        })
-                        .collect();
-                    layer_puts.push((*root, LabelPath::from(&labels[..]), Arc::new(layers)));
-                }
-            }
-            let mut result_puts = Vec::new();
-            for _ in 0..rng.gen_range(0..40) {
-                let (root, labels) = paths[rng.gen_range(0..paths.len())].clone();
-                let path = PathExpr::new(root, labels);
-                let q = match rng.gen_range(0..3) {
-                    0 => Query::Chain {
-                        objects: (0..rng.gen_range(1..5)).map(|_| o(rng.gen_range(0..objects))).collect(),
-                    },
-                    1 => Query::Exists { path },
-                    _ => Query::Point { path, object: o(rng.gen_range(0..objects)) },
-                };
-                result_puts.push(q);
-            }
-            let direct: HashSet<u32> =
-                (0..rng.gen_range(0..5)).map(|_| rng.gen_range(0..objects)).collect();
-            let structural = rng.gen_bool(0.5);
-
-            let fill = || {
-                let cache = MarginalCache::new();
-                for (root, labels, layers) in &layer_puts {
-                    cache.put_layers(*root, labels.clone(), Arc::clone(layers));
-                }
-                for q in &result_puts {
-                    cache.put_result(q.clone(), Ok(0.5));
-                }
-                cache
-            };
-            let (fast, slow) = (fill(), fill());
-            let got = fast.invalidate_dirty(&direct, structural, None);
-            let mut want = InvalidationCounts::default();
-            slow.invalidate_results_and_layers_linear(&direct, structural, &mut want);
-            assert_eq!(got, want, "round {round}: eviction counts");
-            assert_eq!(fast.approx_bytes(), slow.approx_bytes(), "round {round}: freed bytes");
-            assert_eq!(fast.approx_bytes(), fast.recomputed_bytes());
-            let keys = |c: &MarginalCache| {
-                let results: HashSet<Query> = c.results.read().map.keys().cloned().collect();
-                let layers: HashSet<(ObjectId, LabelPath)> = c.layers.read().map.keys().cloned().collect();
-                (results, layers)
-            };
-            assert_eq!(keys(&fast), keys(&slow), "round {round}: surviving keys");
-        }
     }
 }

@@ -23,7 +23,7 @@
 //! an error) the sweep runs over a kept region (`eps_flat`): on a forest
 //! a point query's region is what the same ancestor walk collects
 //! (`point_region`), otherwise it is filtered from the path's located
-//! layers (`layers_flat_from` → `kept_flat`). The optional pre-flight
+//! layers (`locate` → `kept_flat`). The optional pre-flight
 //! ([`crate::preflight`]) analyses the same arena, so no write leaves
 //! an analysis to rebuild.
 //!
@@ -32,8 +32,8 @@
 //! [`crate::exists_query`] and [`crate::chain_probability`]: the sweep's
 //! arithmetic replicates the sequential recursion operation for
 //! operation, charges a budget in the recursion's order, and its errors
-//! name the same objects; the engine only adds whole-result,
-//! located-layers and chain-link memos.
+//! name the same objects; the engine only adds whole-result and
+//! chain-link memos.
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -44,13 +44,12 @@ use parking_lot::Mutex;
 use pxml_algebra::path::PathExpr;
 use pxml_core::catalog::DisplayObject;
 use pxml_core::{
-    render_ops, ArenaInstance, Budget, CancelToken, CoreError, Label, LabelPath, Mutation,
-    ObjectId, OnePass, ProbInstance,
+    render_ops, ArenaInstance, Budget, CancelToken, CoreError, Label, Mutation, ObjectId, OnePass,
+    ProbInstance,
 };
 use pxml_interval::Interval;
-use std::sync::Arc;
 
-use crate::cache::{InvalidationCounts, Layers, MarginalCache};
+use crate::cache::{InvalidationCounts, MarginalCache};
 use crate::dag::{exists_query_dag_governed, point_query_dag_governed, DagOutcome};
 use crate::error::{QueryError, Result};
 use crate::metrics::MetricsRegistry;
@@ -323,8 +322,8 @@ impl QueryEngine {
         self.cache.clear();
     }
 
-    /// Entry counts of the three cache tables `(results, layers, links)`.
-    pub fn cache_len(&self) -> (usize, usize, usize) {
+    /// Entry counts of the two cache tables `(results, links)`.
+    pub fn cache_len(&self) -> (usize, usize) {
         self.cache.len()
     }
 
@@ -399,10 +398,11 @@ impl QueryEngine {
         };
         // An entry-level write keeps the skeleton, so on a forest point
         // and exists results are tested against the dirty objects'
-        // subtree numbers and root label paths, with no layers witness.
+        // subtree numbers and root label paths. Any other write evicts
+        // them all.
         let scope =
             if effect.structural { None } else { self.arena.dirty_scope(&effect.dirty) };
-        let invalidated = self.cache.invalidate_dirty(&d.direct, effect.structural, scope.as_ref());
+        let invalidated = self.cache.invalidate_dirty(&d.direct, scope.as_ref());
         Ok(self.finish_mutation(m, effect, d.affected, invalidated, started))
     }
 
@@ -464,8 +464,6 @@ impl QueryEngine {
             marginal_nanos: 0,
             normalise_nanos: 0,
             result_hit: false,
-            layers_hits: 0,
-            layers_misses: 0,
             link_hits: 0,
             link_misses: 0,
             opf_entries: 0,
@@ -520,7 +518,6 @@ impl QueryEngine {
             "Memo hits by cache table.",
             &[
                 ("table=\"result\"", s.result_hits),
-                ("table=\"layers\"", s.layers_hits),
                 ("table=\"eps\"", s.eps_hits),
                 ("table=\"link\"", s.link_hits),
             ],
@@ -530,7 +527,6 @@ impl QueryEngine {
             "Memo misses by cache table.",
             &[
                 ("table=\"result\"", s.result_misses),
-                ("table=\"layers\"", s.layers_misses),
                 ("table=\"eps\"", s.eps_misses),
                 ("table=\"link\"", s.link_misses),
             ],
@@ -545,7 +541,7 @@ impl QueryEngine {
             "Cache inserts refused because no eviction could make room.",
             s.cache_admission_rejections,
         );
-        let (results, layers, links) = self.cache_len();
+        let (results, links) = self.cache_len();
         // The `eps` series stays (at zero) so the exposition keeps its
         // shape now that no ε memo exists.
         reg.gauge_vec(
@@ -553,7 +549,6 @@ impl QueryEngine {
             "Entries per cache table.",
             &[
                 ("table=\"result\"", results as f64),
-                ("table=\"layers\"", layers as f64),
                 ("table=\"eps\"", 0.0),
                 ("table=\"link\"", links as f64),
             ],
@@ -943,8 +938,6 @@ impl QueryEngine {
             marginal_nanos: tally.marginal_nanos,
             normalise_nanos: tally.normalise_nanos,
             result_hit: tally.result_hit,
-            layers_hits: tally.layers_hits,
-            layers_misses: tally.layers_misses,
             link_hits: tally.link_hits,
             link_misses: tally.link_misses,
             opf_entries: tally.opf_entries,
@@ -989,35 +982,6 @@ impl QueryEngine {
         }
     }
 
-    /// The located layers of `path` as sorted raw ids, memoised
-    /// per `(path root, label sequence)`. Like `layers_weak`, a path not
-    /// anchored at the instance root locates nothing. Only the region
-    /// route reads them: exists queries that the one-pass evaluation
-    /// does not answer (governed runs, non-forest arenas, errors), and
-    /// point queries whose target the ancestor walk cannot place (a
-    /// non-forest arena, or a target with no weak node). After a
-    /// structural write, or on a non-forest arena, an entry is also the
-    /// witness dirty-set invalidation tests the path's cached results
-    /// against.
-    fn layers_for(&self, path: &PathExpr, t: &mut TraceTally) -> Layers {
-        let start = Instant::now();
-        let labels = LabelPath::from(&path.labels[..]);
-        let layers = match self.cache.get_layers(path.root, &labels) {
-            Some(l) => {
-                t.layers_hits += 1;
-                l
-            }
-            None => {
-                t.layers_misses += 1;
-                let l = Arc::new(self.arena.locate(path.root, &path.labels));
-                self.cache.put_layers(path.root, labels, Arc::clone(&l));
-                l
-            }
-        };
-        t.locate_nanos += nanos_since(start);
-        layers
-    }
-
     /// Budgeted evaluation of one query over the arena: the flat §6.1
     /// sweep for point/exists queries, the link walk for chains. Under
     /// an unlimited budget a point or exists query on a forest first
@@ -1029,7 +993,9 @@ impl QueryEngine {
     /// empty when the walk does not reach the path root. Where the walk
     /// proves nothing (a non-forest arena, a target without a weak node),
     /// and for exists queries, the region is filtered from the path's
-    /// located layers ([`QueryEngine::layers_for`]).
+    /// located layers ([`ArenaInstance::locate`], timed as locating; like
+    /// `layers_weak`, a path not anchored at the instance root locates
+    /// nothing).
     fn evaluate(
         &self,
         q: &Query,
@@ -1051,7 +1017,8 @@ impl QueryEngine {
                     t.locate_nanos += nanos_since(start);
                     return self.sweep(&path.labels, || Ok(kept), budget, degrade, t);
                 }
-                let layers = self.layers_for(path, t);
+                let layers = self.arena.locate(path.root, &path.labels);
+                t.locate_nanos += nanos_since(start);
                 // Mirrors `point_query`: absent from the located layer ⇒ 0.
                 match layers.last() {
                     Some(located) if located.binary_search(&x).is_ok() => {
@@ -1068,7 +1035,9 @@ impl QueryEngine {
                         return r;
                     }
                 }
-                let layers = self.layers_for(path, t);
+                let start = Instant::now();
+                let layers = self.arena.locate(path.root, &path.labels);
+                t.locate_nanos += nanos_since(start);
                 // Mirrors `exists_query`: nothing located ⇒ 0.
                 match layers.last() {
                     Some(located) if !located.is_empty() => {
@@ -1279,14 +1248,13 @@ mod tests {
         assert_eq!(snap.queries_run, 5);
         assert_eq!(snap.result_hits, 1);
         assert_eq!(snap.result_misses, 4);
-        assert!(snap.layers_hits >= 1, "title path located once, reused");
     }
 
     /// On a forest, ungoverned point and exists queries evaluate in one
-    /// pass over the arena and never read or write the layers table;
-    /// their results are invalidated without a layers witness.
+    /// pass over the arena: each leaves its result entry and nothing
+    /// else in the cache.
     #[test]
-    fn forest_queries_never_touch_the_layers_table() {
+    fn forest_queries_evaluate_in_one_pass() {
         let pi = chain_fixture(3, 0.5);
         let o3 = pi.oid("o3").unwrap();
         let p = parse(&pi, "r.next.next.next");
@@ -1297,8 +1265,7 @@ mod tests {
         let b = engine.run(&Query::exists(p.clone())).unwrap();
         assert_eq!(a, b, "on a chain the sole target is the located set");
         let snap = engine.stats();
-        assert_eq!((snap.layers_hits, snap.layers_misses), (0, 0));
-        assert_eq!(engine.cache_len(), (2, 0, 0), "results, layers, links");
+        assert_eq!(engine.cache_len(), (2, 0), "results, links");
         assert_eq!((snap.eps_hits, snap.eps_misses), (0, 0), "no ε memo");
         assert_eq!(snap.opf_entries_visited, 12, "three two-entry OPFs per query");
     }
@@ -1383,9 +1350,8 @@ mod tests {
     /// traced run probes the result cache before the analysis, as an
     /// untraced one does, so a repeated provable zero is a result hit
     /// rather than a second proof; governed runs degrade, exhaust and
-    /// spend alike; and Figure 2's point and exists queries, which
-    /// locate through the layers table (the arena is not a forest),
-    /// count the same lookups.
+    /// spend alike; and Figure 2's point and exists queries, which take
+    /// the region route (the arena is not a forest), count alike.
     #[test]
     fn preflight_counters_do_not_depend_on_the_trace_mode() {
         // Everything but the timings and the trace-only histograms.
@@ -1446,7 +1412,6 @@ mod tests {
         );
         assert_eq!((chain.result_hits, chain.result_misses), (3, 5));
         assert_eq!((chain.queries_degraded, chain.queries_exhausted), (1, 1));
-        assert!(fig2.layers_hits > 0 && fig2.layers_misses > 0, "{fig2:?}");
         assert!(fig2.queries_degraded > 0 && fig2.queries_exhausted > 0, "{fig2:?}");
         assert!(fig2.budget_steps_spent > 0 && fig2.opf_entries_visited > 0, "{fig2:?}");
         for mode in [TraceMode::Timing, TraceMode::Full] {
@@ -1610,7 +1575,7 @@ mod tests {
         assert!(!engine.apply_mutation(&m).unwrap().effect.dirty.is_empty());
         engine.run_batch(&queries);
         let (cache, slabs) = (engine.cache_len(), engine.arena.slab_lens());
-        assert_ne!(cache, (0, 0, 0));
+        assert_ne!(cache, (0, 0));
         let again = engine.apply_mutation(&m).unwrap();
         assert!(again.effect.dirty.is_empty());
         assert_eq!((again.affected, again.invalidated.total()), (0, 0));
@@ -1697,9 +1662,10 @@ mod tests {
         assert_fresh_answers(&engine, &queries);
     }
 
-    /// A structural op in a disjoint subtree keeps the title path's
-    /// result, its layers witness and the link memos of the chain
-    /// `R → B1 → T1` warm: rows are object ids, so their keys stay valid.
+    /// A structural op in a disjoint subtree keeps the chain
+    /// `R → B1 → T1`'s result and link memos warm: rows are object ids,
+    /// so their keys stay valid. It has no [`pxml_core::DirtyScope`], so
+    /// the title path's point result is evicted.
     #[test]
     fn structural_op_keeps_disjoint_entries_warm() {
         let pi = fig2_instance();
@@ -1716,16 +1682,14 @@ mod tests {
         let m =
             Mutation::InsertObject { name: "I9".into(), parent: a3, label: institution, prob: 0.0 };
         let out = engine.apply_mutation(&m).unwrap();
-        assert_eq!((out.invalidated.results, out.invalidated.layers), (0, 0));
+        assert_eq!(out.invalidated.results, 1, "the point result goes, the chain's stays");
         assert_eq!(out.invalidated.links, 0, "no link memo's parent is dirty");
         let before = engine.stats();
         let again = engine.run(&warm).unwrap();
-        // A new query over the same path must find the surviving layers.
         let other = engine.run(&Query::point(title.clone(), t1)).unwrap();
+        assert!(engine.run(&Query::chain(chain)).is_ok());
         let after = engine.stats();
-        assert_eq!(after.result_hits - before.result_hits, 1, "the warm result still hits");
-        assert_eq!(after.layers_hits - before.layers_hits, 1, "the layers entry survived");
-        assert_eq!(after.layers_misses, before.layers_misses);
+        assert_eq!(after.result_hits - before.result_hits, 1, "the chain result still hits");
         // Re-run the chain below the result memo: both links hit.
         let chain = Query::chain(chain);
         let mut t = TraceTally::default();
@@ -1738,13 +1702,12 @@ mod tests {
         assert!(engine.audit_cache().is_empty(), "{:?}", engine.audit_cache());
     }
 
-    /// POINT-only queries leave no layers witness, so an entry-level
-    /// write tests each point result against its target's path
-    /// ancestors: a write below a short path's targets keeps their
-    /// results warm, and only the results whose target sits under the
-    /// written parent are evicted.
+    /// An entry-level write on a forest tests each point result against
+    /// its target's path ancestors: a write below a short path's targets
+    /// keeps their results warm, and only the results whose target sits
+    /// under the written parent are evicted.
     #[test]
-    fn point_results_without_a_witness_survive_writes_off_their_ancestors() {
+    fn point_results_survive_writes_off_their_ancestors() {
         use pxml_algebra::locate::locate_weak;
         use pxml_gen::{generate, Labeling, WorkloadConfig};
         let g = generate(&WorkloadConfig::paper(3, 2, Labeling::SameLabel, 5));
@@ -1821,7 +1784,6 @@ mod tests {
         assert_eq!(after.result_hits - before.result_hits, 3, "R.l0.l1 and shorter stay warm");
         assert_eq!(after.result_misses, before.result_misses);
         assert_fresh_answers(&engine, &queries);
-        assert_eq!((after.layers_hits, after.layers_misses), (0, 0));
     }
 
     /// A SETVAL dirties only its leaf, which is no proper ancestor of a
@@ -1972,9 +1934,9 @@ mod tests {
         engine.set_threads(2);
         assert_eq!(engine.threads(), 2);
         engine.run(&Query::exists(p)).unwrap();
-        assert_ne!(engine.cache_len(), (0, 0, 0));
+        assert_ne!(engine.cache_len(), (0, 0));
         engine.clear_cache();
-        assert_eq!(engine.cache_len(), (0, 0, 0));
+        assert_eq!(engine.cache_len(), (0, 0));
         engine.reset_stats();
         assert_eq!(engine.stats().queries_run, 0);
         let pi = engine.into_instance();

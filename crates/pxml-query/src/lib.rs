@@ -94,7 +94,7 @@ pub use metrics::MetricsRegistry;
 pub use point::{exists_query, exists_query_budgeted, point_query, point_query_budgeted};
 pub use preflight::{analyze, normalise, CostEstimate, DiagCode, Diagnostic, Report, Verdict};
 pub use stats::{EngineStats, HistSnapshot, LogHistogram, StatsSnapshot};
-pub use trace::{QueryKind, QueryTrace, TraceMode, TraceOutcome, TraceRing};
+pub use trace::{push_json_escaped, QueryKind, QueryTrace, TraceMode, TraceOutcome, TraceRing};
 
 // Re-exported so downstream users (the CLI, tests) can build budgets
 // without importing pxml-core directly.

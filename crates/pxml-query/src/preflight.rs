@@ -35,7 +35,7 @@
 
 use pxml_core::{ArenaInstance, CoreError, Exhausted, Label, ObjectId, Resource};
 
-use crate::cache::{LAYERS_ENTRY_BYTES, LINK_ENTRY_BYTES, RESULT_ENTRY_BYTES};
+use crate::cache::{result_cost, LINK_ENTRY_BYTES, RESULT_ENTRY_BYTES};
 use crate::dag::MAX_CHAINS;
 use crate::engine::{BudgetSpec, DegradePolicy, Query};
 
@@ -136,7 +136,8 @@ pub struct CostEstimate {
     /// chain extensions, inclusion–exclusion terms).
     pub steps: u64,
     /// Upper bound on bytes the query can add to the shared
-    /// [`crate::MarginalCache`] (result + layers + link entries).
+    /// [`crate::MarginalCache`]: its result entry, plus one link entry
+    /// per scanned link for a chain.
     pub memo_bytes: u64,
     /// True when `steps` is the *exact* governed charge count (tree
     /// point/exists regions and chains), enabling admission control.
@@ -242,7 +243,7 @@ fn analyze_path(
         diagnostics.push(Diagnostic { code: DiagCode::ProvablyZero, message });
         Report {
             verdict: Verdict::ProvablyZero,
-            cost: CostEstimate { steps: 0, memo_bytes: base_bytes(q, &layers), exact_steps: true },
+            cost: CostEstimate { steps: 0, memo_bytes: result_cost(q), exact_steps: true },
             upper_bound: 0.0,
             normalised: None,
             diagnostics,
@@ -276,13 +277,11 @@ fn analyze_path(
         });
     }
 
-    let memo_bytes = base_bytes(q, &layers);
+    let memo_bytes = result_cost(q);
     match arena.kept_flat(labels, &layers, &targets) {
         Ok(kept) => {
             // Tree-shaped region: the governed evaluator charges one
-            // step per kept node above the target depth, exactly. The
-            // memo bytes count a layers entry even for a forest POINT,
-            // which adds none, so they stay an upper bound.
+            // step per kept node above the target depth, exactly.
             let steps: u64 = kept[..n].iter().map(|l| l.len() as u64).sum();
             let (alive, ceilings) = forward_pass(arena, labels, &kept);
             // Blocked targets: reachable in the weak graph but only
@@ -500,17 +499,6 @@ fn analyze_chain(arena: &ArenaInstance, objects: &[ObjectId]) -> Report {
         normalised: None,
         diagnostics,
     }
-}
-
-/// Shared-cache bytes a path query can add: its result entry plus the
-/// memoised layer vectors.
-fn base_bytes(q: &Query, layers: &[Vec<u32>]) -> u64 {
-    let result_extra = match q {
-        Query::Point { path, .. } | Query::Exists { path } => path.labels.len() as u64 * 4,
-        Query::Chain { objects } => objects.len() as u64 * 4,
-    };
-    let layers_extra: u64 = layers.iter().map(|l| 24 + l.len() as u64 * 4).sum();
-    RESULT_ENTRY_BYTES + result_extra + LAYERS_ENTRY_BYTES + layers_extra
 }
 
 /// Shared-cache bytes a chain query can add: its result entry plus one

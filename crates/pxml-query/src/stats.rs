@@ -143,10 +143,6 @@ pub struct EngineStats {
     /// Whole-query memo misses — queries actually evaluated (published
     /// with `Release`).
     pub result_misses: AtomicU64,
-    /// Locate-layer memo hits.
-    pub layers_hits: AtomicU64,
-    /// Locate-layer memo misses (forward traversals run).
-    pub layers_misses: AtomicU64,
     /// Chain-link marginal memo hits.
     pub link_hits: AtomicU64,
     /// Chain-link marginal memo misses.
@@ -188,8 +184,9 @@ pub struct EngineStats {
     pub batches_run: AtomicU64,
     /// Mutations applied through `QueryEngine::apply_mutation`.
     pub mutations_applied: AtomicU64,
-    /// Cache entries evicted by dirty-set invalidation (all three tables;
-    /// whole-table byte-ceiling evictions are counted separately).
+    /// Cache entries evicted by dirty-set invalidation (both tables,
+    /// results and links; whole-table byte-ceiling evictions are counted
+    /// separately).
     pub cache_invalidations: AtomicU64,
     /// Nanoseconds spent applying mutations (§6.1 recomputation plus
     /// dirty-set propagation and eviction).
@@ -240,8 +237,6 @@ impl EngineStats {
         if t.exhausted {
             self.queries_exhausted.fetch_add(1, Ordering::Release);
         }
-        add(&self.layers_hits, t.layers_hits);
-        add(&self.layers_misses, t.layers_misses);
         add(&self.link_hits, t.link_hits);
         add(&self.link_misses, t.link_misses);
         add(&self.opf_entries_visited, t.opf_entries);
@@ -277,8 +272,6 @@ impl EngineStats {
             &self.queries_run,
             &self.result_hits,
             &self.result_misses,
-            &self.layers_hits,
-            &self.layers_misses,
             &self.link_hits,
             &self.link_misses,
             &self.opf_entries_visited,
@@ -321,8 +314,6 @@ impl EngineStats {
             queries_run,
             result_hits,
             result_misses,
-            layers_hits: g(&self.layers_hits),
-            layers_misses: g(&self.layers_misses),
             eps_hits: 0,
             eps_misses: 0,
             link_hits: g(&self.link_hits),
@@ -359,10 +350,6 @@ pub struct StatsSnapshot {
     pub result_hits: u64,
     /// Whole-query memo misses.
     pub result_misses: u64,
-    /// Locate-layer memo hits.
-    pub layers_hits: u64,
-    /// Locate-layer memo misses.
-    pub layers_misses: u64,
     /// ε-marginal memo hits: always 0, as no shared ε memo exists; kept
     /// so the STATS line and the `table="eps"` metric families keep
     /// their shape.
@@ -418,16 +405,16 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    /// Total cache hits across the result, layers and link tables
+    /// Total cache hits across the two tables, results and links
     /// (`eps_hits` is always 0).
     pub fn total_hits(&self) -> u64 {
-        self.result_hits + self.layers_hits + self.eps_hits + self.link_hits
+        self.result_hits + self.eps_hits + self.link_hits
     }
 
-    /// Total cache misses across the result, layers and link tables
+    /// Total cache misses across the two tables, results and links
     /// (`eps_misses` is always 0).
     pub fn total_misses(&self) -> u64 {
-        self.result_misses + self.layers_misses + self.eps_misses + self.link_misses
+        self.result_misses + self.eps_misses + self.link_misses
     }
 
     /// Hit fraction in `[0, 1]`; `0.0` when no lookups happened.
@@ -510,13 +497,13 @@ impl fmt::Display for StatsSnapshot {
             "queries run        {}  (batches {})",
             self.queries_run, self.batches_run
         )?;
+        // No located-layers memo exists; `layers 0/0` is printed as is
+        // because the end-to-end benchmark's STATS parser reads the token.
         writeln!(
             f,
-            "cache hits/misses  result {}/{}  layers {}/{}  eps {}/{}  link {}/{}",
+            "cache hits/misses  result {}/{}  layers 0/0  eps {}/{}  link {}/{}",
             self.result_hits,
             self.result_misses,
-            self.layers_hits,
-            self.layers_misses,
             self.eps_hits,
             self.eps_misses,
             self.link_hits,
@@ -590,7 +577,7 @@ mod tests {
         s.count_query();
         s.fold(&TraceTally {
             result_hit: true,
-            layers_hits: 1,
+            link_hits: 1,
             opf_entries: 7,
             budget: Some((40, 2)),
             ..TraceTally::default()
@@ -601,7 +588,7 @@ mod tests {
         assert_eq!(snap.queries_run, 1);
         assert_eq!(snap.result_hits, 1);
         assert_eq!(snap.result_misses, 1);
-        assert_eq!(snap.layers_hits, 1);
+        assert_eq!(snap.link_hits, 1);
         assert_eq!(snap.opf_entries_visited, 7);
         assert_eq!(snap.budget_steps_spent, 40);
         assert_eq!(snap.budget_polls, 2);

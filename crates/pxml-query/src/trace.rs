@@ -147,8 +147,6 @@ pub(crate) struct TraceTally {
     pub degraded: bool,
     /// The governed run returned the typed `Exhausted` error.
     pub exhausted: bool,
-    pub layers_hits: u64,
-    pub layers_misses: u64,
     pub link_hits: u64,
     pub link_misses: u64,
     pub opf_entries: u64,
@@ -189,10 +187,6 @@ pub struct QueryTrace {
     pub normalise_nanos: u64,
     /// Whether the whole-query result memo answered.
     pub result_hit: bool,
-    /// Locate-layer memo hits attributed to this query.
-    pub layers_hits: u64,
-    /// Locate-layer memo misses (forward traversals run).
-    pub layers_misses: u64,
     /// Chain-link marginal memo hits.
     pub link_hits: u64,
     /// Chain-link marginal memo misses.
@@ -233,8 +227,6 @@ impl QueryTrace {
             ("locate_nanos", self.locate_nanos),
             ("marginal_nanos", self.marginal_nanos),
             ("normalise_nanos", self.normalise_nanos),
-            ("layers_hits", self.layers_hits),
-            ("layers_misses", self.layers_misses),
             ("link_hits", self.link_hits),
             ("link_misses", self.link_misses),
             ("opf_entries", self.opf_entries),
@@ -310,8 +302,6 @@ impl QueryTrace {
             marginal_nanos: num("marginal_nanos")?,
             normalise_nanos: num("normalise_nanos")?,
             result_hit,
-            layers_hits: num("layers_hits")?,
-            layers_misses: num("layers_misses")?,
             link_hits: num("link_hits")?,
             link_misses: num("link_misses")?,
             opf_entries: num("opf_entries")?,
@@ -344,20 +334,26 @@ fn push_str_field(s: &mut String, key: &str, value: &str) {
     s.push('"');
     s.push_str(key);
     s.push_str("\":\"");
+    push_json_escaped(s, value);
+    s.push('"');
+}
+
+/// Appends `value` to `out` escaped as the body of a JSON string (no
+/// surrounding quotes): `"` and `\\` are backslash-escaped, `\n`, `\r`
+/// and `\t` take their short forms, other control characters become
+/// `\u00XX`, and everything else, non-ASCII included, is copied as is.
+pub fn push_json_escaped(out: &mut String, value: &str) {
     for c in value.chars() {
         match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                s.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => s.push(c),
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
         }
     }
-    s.push('"');
 }
 
 /// Values the flat-object parser understands.
@@ -625,8 +621,6 @@ mod tests {
             marginal_nanos: 900,
             normalise_nanos: 34,
             result_hit: false,
-            layers_hits: 1,
-            layers_misses: 0,
             link_hits: 0,
             link_misses: 0,
             opf_entries: 12,
@@ -652,6 +646,13 @@ mod tests {
         t.hi = 1.0;
         let line = t.to_json();
         assert_eq!(QueryTrace::from_json(&line).unwrap(), t);
+    }
+
+    #[test]
+    fn json_escape_covers_every_escaped_class() {
+        let mut out = String::new();
+        push_json_escaped(&mut out, "a\"b\\c\nd\re\tf\u{1}g ø€");
+        assert_eq!(out, r#"a\"b\\c\nd\re\tf\u0001g ø€"#);
     }
 
     #[test]

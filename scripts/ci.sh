@@ -439,10 +439,13 @@ sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)
 for workload in mixed_rw_1e4 cold_reads_1e5; do
   e2e_smoke "$workload" 0
 done
-# The traced run also replays the workload in process (e2ebench's
+# The traced runs also replay the workload in process (e2ebench's
 # trace.rs): engine stats, governed mutation, re-lowering and the STATS
-# parse, none of which the untraced smokes reach.
+# parse, none of which the untraced smokes reach. The traced
+# cold_reads_1e5 run also checks that workload's uniform-mix premise
+# (a result hit ratio of at most 0.10 under its cache ceiling).
 e2e_smoke mixed_rw_1e4 1
+e2e_smoke cold_reads_1e5 1
 
 if [ "$in_git" -eq 1 ]; then
   echo "==> tracked files untouched"

@@ -1,5 +1,5 @@
 //! Admission/eviction hammer for the byte-governed [`MarginalCache`]:
-//! multi-threaded churn across all three tables under a tight ceiling,
+//! multi-threaded churn across both tables under a tight ceiling,
 //! then accounting proofs — the running byte total must equal the
 //! recomputed sum of live entry costs, and oversized inserts must be
 //! refused without evicting warm state (the admission-thrash bug).
@@ -22,8 +22,7 @@ fn lp(raw: u32) -> LabelPath {
     LabelPath::new(vec![Label::from_raw(raw % 7)])
 }
 
-/// An exists query over the path the layers entry `(o(raw), lp(raw))`
-/// locates, so that entry is its invalidation witness.
+/// An exists query over the one-label path `lp(raw)` from `o(raw)`.
 fn exists_query(raw: u32) -> Query {
     Query::Exists { path: PathExpr::new(o(raw), lp(raw).labels().to_vec()) }
 }
@@ -32,24 +31,26 @@ fn chain_query(raw: u32, len: u32) -> Query {
     Query::Chain { objects: (raw..raw + 1 + len % 4).map(o).collect() }
 }
 
-/// One layer of `len` consecutive raw ids from `raw`.
-fn layers(raw: u32, len: u32) -> Arc<Vec<Vec<u32>>> {
-    Arc::new(vec![(raw..raw + len).collect()])
+/// A point query whose path has `len` labels, so its entry's cost
+/// grows with `len`.
+fn point_query(raw: u32, len: u32) -> Query {
+    let labels = (0..len).map(|i| Label::from_raw((raw + i) % 7)).collect::<Vec<_>>();
+    Query::Point { path: PathExpr::new(o(raw), labels), object: o(raw + len) }
 }
 
-/// One deterministic put: `sel` picks the table (two selectors land in
-/// the results table, as chain and as exists queries), `raw` the key,
-/// `len` scales value-bearing entry costs.
+/// One deterministic put: `sel` picks the table (three selectors land
+/// in the results table, as chain, point and exists queries), `raw` the
+/// key, `len` scales the entry cost of chains and points.
 fn put(cache: &MarginalCache, sel: u8, raw: u32, len: u32) {
     match sel % 4 {
         0 => cache.put_result(chain_query(raw % 32, len), Ok(0.5)),
-        1 => cache.put_layers(o(raw % 32), lp(raw), layers(raw, 1 + len % 24)),
+        1 => cache.put_result(point_query(raw % 32, 1 + len % 24), Ok(0.75)),
         2 => cache.put_result(exists_query(raw % 32), Ok(0.25)),
         _ => cache.put_link(raw % 32, raw % 3, 0.125),
     }
 }
 
-/// Multi-threaded churn across all three tables under a ceiling small
+/// Multi-threaded churn across both tables under a ceiling small
 /// enough to keep admission/eviction/refusal all hot. After quiescence
 /// the running byte total must equal the recomputed sum of live entry
 /// costs exactly — any drift means an admit path skipped accounting.
@@ -100,7 +101,7 @@ fn concurrent_churn_keeps_byte_accounting_exact() {
     );
 }
 
-/// Warm all three tables below the ceiling, then hammer oversized puts
+/// Warm both tables below the ceiling, then hammer oversized puts
 /// from many threads: every one must be refused (counted), none may
 /// evict, and the warm entries must still hit afterwards.
 #[test]
@@ -116,18 +117,19 @@ fn oversized_hammer_causes_zero_spurious_evictions() {
         cache.put_result(exists_query(i), Ok(0.25));
         cache.put_link(i, 0, 0.125);
     }
-    cache.put_layers(o(0), lp(0), layers(0, 4));
+    cache.put_result(point_query(0, 4), Ok(0.75));
     let warm_bytes = cache.approx_bytes();
     assert!(warm_bytes < cache.max_bytes());
     assert_eq!(cache.evictions(), 0);
 
-    // Each oversized layers entry alone busts the 2 KiB ceiling.
+    // Each oversized result (a path of 1 000 labels) alone busts the
+    // 2 KiB ceiling.
     let workers: Vec<_> = (0..THREADS)
         .map(|t| {
             let cache = Arc::clone(&cache);
             std::thread::spawn(move || {
                 for i in 0..OPS {
-                    cache.put_layers(o(1000 + t), lp(i), layers(i, 1000));
+                    cache.put_result(point_query(1000 * (t + 1) + i, 1000), Ok(0.5));
                 }
             })
         })
@@ -147,38 +149,37 @@ fn oversized_hammer_causes_zero_spurious_evictions() {
         assert!(cache.get_result(&exists_query(i)).is_some(), "warm exists result {i} lost");
         assert!(cache.get_link(i, 0).is_some(), "warm link {i} lost");
     }
-    assert!(cache.get_layers(o(0), &lp(0)).is_some(), "warm layers lost");
+    assert!(cache.get_result(&point_query(0, 4)).is_some(), "warm point result lost");
     assert_eq!(cache.approx_bytes(), warm_bytes, "footprint must be untouched");
     assert_eq!(cache.approx_bytes(), cache.recomputed_bytes());
 }
 
 /// Regression for dirty-set invalidation over row-keyed entries: the
-/// layers and link tables hold raw object ids, and `invalidate_dirty`
-/// (one dirty id set testing chain results, the layers witnesses and
-/// the link table) must free exactly the admitted costs —
-/// `approx == recomputed` must hold after it.
+/// link table and chain results hold raw object ids, and
+/// `invalidate_dirty` (one dirty id set testing chain results and the
+/// link table; with no `DirtyScope`, every point and exists result goes)
+/// must free exactly the admitted costs — `approx == recomputed` must
+/// hold after it.
 #[test]
 fn invalidation_over_index_keyed_entries_keeps_accounting_exact() {
     use std::collections::HashSet;
     let cache = MarginalCache::new();
     for i in 0..16u32 {
+        // Chain i holds the objects i and i + 1.
         cache.put_result(chain_query(i, 1), Ok(0.5));
-        // Entry i locates the objects 4i..4i+4.
-        cache.put_layers(o(i), lp(i), layers(4 * i, 4));
         cache.put_result(exists_query(i), Ok(0.25));
         cache.put_link(i, i % 3, 0.125);
     }
     assert_eq!(cache.approx_bytes(), cache.recomputed_bytes());
 
     let direct: HashSet<u32> = (0..8u32).collect();
-    let counts = cache.invalidate_dirty(&direct, true, None);
-    assert_eq!(counts.results, 8 + 2, "chains over D, exists over the dirty witnesses");
-    assert_eq!(counts.layers, 2, "layers evicted per dirty id set");
+    let counts = cache.invalidate_dirty(&direct, None);
+    assert_eq!(counts.results, 8 + 16, "chains over D, and every exists result");
     assert_eq!(counts.links, 8, "links evicted per dirty id set");
     assert_eq!(cache.approx_bytes(), cache.recomputed_bytes());
     for i in 0..16u32 {
-        assert_eq!(cache.get_result(&exists_query(i)).is_some(), i >= 2, "exists {i}");
-        assert_eq!(cache.get_layers(o(i), &lp(i)).is_some(), i >= 2, "layers {i}");
+        assert_eq!(cache.get_result(&chain_query(i, 1)).is_some(), i >= 8, "chain {i}");
+        assert!(cache.get_result(&exists_query(i)).is_none(), "exists {i}");
         assert_eq!(cache.get_link(i, i % 3).is_some(), i >= 8, "link {i}");
     }
 }
@@ -191,7 +192,7 @@ enum Op {
     SetMax(u64),
 }
 
-/// A deterministic op script: mostly puts across all three tables,
+/// A deterministic op script: mostly puts across both tables,
 /// seasoned with wholesale clears and ceiling moves.
 fn op_script(seed: u64, steps: usize) -> Vec<Op> {
     let mut rng = StdRng::seed_from_u64(seed);

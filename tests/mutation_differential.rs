@@ -18,6 +18,9 @@
 //! 3. **Cache coherence** — `audit_cache` (recompute every retained
 //!    entry from scratch) reports zero findings right after the
 //!    invalidation and again after the workload re-warms the cache.
+//! 4. **Locate parity** — each engine's `ArenaInstance::locate` equals
+//!    the legacy `layers_weak` on the mutated instance for every path in
+//!    the workload.
 
 mod common;
 
@@ -25,7 +28,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use pxml::algebra::{locate_weak, PathExpr};
+use pxml::algebra::{layers_weak, locate_weak, PathExpr};
 use pxml::core::{Budget, Label, Mutation, ObjectId, ProbInstance};
 use pxml::gen::random_mutations;
 use pxml::query::engine::BudgetSpec;
@@ -221,6 +224,21 @@ fn drive(pi: ProbInstance, seed: u64, structural_every: usize, dag_ops: bool, po
         let mut queries = workload(&mirror);
         queries.extend(stale.iter().cloned());
 
+        // The arena's forward locate (the region route's and the
+        // pre-flight's) must equal the legacy one on the mutated
+        // instance, for every path the workload asks about.
+        for q in &queries {
+            let (BatchQuery::Point { path, .. } | BatchQuery::Exists { path }) = q else { continue };
+            let legacy: Vec<Vec<u32>> = layers_weak(mirror.weak(), path)
+                .iter()
+                .map(|l| l.iter().map(|o| o.raw()).collect())
+                .collect();
+            for eng in [&eng1, &eng4] {
+                let got = eng.arena().locate(path.root, &path.labels);
+                assert_eq!(got, legacy, "step {step}: {op:?}: locate {path:?}");
+            }
+        }
+
         let oracle = QueryEngine::with_threads(mirror.clone(), 1);
         let expected = oracle.run_batch(&queries);
         assert_eq!(eng1.run_batch(&queries), expected, "step {step}: {op:?} (1 thread)");
@@ -261,10 +279,10 @@ proptest! {
         drive(random_dag(seed), seed, 2, true, false);
     }
 
-    /// POINT-only stream on trees: no exists query leaves a layers
-    /// witness, so after an entry-level write each retained point
-    /// result is vouched for only by its target's path ancestors, and
-    /// the audit after every op checks that verdict.
+    /// POINT-only stream on trees: after an entry-level write each
+    /// retained point result is vouched for only by its target's path
+    /// ancestors (the write's `DirtyScope`), and the audit after every
+    /// op checks that verdict.
     #[test]
     fn incremental_equals_fresh_point_only(seed in 0u64..2000) {
         drive(random_tree(seed), seed, 3, false, true);
